@@ -4,19 +4,22 @@ Four independent decision routes live here: three local/structural conditions,
 a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
-second condition is the production checker (degree and sign facts plus one
-bridge pass and one balance pass); the others are cross-validation routes.
+second condition is the production checker (degree and sign facts, a bridge
+pass only when a positive edge at a negative-degree-2 vertex needs testing,
+and one balance pass); the others are cross-validation routes.  Witnesses
+are built from the failing clause of condition ii in linear time.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ._traversal import bridge_edges, biconnected_components, connected_components
 from .core import Circle, GraphError, SignedGraph, sign_product
+# line_graph, is_consistent_oracle and circle_vertex_sign are not used here
+# but stay importable from this module: bench/tracer.py wraps them here.
 from .cycles import (
     circle_vertex_sign,
     enumerate_circles,
@@ -25,6 +28,15 @@ from .cycles import (
     is_consistent_oracle,
 )
 from .linegraph import circle_image, line_edge_id, line_graph
+
+# The clauses of condition ii; find_witness builds one witness per clause.
+NEGATIVE_DEGREE_ABOVE_2 = "negative-subgraph degree exceeds 2"
+TWO_POSITIVE_EDGES = "negative-edge endpoint with two positive edges"
+POSITIVE_EDGE_NOT_ISTHMUS = "negative-degree-2 positive edge not an isthmus"
+UNBALANCED = "unbalanced"
+_CONDITION_II_CLAUSES = (
+    NEGATIVE_DEGREE_ABOVE_2, TWO_POSITIVE_EDGES, POSITIVE_EDGE_NOT_ISTHMUS, UNBALANCED
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ class StructureReport:
         if self.line_consistent:
             return Verdict(True)
         if not self.balanced:
-            return Verdict(False, "unbalanced")
+            return Verdict(False, UNBALANCED)
         for comp in self.components:
             if comp.violations:
                 return Verdict(False, comp.violations[0])
@@ -140,36 +152,35 @@ def check_condition_i(graph: SignedGraph) -> Verdict:
                     edge=positive[0].id,
                 )
     if not is_balanced_fast(graph):
-        return Verdict(False, "unbalanced")
+        return Verdict(False, UNBALANCED)
     return Verdict(True)
 
 
 def check_condition_ii(graph: SignedGraph) -> Verdict:
     """Balanced; the negative subgraph is a disjoint union of paths and
     circles; each endpoint of a negative edge has at most one positive edge,
-    an isthmus when the vertex has two negative edges."""
-    isthmi = find_isthmi(graph)
-    negative = graph.negative_subgraph()
+    an isthmus when the vertex has two negative edges.
+
+    The bridge pass runs only once a positive edge at a negative-degree-2
+    vertex needs testing."""
+    isthmi = None
     for v in graph.vertices:
-        neg_degree = negative.degree(v)
-        if neg_degree == 0:
+        positive, negative = _split_signs(graph.incident_edges(v))
+        if not negative:
             continue
-        if neg_degree > 2:
-            return Verdict(False, "negative-subgraph degree exceeds 2", vertex=v)
-        positive, _ = _split_signs(graph.incident_edges(v))
+        if len(negative) > 2:
+            return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=v)
         if len(positive) > 1:
-            return Verdict(
-                False, "negative-edge endpoint with two positive edges", vertex=v
-            )
-        if neg_degree == 2 and positive and positive[0].id not in isthmi:
-            return Verdict(
-                False,
-                "negative-degree-2 positive edge not an isthmus",
-                vertex=v,
-                edge=positive[0].id,
-            )
+            return Verdict(False, TWO_POSITIVE_EDGES, vertex=v)
+        if len(negative) == 2 and positive:
+            if isthmi is None:
+                isthmi = find_isthmi(graph)
+            if positive[0].id not in isthmi:
+                return Verdict(
+                    False, POSITIVE_EDGE_NOT_ISTHMUS, vertex=v, edge=positive[0].id
+                )
     if not is_balanced_fast(graph):
-        return Verdict(False, "unbalanced")
+        return Verdict(False, UNBALANCED)
     return Verdict(True)
 
 
@@ -205,10 +216,11 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
 def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     """The simple-graph criterion: balanced; degree > 3 totally positive;
     degree 3 totally positive or two negative edges lying on every circle
-    through the vertex (checked against the circle enumeration)."""
+    through the vertex (checked against the circle enumeration, which runs
+    only once such a vertex is reached)."""
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
-    circles = enumerate_circles(graph)
+    circles = None
     for v in graph.vertices:
         incident = graph.incident_edges(v)
         positive, negative = _split_signs(incident)
@@ -221,6 +233,8 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
                     "degree-3 vertex without exactly two negative edges",
                     vertex=v,
                 )
+            if circles is None:
+                circles = enumerate_circles(graph)
             pair = {negative[0].id, negative[1].id}
             for circle in circles:
                 if v in circle.vertices and not pair <= set(circle.edges):
@@ -231,7 +245,7 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
                         vertex=v,
                     )
     if not is_balanced_fast(graph):
-        return Verdict(False, "unbalanced")
+        return Verdict(False, UNBALANCED)
     return Verdict(True)
 
 
@@ -401,119 +415,92 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
 def _circle_through_edge(graph: SignedGraph, edge) -> Optional[Circle]:
     """A shortest circle containing ``edge``: BFS between its endpoints
     avoiding the edge itself, then close with it.  None if it is an isthmus."""
-    adjacency = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        if e.id == edge.id:
-            continue
-        adjacency[e.u].append((e.id, e.v))
-        adjacency[e.v].append((e.id, e.u))
-    for v in adjacency:
-        adjacency[v].sort()
-    start, goal = edge.u, edge.v
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
+    parent = {edge.u: None}
+    queue = deque([edge.u])
+    while queue and edge.v not in parent:
         v = queue.popleft()
-        if v == goal:
-            break
-        for eid, w in adjacency[v]:
-            if w not in parent:
-                parent[w] = (eid, v)
+        for e in graph.incident_edges(v):
+            w = e.other_endpoint(v)
+            if e.id != edge.id and w not in parent:
+                parent[w] = e
                 queue.append(w)
-    if goal not in parent:
+    if edge.v not in parent:
         return None
-    path_edges = []
-    path_vertices = [goal]
-    v = goal
-    while parent[v] is not None:
-        eid, v = parent[v]
-        path_edges.append(eid)
-        path_vertices.append(v)
-    path_edges.reverse()
-    path_vertices.reverse()
-    # path_vertices runs start..goal; the closing edge returns goal -> start
-    return Circle(tuple(path_edges) + (edge.id,), tuple(path_vertices))
+    # walk the tree path back from edge.v to edge.u; ``edge`` closes it
+    vertices, edges = [edge.v], []
+    while parent[vertices[-1]] is not None:
+        e = parent[vertices[-1]]
+        edges.append(e.id)
+        vertices.append(e.other_endpoint(vertices[-1]))
+    return Circle(tuple(edges) + (edge.id,), tuple(vertices))
 
 
-def _interposition_circle(circle: Circle, vertex: str, extra_edge: str) -> Circle:
-    """Insert ``extra_edge`` between the two circle edges meeting at ``vertex``
-    in the line-graph image of ``circle``."""
-    n = len(circle)
-    j = circle.vertices.index(vertex)
-    link = (j - 1) % n
-    lvertices = []
-    lshared = []
-    for i in range(n):
-        lvertices.append(circle.edges[i])
-        if i == link:
-            lvertices.append(extra_edge)
-            lshared.append(vertex)
-            lshared.append(vertex)
-        else:
-            lshared.append(circle.vertices[(i + 1) % n])
-    m = len(lvertices)
+def _line_circle(lvertices: tuple, shared: tuple) -> Circle:
+    """The line-graph circle through the edges ``lvertices`` in order, where
+    edge k meets edge k + 1 at the vertex ``shared[k]``."""
     ledges = tuple(
-        line_edge_id(lvertices[k], lvertices[(k + 1) % m], lshared[k])
-        for k in range(m)
+        line_edge_id(a, b, s)
+        for a, b, s in zip(lvertices, lvertices[1:] + lvertices[:1], shared)
     )
-    return Circle(ledges, tuple(lvertices)).canonical()
+    return Circle(ledges, lvertices).canonical()
+
+
+def _verify_witness(graph: SignedGraph, witness: Circle) -> None:
+    """Check in O(len(witness)) that ``witness`` is a negative circle of the
+    line graph of ``graph``: consecutive line vertices are edges of ``graph``
+    that the line edge between them joins at a shared endpoint."""
+    edges = [graph.edge(eid) for eid in witness.vertices]
+    joined = all(
+        line_edge in {line_edge_id(a.id, b.id, s) for s in a.endpoints & b.endpoints}
+        for line_edge, a, b in zip(witness.edges, edges, edges[1:] + edges[:1])
+    )
+    if not joined or sign_product(e.sign for e in edges).is_positive:
+        raise GraphError(f"witness {witness} is not a negative line-graph circle")
+
+
+def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
+    """The paper's negative line-graph circle for a failed clause of
+    condition ii."""
+    v, clause = failed.vertex, failed.failed_clause
+    if clause == UNBALANCED:
+        return circle_image(find_negative_circle(graph))
+    positive, negative = _split_signs(graph.incident_edges(v))
+    if clause == NEGATIVE_DEGREE_ABOVE_2:
+        return _line_circle(tuple(e.id for e in negative[:3]), (v, v, v))
+    if clause == TWO_POSITIVE_EDGES:
+        triangle = (negative[0].id, positive[0].id, positive[1].id)
+        return _line_circle(triangle, (v, v, v))
+    circle = _circle_through_edge(graph, graph.edge(failed.edge))
+    if graph.sign_of_walk(circle).is_negative:
+        return circle_image(circle)
+    # rotated to start at v, C's last edge, the spare negative edge and C's
+    # first edge meet at v
+    spare = next(e.id for e in negative if e.id not in circle.edges)
+    j = circle.vertices.index(v)
+    return _line_circle(
+        circle.edges[j:] + circle.edges[:j] + (spare,),
+        circle.vertices[j + 1:] + circle.vertices[:j + 1] + (v,),
+    )
 
 
 def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
-    """A negative circle of the line graph for a failed verdict.
+    """A negative circle of the line graph for a failed verdict on ``graph``.
 
-    Candidates follow the explicit constructions: the line-graph image of a
-    negative circle, negative vertex triangles, and the circle interposing the
-    second negative edge at a degree-3 vertex whose positive edge is not an
-    isthmus.  Falls back to the oracle's witness when none applies.  The
-    shortest candidate wins, ties broken by canonical circle order.
+    Built from the failing clause of condition ii, without the line graph:
+    three negative edges, or one negative and two positive edges, at the
+    vertex form a triangle (O(deg)); a shortest circle C through a
+    non-isthmus positive edge gives C's image if C is negative, else that
+    image with the spare negative edge interposed at the vertex (O(m)); an
+    unbalanced graph gives the image of a negative circle (O(m)).  Verdicts
+    of other methods are re-derived with condition ii, which agrees with
+    them.  The witness is checked against ``graph`` before it is returned.
     """
     if failed.line_consistent:
         raise GraphError("graph is line consistent; there is no witness")
-    marked = line_graph(graph)
-    candidates = []
-
-    negative_circle = find_negative_circle(graph)
-    if negative_circle is not None:
-        candidates.append(circle_image(negative_circle))
-
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        if len(incident) < 3:
-            continue
-        for a, b, c in itertools.combinations(incident, 3):
-            if sign_product((a.sign, b.sign, c.sign)).is_negative:
-                triangle = Circle(
-                    (
-                        line_edge_id(a.id, b.id, v),
-                        line_edge_id(b.id, c.id, v),
-                        line_edge_id(c.id, a.id, v),
-                    ),
-                    (a.id, b.id, c.id),
-                )
-                candidates.append(triangle.canonical())
-
-    isthmi = find_isthmi(graph)
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        if len(incident) != 3:
-            continue
-        positive, negative = _split_signs(incident)
-        if len(negative) != 2 or positive[0].id in isthmi:
-            continue
-        circle = _circle_through_edge(graph, positive[0])
-        if circle is None:
-            continue
-        used = set(circle.edges)
-        spare = next(e for e in negative if e.id not in used)
-        candidates.append(_interposition_circle(circle, v, spare.id))
-
-    valid = [
-        c for c in candidates if circle_vertex_sign(marked, c).is_negative
-    ]
-    if not valid:
-        result = is_consistent_oracle(marked)
-        if result.witness is None:
-            raise GraphError("no witness found: the line graph is consistent")
-        valid.append(result.witness)
-    return min(valid, key=lambda c: (len(c), c.edges, c.vertices))
+    if failed.failed_clause not in _CONDITION_II_CLAUSES:
+        failed = check_condition_ii(graph)
+        if failed.line_consistent:
+            raise GraphError("condition ii finds the graph line consistent")
+    witness = _clause_witness(graph, failed)
+    _verify_witness(graph, witness)
+    return witness

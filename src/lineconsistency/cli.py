@@ -5,7 +5,8 @@ Subcommands: ``check`` (run any or all line-consistency checks), ``line-graph``
 as JSON), and ``fuzz`` (agreement testing of every check against the oracle).
 
 Exit codes: 0 line consistent / success, 1 not line consistent, 2 input or
-parameter error, 3 internal disagreement between methods.
+parameter error, 3 internal disagreement between methods, 4 resource limit
+(an exponential method exceeded its circle cap).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import analysis, generate
 from .core import GraphError, SignedGraph
-from .cycles import circle_vertex_sign, is_consistent_oracle
+from .cycles import CircleLimitError, circle_vertex_sign, is_consistent_oracle
 from .io import (
     export_dot,
     read_signed_graph,
@@ -32,6 +33,7 @@ EXIT_CONSISTENT = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DISAGREEMENT = 3
+EXIT_RESOURCE_LIMIT = 4
 
 _METHODS = ("i", "ii", "iii", "thm1", "structure", "oracle")
 
@@ -76,19 +78,19 @@ def cmd_check(args) -> int:
     methods = list(_METHODS) if args.method == "all" else [args.method]
     if args.method == "all" and not graph.is_simple:
         methods.remove("thm1")
-    verdicts = {}
-    for method in methods:
-        verdict = _run_method(graph, method)
-        if not verdict.line_consistent and args.witness and verdict.witness is None:
-            verdict = verdict.with_witness(analysis.find_witness(graph, verdict))
-        verdicts[method] = verdict
+    verdicts = {method: _run_method(graph, method) for method in methods}
+    answers = {v.line_consistent for v in verdicts.values()}
+    witness = None
+    if args.witness and answers == {False}:
+        witness = analysis.find_witness(graph, verdicts.get("ii", verdicts[methods[0]]))
+    for method, verdict in verdicts.items():
         if verdict.line_consistent:
             print(f"{method}: line consistent")
         else:
             print(f"{method}: NOT line consistent (clause: {verdict.failed_clause})")
-            if args.witness:
-                print(f"{method}: witness {_witness_json(verdict.witness)}")
-    answers = {v.line_consistent for v in verdicts.values()}
+            shown = verdict.witness or witness  # the oracle keeps its own circle
+            if args.witness and shown:
+                print(f"{method}: witness {_witness_json(shown)}")
     if len(answers) > 1:
         detail = {m: v.line_consistent for m, v in sorted(verdicts.items())}
         print(f"internal error: methods disagree: {detail}", file=sys.stderr)
@@ -244,6 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CircleLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

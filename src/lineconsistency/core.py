@@ -312,19 +312,16 @@ class Circle:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def _orientations(self):
-        n = len(self.edges)
-        reversed_edges = tuple(reversed(self.edges))
-        reversed_vertices = (self.vertices[0],) + tuple(reversed(self.vertices[1:]))
-        for edges, vertices in ((self.edges, self.vertices),
-                                (reversed_edges, reversed_vertices)):
-            for k in range(n):
-                yield edges[k:] + edges[:k], vertices[k:] + vertices[:k]
-
     def canonical(self) -> "Circle":
-        """Rotation/reflection with the lexicographically least edge sequence."""
-        edges, vertices = min(self._orientations())
-        return Circle(edges, vertices)
+        """Rotation/reflection with the lexicographically least edge sequence:
+        the edges are distinct, so it starts at the least edge, in one of the
+        two directions (linear time)."""
+        k = self.edges.index(min(self.edges))
+        edges = self.edges[k:] + self.edges[:k]
+        vertices = self.vertices[k:] + self.vertices[:k]
+        # the same circle traversed backwards from the least edge
+        backwards = (edges[:1] + edges[:0:-1], vertices[1::-1] + vertices[:1:-1])
+        return Circle(*min((edges, vertices), backwards))
 
 
 @dataclass(frozen=True)

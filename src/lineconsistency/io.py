@@ -2,9 +2,9 @@
 
 The JSON schema: ``{"vertices": [str, ...], "edges": [{"id", "u", "v",
 "sign"}, ...]}`` with signs written as "+" or "-".  Numeric identifiers are
-stringified on read; booleans are rejected everywhere.  Output is canonical
-(keys and lists sorted), so writes are byte-deterministic and reads of writes
-round-trip structurally.
+stringified on read; booleans and duplicate ids are rejected.  Output is
+canonical (keys and lists sorted), so writes are byte-deterministic and reads
+of writes round-trip structurally.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ def read_signed_graph(text: str) -> SignedGraph:
         _identifier(v, f"vertices[{i}]") for i, v in enumerate(document["vertices"])
     ]
     vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
+        first = {}
+        i = next(i for i, v in enumerate(vertices) if first.setdefault(v, i) != i)
+        raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {vertices[i]!r}")
     edges = []
     seen = set()
     for i, item in enumerate(document["edges"]):

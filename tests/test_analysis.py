@@ -3,6 +3,8 @@ import pytest
 from lineconsistency import (
     GraphError,
     Sign,
+    Verdict,
+    analysis,
     blocks,
     check_condition_i,
     check_condition_ii,
@@ -16,6 +18,7 @@ from lineconsistency import (
     find_isthmi,
     find_witness,
     is_consistent_oracle,
+    line_edge_id,
     line_graph,
     new_signed_graph,
     validate_circle,
@@ -47,9 +50,13 @@ def paw(triangle_signs="+++", pendant_sign="+"):
               ("e4", "c", "d", pendant_sign))
 
 
-def star3(signs):
-    return sg(["c", "l1", "l2", "l3"],
-              *[(f"e{i}", "c", f"l{i}", s) for i, s in zip((1, 2, 3), signs)])
+def star(signs):
+    return sg(["c"] + [f"l{i}" for i in range(1, len(signs) + 1)],
+              *[(f"e{i}", "c", f"l{i}", s) for i, s in enumerate(signs, 1)])
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
 
 
 class TestIsthmi:
@@ -133,10 +140,10 @@ class TestConditionI:
         assert v.vertex == "c"
 
     def test_star3_one_positive_isthmus(self):
-        v = check_condition_i(star3("+--"))
+        v = check_condition_i(star("+--"))
         assert v.line_consistent
         # cross-checked against the oracle: L is a triangle marked (+,-,-)
-        assert is_consistent_oracle(line_graph(star3("+--"))).consistent
+        assert is_consistent_oracle(line_graph(star("+--"))).consistent
 
     def test_pendant_positive_edge_on_circle(self):
         # balanced C4 (vu-, uy-, yx+, xv+) plus negative pendant vw
@@ -158,7 +165,7 @@ class TestConditionI:
 
 class TestConditionII:
     def test_all_negative_star(self):
-        v = check_condition_ii(star3("---"))
+        v = check_condition_ii(star("---"))
         assert not v.line_consistent
         assert v.failed_clause == "negative-subgraph degree exceeds 2"
 
@@ -178,10 +185,16 @@ class TestConditionII:
         marked = line_graph(g)
         assert circle_vertex_sign(marked, witness) is Sign.NEGATIVE
 
+    def test_bridge_pass_only_when_a_positive_edge_needs_it(self, monkeypatch):
+        monkeypatch.setattr(analysis, "find_isthmi", forbidden)
+        assert not check_condition_ii(star("----")).line_consistent
+        assert not check_condition_ii(paw("+++", "-")).line_consistent
+        assert check_condition_ii(circle4("----")).line_consistent
+
 
 class TestConditionIII:
     def test_star3_after_deletion(self):
-        assert check_condition_iii(star3("+--")).line_consistent
+        assert check_condition_iii(star("+--")).line_consistent
 
     def test_all_positive_triangle(self):
         g = sg("abc", ("e1", "a", "b", "+"), ("e2", "b", "c", "+"),
@@ -198,7 +211,7 @@ class TestConditionIII:
 
 class TestTheorem1:
     def test_star3_vacuous(self):
-        assert check_theorem1_simple(star3("+--")).line_consistent
+        assert check_theorem1_simple(star("+--")).line_consistent
 
     def test_paw_negative_pendant(self):
         assert not check_theorem1_simple(paw("+++", "-")).line_consistent
@@ -214,6 +227,13 @@ class TestTheorem1:
         g = sg("ab", ("e1", "a", "b", "+"), ("e2", "a", "b", "+"))
         with pytest.raises(GraphError, match="simple"):
             check_theorem1_simple(g)
+
+    def test_enumerates_circles_only_at_a_two_negative_degree_3_vertex(
+            self, monkeypatch):
+        monkeypatch.setattr(analysis, "enumerate_circles", forbidden)
+        assert not check_theorem1_simple(star("-+++")).line_consistent
+        assert not check_theorem1_simple(paw("+++", "-")).line_consistent
+        assert check_theorem1_simple(circle4("----")).line_consistent
 
     def test_agrees_with_condition_ii_on_simple_graphs(self):
         for g in exhaustive_signed_graphs(4, 5):
@@ -264,7 +284,7 @@ class TestClassifyStructure:
         assert comp.kind == "circle" and comp.is_block and comp.ok
 
     def test_star3_isthmus_path(self):
-        report = classify_structure(star3("+--"))
+        report = classify_structure(star("+--"))
         assert report.line_consistent
         paths = [c for c in report.components if c.kind == "nontrivial-path"]
         assert len(paths) == 1
@@ -360,10 +380,99 @@ class TestAgreement:
 
 class TestFindWitness:
     def test_all_negative_star_gives_vertex_triangle(self):
-        g = star3("---")
+        g = star("---")
         witness = find_witness(g, check_condition_ii(g))
         assert len(witness) == 3
         assert set(witness.vertices) == {"e1", "e2", "e3"}
+
+    def test_three_negative_edges_give_a_vertex_triangle(self):
+        g = star("-+--")
+        verdict = check_condition_ii(g)
+        assert verdict.failed_clause == "negative-subgraph degree exceeds 2"
+        witness = find_witness(g, verdict)
+        assert set(witness.vertices) == {"e1", "e3", "e4"}
+        assert all(e.endswith("@c") for e in witness.edges)
+
+    def test_two_positive_edges_give_a_vertex_triangle(self):
+        g = star("+-+")
+        verdict = check_condition_ii(g)
+        assert verdict.failed_clause == (
+            "negative-edge endpoint with two positive edges"
+        )
+        witness = find_witness(g, verdict)
+        assert set(witness.vertices) == {"e1", "e2", "e3"}
+        assert all(e.endswith("@c") for e in witness.edges)
+
+    def test_positive_circle_through_the_edge_gets_interposed(self):
+        # balanced C4 (vu-, uy-, yx+, xv+) plus negative pendant vw
+        g = sg("vuyxw",
+               ("vu", "v", "u", "-"), ("uy", "u", "y", "-"),
+               ("yx", "y", "x", "+"), ("xv", "x", "v", "+"),
+               ("vw", "v", "w", "-"))
+        verdict = check_condition_ii(g)
+        assert verdict.failed_clause == (
+            "negative-degree-2 positive edge not an isthmus"
+        )
+        assert (verdict.vertex, verdict.edge) == ("v", "xv")
+        witness = find_witness(g, verdict)
+        # the image of the circle, with vw interposed between vu and xv at v
+        assert set(witness.vertices) == {"uy", "vu", "vw", "xv", "yx"}
+        assert set(witness.edges) == {
+            line_edge_id("uy", "vu", "u"), line_edge_id("vu", "vw", "v"),
+            line_edge_id("vw", "xv", "v"), line_edge_id("xv", "yx", "x"),
+            line_edge_id("yx", "uy", "y"),
+        }
+
+    def test_negative_circle_through_the_edge_gives_its_image(self):
+        g = sg("avwx", ("va", "v", "a", "-"), ("ax", "a", "x", "+"),
+               ("vx", "v", "x", "+"), ("vw", "v", "w", "-"))
+        verdict = check_condition_ii(g)
+        assert verdict.failed_clause == (
+            "negative-degree-2 positive edge not an isthmus"
+        )
+        assert (verdict.vertex, verdict.edge) == ("v", "vx")
+        witness = find_witness(g, verdict)
+        assert set(witness.vertices) == {"ax", "va", "vx"}
+        assert set(witness.edges) == {
+            line_edge_id("ax", "va", "a"), line_edge_id("va", "vx", "v"),
+            line_edge_id("vx", "ax", "x"),
+        }
+
+    def test_unbalanced_gives_the_image_of_a_negative_circle(self):
+        g = sg("abc", ("e1", "a", "b", "-"), ("e2", "b", "c", "+"),
+               ("e3", "c", "a", "+"))
+        verdict = check_condition_ii(g)
+        assert verdict.failed_clause == "unbalanced"
+        witness = find_witness(g, verdict)
+        assert set(witness.vertices) == {"e1", "e2", "e3"}
+        assert {e.rsplit("@", 1)[1] for e in witness.edges} == {"a", "b", "c"}
+
+    def test_large_negative_star_gives_a_triangle_at_the_centre(self):
+        g = star("-" * 2000)
+        witness = find_witness(g, check_condition_ii(g))
+        assert len(witness) == 3
+        assert all(e.endswith("@c") for e in witness.edges)
+
+    def test_every_method_without_the_line_graph(self, monkeypatch):
+        cases = []
+        for g in exhaustive_signed_graphs(4, 4):
+            marked = line_graph(g)
+            if is_consistent_oracle(marked).consistent:
+                continue
+            verdicts = [check(g) for check in ALL_CHECKS]
+            verdicts.append(classify_structure(g).as_verdict())
+            verdicts.append(Verdict(False, "negative circle in the line graph"))
+            if g.is_simple:
+                verdicts.append(check_theorem1_simple(g))
+            cases.append((g, marked, verdicts))
+        assert cases
+        monkeypatch.setattr(analysis, "line_graph", forbidden)
+        monkeypatch.setattr(analysis, "is_consistent_oracle", forbidden)
+        for g, marked, verdicts in cases:
+            for verdict in verdicts:
+                witness = find_witness(g, verdict)
+                validate_circle(marked, witness)
+                assert circle_vertex_sign(marked, witness) is Sign.NEGATIVE, g
 
     def test_raises_on_consistent_graph(self):
         g = circle4("----")
@@ -399,7 +508,7 @@ class TestVerdict:
             Verdict(False)
 
     def test_with_witness(self):
-        g = star3("---")
+        g = star("---")
         verdict = check_condition_ii(g)
         witness = find_witness(g, verdict)
         attached = verdict.with_witness(witness)
@@ -414,5 +523,5 @@ def test_degenerate_inputs():
     assert all(check(edgeless).line_consistent for check in ALL_CHECKS)
     assert classify_structure(edgeless).line_consistent
     # an all-negative degree-3 forest is still inconsistent
-    forest = star3("---")
+    forest = star("---")
     assert not any(check(forest).line_consistent for check in ALL_CHECKS)

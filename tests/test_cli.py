@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from lineconsistency import new_signed_graph, write_signed_graph
+from lineconsistency import (
+    CircleLimitError,
+    line_edge_id,
+    new_signed_graph,
+    write_signed_graph,
+)
 from lineconsistency.cli import main
 
 
@@ -47,6 +52,9 @@ class TestCheck:
         assert "witness" in out
         payload = json.loads(out.split("witness ", 1)[1].splitlines()[0])
         assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
+        shared = {line.split(": witness ")[1] for line in out.splitlines()
+                  if ": witness " in line and not line.startswith("oracle")}
+        assert len(shared) == 1
 
     def test_consistent_exits_0_all_methods(self, neg_c4, capsys):
         code = main(["check", neg_c4])
@@ -85,6 +93,40 @@ class TestCheck:
         first = capsys.readouterr().out
         main(["check", neg_star, "--witness"])
         assert capsys.readouterr().out == first
+
+    def test_line_edge_id_collision_gets_a_witness(self, tmp_path, capsys):
+        # line_edge_id names both the pair (1, 2) at x@y and (1, 2@x) at y
+        # "1~2@x@y", so this input has no line graph, but it has a witness
+        path = write_graph(
+            tmp_path, "collide.json", ["x@y", "y", "c", "d", "e"],
+            [("1", "x@y", "y", "-"), ("2", "x@y", "c", "+"),
+             ("2@x", "y", "d", "-"), ("3", "y", "e", "-")],
+        )
+        assert main(["check", path, "--method", "ii", "--witness"]) == 1
+        out = capsys.readouterr().out
+        payload = json.loads(out.split("witness ", 1)[1])
+        vertices, edges = payload["vertices"], payload["edges"]
+        assert sorted(vertices) == ["1", "2@x", "3"]
+        assert sorted(edges) == sorted(
+            line_edge_id(a, b, "y")
+            for a, b in zip(vertices, vertices[1:] + vertices[:1])
+        )
+
+    def test_duplicate_vertex_id_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"vertices": ["a", "b", "a"], "edges": []}')
+        assert main(["check", str(path)]) == 2
+        assert "vertices[2]: duplicate vertex id 'a'" in capsys.readouterr().err
+
+    def test_circle_limit_exits_4(self, neg_star, monkeypatch, capsys):
+        from lineconsistency import cli as cli_module
+
+        def over_cap(graph):
+            raise CircleLimitError("more than 10 circles")
+
+        monkeypatch.setattr(cli_module.analysis, "check_theorem1_simple", over_cap)
+        assert main(["check", neg_star, "--method", "thm1"]) == 4
+        assert capsys.readouterr().err == "resource limit: more than 10 circles\n"
 
     def test_internal_disagreement_exits_3(self, neg_star, monkeypatch, capsys):
         from lineconsistency import Verdict

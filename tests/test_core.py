@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,6 +196,21 @@ class TestCircle:
         assert base.canonical() == Circle(("e1", "e2", "e3"), ("a", "b", "c"))
         mirrored = Circle(("e3", "e2", "e1"), ("a", "c", "b"))
         assert mirrored.canonical() == base.canonical()
+
+    def test_canonical_is_least_of_all_orientations(self):
+        rng = random.Random(3)
+        for n in list(range(2, 9)) * 40:
+            edges = tuple(rng.sample([f"e{i}" for i in range(12)], n))
+            vertices = tuple(rng.sample([f"v{i}" for i in range(12)], n))
+            circle = Circle(edges, vertices)
+            reversed_circle = (tuple(reversed(edges)),
+                               (vertices[0],) + tuple(reversed(vertices[1:])))
+            least = min(
+                (e[k:] + e[:k], v[k:] + v[:k])
+                for e, v in ((edges, vertices), reversed_circle)
+                for k in range(n)
+            )
+            assert circle.canonical() == Circle(*least)
 
     def test_validate_against_graph(self):
         g = triangle()

@@ -59,6 +59,12 @@ class TestRead:
                 '{"id":"e1","u":"a","v":"b","sign":"-"}]}'
             )
 
+    def test_duplicate_vertex_id_with_location(self):
+        with pytest.raises(
+            GraphFormatError, match=r"vertices\[2\]: duplicate vertex id 'a'"
+        ):
+            read_signed_graph('{"vertices":["a","b","a"],"edges":[]}')
+
     def test_unknown_endpoint(self):
         with pytest.raises(GraphFormatError, match="not a vertex"):
             read_signed_graph(
