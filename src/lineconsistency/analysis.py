@@ -4,10 +4,12 @@ Four independent decision routes live here: three local/structural conditions,
 a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
-second condition is the production checker (degree and sign facts, a bridge
-pass only when a positive edge at a negative-degree-2 vertex needs testing,
-and one balance pass); the others are cross-validation routes.  Witnesses
-are built from the failing clause of condition ii in linear time.
+second condition is the production checker; the others are cross-validation
+routes.  Isthmi, blocks, components and balance are all read from one
+iterative depth-first search per graph (``SignedGraph.traversal``, linear
+and cached); condition ii starts it only when a positive edge at a
+negative-degree-2 vertex needs testing or every local clause has passed.
+Witnesses are built from the failing clause of condition ii in linear time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ._traversal import bridge_edges, biconnected_components, connected_components
+from ._traversal import connected_components
 from .core import Circle, GraphError, SignedGraph, sign_product
 # line_graph, is_consistent_oracle and circle_vertex_sign are not used here
 # but stay importable from this module: bench/tracer.py wraps them here.
@@ -109,7 +111,7 @@ class StructureReport:
 
 def find_isthmi(graph: SignedGraph) -> frozenset:
     """Edges lying on no circle (deletion raises the component count)."""
-    return bridge_edges(graph.vertex_ids, graph.edge_triples())
+    return graph.traversal.bridges
 
 
 def blocks(graph: SignedGraph) -> list:
@@ -120,9 +122,7 @@ def blocks(graph: SignedGraph) -> list:
     """
     return [
         Block(vertices, edges, nontrivial=len(edges) >= 2)
-        for vertices, edges in biconnected_components(
-            graph.vertex_ids, graph.edge_triples()
-        )
+        for vertices, edges in graph.traversal.blocks
     ]
 
 
@@ -132,28 +132,45 @@ def _split_signs(edges):
     return positive, negative
 
 
+def _balance_verdict(graph: SignedGraph) -> Verdict:
+    return Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED)
+
+
+def _degree_sign_clause(graph: SignedGraph, degree3_clause: str,
+                        at_mixed=lambda v, positive, negative: None):
+    """The local clause of conditions i and iii and the simple-graph
+    criterion: degree > 3 totally positive; degree 3 totally positive or
+    exactly one positive edge (else ``degree3_clause`` fails), and
+    ``at_mixed``, called with the edges split by sign at each degree-3
+    vertex with one positive edge, returns no failed verdict.  The first
+    failure in vertex order, or None."""
+    for v in graph.vertices:
+        incident = graph.incident_edges(v)
+        positive, negative = _split_signs(incident)
+        if not negative or len(incident) < 3:
+            continue
+        if len(incident) > 3:
+            return Verdict(False, "degree>3 not totally positive", vertex=v)
+        if len(positive) != 1:
+            return Verdict(False, degree3_clause, vertex=v)
+        failed = at_mixed(v, positive[0], negative)
+        if failed:
+            return failed
+    return None
+
+
 def check_condition_i(graph: SignedGraph) -> Verdict:
     """Balanced; degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, which is an isthmus."""
     isthmi = find_isthmi(graph)
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        positive, _ = _split_signs(incident)
-        if len(incident) > 3 and len(positive) != len(incident):
-            return Verdict(False, "degree>3 not totally positive", vertex=v)
-        if len(incident) == 3 and len(positive) != 3:
-            if len(positive) != 1:
-                return Verdict(False, "degree-3 vertex signs invalid", vertex=v)
-            if positive[0].id not in isthmi:
-                return Verdict(
-                    False,
-                    "degree-3 positive edge not an isthmus",
-                    vertex=v,
-                    edge=positive[0].id,
-                )
-    if not is_balanced_fast(graph):
-        return Verdict(False, UNBALANCED)
-    return Verdict(True)
+
+    def isthmus(v, positive, _):
+        if positive.id not in isthmi:
+            return Verdict(False, "degree-3 positive edge not an isthmus",
+                           vertex=v, edge=positive.id)
+
+    return (_degree_sign_clause(graph, "degree-3 vertex signs invalid", isthmus)
+            or _balance_verdict(graph))
 
 
 def check_condition_ii(graph: SignedGraph) -> Verdict:
@@ -161,8 +178,9 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The bridge pass runs only once a positive edge at a negative-degree-2
-    vertex needs testing."""
+    The graph's one traversal, which gives both isthmi and balance, starts
+    only once a positive edge at a negative-degree-2 vertex needs testing or
+    every local clause has passed."""
     isthmi = None
     for v in graph.vertices:
         positive, negative = _split_signs(graph.incident_edges(v))
@@ -179,22 +197,16 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
                 return Verdict(
                     False, POSITIVE_EDGE_NOT_ISTHMUS, vertex=v, edge=positive[0].id
                 )
-    if not is_balanced_fast(graph):
-        return Verdict(False, UNBALANCED)
-    return Verdict(True)
+    return _balance_verdict(graph)
 
 
 def check_condition_iii(graph: SignedGraph) -> Verdict:
     """Degree > 3 totally positive; degree 3 totally positive or exactly one
     positive edge; after deleting all positive isthmi, balanced with every
     negative edge's endpoints of degree at most 2."""
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        positive, _ = _split_signs(incident)
-        if len(incident) > 3 and len(positive) != len(incident):
-            return Verdict(False, "degree>3 not totally positive", vertex=v)
-        if len(incident) == 3 and len(positive) not in (1, 3):
-            return Verdict(False, "degree-3 vertex signs invalid", vertex=v)
+    failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
+    if failed:
+        return failed
     isthmi = find_isthmi(graph)
     pruned = graph.without_edges(
         e.id for e in graph.positive_edges if e.id in isthmi
@@ -221,32 +233,22 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
     circles = None
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        positive, negative = _split_signs(incident)
-        if len(incident) > 3 and len(positive) != len(incident):
-            return Verdict(False, "degree>3 not totally positive", vertex=v)
-        if len(incident) == 3 and len(positive) != 3:
-            if len(negative) != 2:
-                return Verdict(
-                    False,
-                    "degree-3 vertex without exactly two negative edges",
-                    vertex=v,
-                )
-            if circles is None:
-                circles = enumerate_circles(graph)
-            pair = {negative[0].id, negative[1].id}
-            for circle in circles:
-                if v in circle.vertices and not pair <= set(circle.edges):
-                    return Verdict(
-                        False,
-                        "degree-3 negative pair not on all circles "
-                        "through the vertex",
-                        vertex=v,
-                    )
-    if not is_balanced_fast(graph):
-        return Verdict(False, UNBALANCED)
-    return Verdict(True)
+
+    def pair_on_every_circle(v, _, negative):
+        nonlocal circles
+        if circles is None:
+            circles = enumerate_circles(graph)
+        pair = {negative[0].id, negative[1].id}
+        if any(v in c.vertices and not pair <= set(c.edges) for c in circles):
+            return Verdict(
+                False,
+                "degree-3 negative pair not on all circles through the vertex",
+                vertex=v,
+            )
+
+    return _degree_sign_clause(
+        graph, "degree-3 vertex without exactly two negative edges", pair_on_every_circle
+    ) or _balance_verdict(graph)
 
 
 def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
@@ -254,7 +256,7 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
     line consistent iff all positive.  None when the corollary does not apply."""
     if len(graph.vertices) < 4:
         return None
-    if len(connected_components(graph.vertex_ids, graph.edge_triples())) != 1:
+    if len(graph.traversal.components) != 1:
         return None
     if find_isthmi(graph):
         return None
@@ -293,15 +295,23 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     in_nontrivial = set()
     for b in nontrivial:
         in_nontrivial.update(b.vertices)
+    nontrivial_block_of = {eid: b for b in nontrivial for eid in b.edges}
+
+    components = connected_components(negative.vertex_ids, negative.edge_triples())
+    # each component's negative edges, and the positive edges inside it
+    component_of = {v: i for i, component in enumerate(components) for v in component}
+    negative_edges = [[] for _ in components]
+    inside_edges = [[] for _ in components]
+    for e in graph.edges:
+        i = component_of[e.u]
+        if e.sign.is_negative:
+            negative_edges[i].append(e.id)
+        elif i == component_of[e.v]:
+            inside_edges[i].append(e)
 
     reports = []
-    for component in connected_components(
-        negative.vertex_ids, negative.edge_triples()
-    ):
+    for component, comp_edges, inside in zip(components, negative_edges, inside_edges):
         vertices = tuple(sorted(component))
-        comp_edges = tuple(
-            sorted(e.id for e in negative.edges if e.u in component)
-        )
         edge_set = frozenset(comp_edges)
         kind, endpoints = _classify_kind(component, negative)
         violations = []
@@ -353,13 +363,6 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
                     violations.append(
                         f"extra edge at path vertex {v!r} is not a positive isthmus"
                     )
-            inside = [
-                e
-                for e in graph.edges
-                if e.id not in edge_set
-                and e.u in component
-                and e.v in component
-            ]
             if not inside:
                 path_form = "induced"
             elif (
@@ -371,7 +374,8 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
                 path_form = "closes-circle-block"
             else:
                 violations.append("path is neither induced nor closes a circle block")
-            if any(edge_set <= b.edges for b in nontrivial):
+            block = nontrivial_block_of.get(comp_edges[0])
+            if block is not None and edge_set <= block.edges:
                 case = "a"
                 endpoints_divalent = all(graph.degree(v) == 2 for v in endpoints)
             elif edge_set <= isthmi and not any(
@@ -393,7 +397,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
             ComponentReport(
                 kind=kind,
                 vertices=vertices,
-                edges=comp_edges,
+                edges=tuple(comp_edges),
                 ok=not violations,
                 violations=tuple(violations),
                 is_block=is_block,

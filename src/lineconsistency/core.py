@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Union
 
+from . import _traversal
+
 
 class GraphError(ValueError):
     """Invalid graph construction, lookup, or circle/walk validation."""
@@ -108,8 +110,48 @@ def _check_edges(edges, vertex_set):
                 )
 
 
+class _Multigraph:
+    """Edge lookup, incidence and the one depth-first search, shared by
+    signed and marked graphs; ``vertex_ids`` are sorted, ``edges`` in id
+    order, and the cached values are derived from them."""
+
+    @cached_property
+    def _edge_index(self) -> dict:
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _incidence(self) -> dict:
+        inc = {v: [] for v in self.vertex_ids}
+        for e in self.edges:
+            inc[e.u].append(e)
+            inc[e.v].append(e)
+        return {v: tuple(es) for v, es in inc.items()}
+
+    @cached_property
+    def traversal(self) -> _traversal.Traversal:
+        """The graph's one depth-first search: bridges, blocks, components
+        and switching balance (an unsigned edge counts as positive)."""
+        return _traversal.Traversal(self.vertex_ids, (
+            (e.id, e.u, e.v, getattr(e, "sign", None) is Sign.NEGATIVE)
+            for e in self.edges
+        ))
+
+    def edge_triples(self) -> tuple:
+        """Edges as (id, u, v) triples."""
+        return tuple((e.id, e.u, e.v) for e in self.edges)
+
+    def edge(self, edge_id: str) -> Edge:
+        try:
+            return self._edge_index[edge_id]
+        except KeyError:
+            raise GraphError(f"unknown edge {edge_id!r}") from None
+
+    def degree(self, vertex: str) -> int:
+        return len(self.incident_edges(vertex))
+
+
 @dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(_Multigraph):
     """A loopless multigraph with signed edges.
 
     ``vertices`` is kept sorted and ``edges`` sorted by edge id, so structural
@@ -126,31 +168,9 @@ class SignedGraph:
         )
         _check_edges(self.edges, set(self.vertices))
 
-    @cached_property
-    def _edge_index(self) -> dict:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _incidence(self) -> dict:
-        inc = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.u].append(e)
-            inc[e.v].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
     @property
     def vertex_ids(self) -> tuple:
         return self.vertices
-
-    def edge_triples(self) -> tuple:
-        """Edges as (id, u, v) triples, the shape the traversal helpers expect."""
-        return tuple((e.id, e.u, e.v) for e in self.edges)
-
-    def edge(self, edge_id: str) -> SignedEdge:
-        try:
-            return self._edge_index[edge_id]
-        except KeyError:
-            raise GraphError(f"unknown edge {edge_id!r}") from None
 
     def has_edge(self, edge_id: str) -> bool:
         return edge_id in self._edge_index
@@ -160,9 +180,6 @@ class SignedGraph:
             return self._incidence[vertex]
         except KeyError:
             raise GraphError(f"unknown vertex {vertex!r}") from None
-
-    def degree(self, vertex: str) -> int:
-        return len(self.incident_edges(vertex))
 
     def is_totally_positive(self, vertex: str) -> bool:
         return all(e.sign.is_positive for e in self.incident_edges(vertex))
@@ -218,7 +235,7 @@ class MarkedVertex:
 
 
 @dataclass(frozen=True)
-class MarkedGraph:
+class MarkedGraph(_Multigraph):
     """A loopless multigraph with signed vertices (a marked graph)."""
 
     vertices: tuple = ()
@@ -242,24 +259,9 @@ class MarkedGraph:
     def _mark_index(self) -> dict:
         return {mv.id: mv.sign for mv in self.vertices}
 
-    @cached_property
-    def _edge_index(self) -> dict:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _incidence(self) -> dict:
-        inc = {mv.id: [] for mv in self.vertices}
-        for e in self.edges:
-            inc[e.u].append(e)
-            inc[e.v].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
     @property
     def vertex_ids(self) -> tuple:
         return tuple(mv.id for mv in self.vertices)
-
-    def edge_triples(self) -> tuple:
-        return tuple((e.id, e.u, e.v) for e in self.edges)
 
     def mark(self, vertex: str) -> Sign:
         try:
@@ -267,18 +269,9 @@ class MarkedGraph:
         except KeyError:
             raise GraphError(f"unknown vertex {vertex!r}") from None
 
-    def edge(self, edge_id: str) -> Edge:
-        try:
-            return self._edge_index[edge_id]
-        except KeyError:
-            raise GraphError(f"unknown edge {edge_id!r}") from None
-
     def incident_edges(self, vertex: str) -> tuple:
         self.mark(vertex)
         return self._incidence[vertex]
-
-    def degree(self, vertex: str) -> int:
-        return len(self.incident_edges(vertex))
 
     @property
     def negative_vertex_ids(self) -> tuple:

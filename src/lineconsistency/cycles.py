@@ -10,10 +10,9 @@ these oracles are desk-scale tools by design.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import NamedTuple, Optional
 
-from ._traversal import biconnected_components
 from .core import Circle, GraphError, Sign, SignedGraph, sign_product
 
 DEFAULT_CIRCLE_CAP = 1_000_000
@@ -87,12 +86,10 @@ def _circles(graph, targets, max_circles):
         for a, b in itertools.combinations(eids, 2):
             yield emit(Circle((a, b), (u, v)).canonical())
 
-    for block_vertices, block_edges in biconnected_components(
-        graph.vertex_ids, triples
-    ):
+    for block_vertices, block_edges in graph.traversal.blocks:
         if len(block_edges) < 3:
             continue
-        block_triples = [t for t in triples if t[0] in block_edges]
+        block_triples = [(e.id, e.u, e.v) for e in map(graph.edge, sorted(block_edges))]
         pair_edges = _parallel_groups(block_triples)
         adj = {bv: set() for bv in block_vertices}
         for _, u, v in block_triples:
@@ -106,15 +103,8 @@ def _circles(graph, targets, max_circles):
         for i, t in enumerate(block_targets):
             banned = set(block_targets[:i])
             for vertex_cycle in _vertex_cycles_through(adj, t, banned):
-                choices = [
-                    pair_edges[
-                        (
-                            min(vertex_cycle[j], vertex_cycle[(j + 1) % len(vertex_cycle)]),
-                            max(vertex_cycle[j], vertex_cycle[(j + 1) % len(vertex_cycle)]),
-                        )
-                    ]
-                    for j in range(len(vertex_cycle))
-                ]
+                pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
+                choices = [pair_edges[(min(a, b), max(a, b))] for a, b in pairs]
                 for combo in itertools.product(*choices):
                     yield emit(Circle(combo, vertex_cycle).canonical())
 
@@ -164,81 +154,23 @@ def is_balanced_oracle(graph: SignedGraph, *,
     return True
 
 
-def _two_coloring(graph: SignedGraph):
-    """Switching marks making every edge sign the product of endpoint marks.
-
-    Returns (marks, conflict_edge, parent_edge, depth); conflict_edge is None
-    iff the graph is balanced.  BFS over sorted adjacency, so deterministic.
-    """
-    marks = {}
-    parent_edge = {}
-    depth = {}
-    incidence = {v: sorted(graph.incident_edges(v), key=lambda e: e.id)
-                 for v in graph.vertices}
-    for root in graph.vertices:
-        if root in marks:
-            continue
-        marks[root] = Sign.POSITIVE
-        parent_edge[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in incidence[v]:
-                w = e.other_endpoint(v)
-                expected = marks[v] * e.sign
-                if w not in marks:
-                    marks[w] = expected
-                    parent_edge[w] = e
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif marks[w] is not expected:
-                    return marks, e, parent_edge, depth
-    return marks, None, parent_edge, depth
-
-
 def is_balanced_fast(graph: SignedGraph) -> bool:
-    """Balance in linear time via the switching two-coloring."""
-    return _two_coloring(graph)[1] is None
+    """Balance in linear time, from the switching parities of the graph's
+    depth-first search."""
+    return graph.traversal.balanced
 
 
 def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
     The witness is the fundamental circle of the first conflicting edge found
-    by the two-coloring: the BFS tree path between its endpoints plus the edge.
+    by the graph's depth-first search: the tree path between its endpoints
+    plus the edge.
     """
-    _, conflict, parent_edge, depth = _two_coloring(graph)
-    if conflict is None:
+    cycle = graph.traversal.negative_cycle()
+    if cycle is None:
         return None
-
-    def path_up(v, levels):
-        edges = []
-        vertices = [v]
-        for _ in range(levels):
-            e = parent_edge[v]
-            edges.append(e.id)
-            v = e.other_endpoint(v)
-            vertices.append(v)
-        return edges, vertices
-
-    a, b = conflict.u, conflict.v
-    while depth[a] > depth[b]:
-        a = parent_edge[a].other_endpoint(a)
-    while depth[b] > depth[a]:
-        b = parent_edge[b].other_endpoint(b)
-    x, y = a, b
-    while x != y:
-        x = parent_edge[x].other_endpoint(x)
-        y = parent_edge[y].other_endpoint(y)
-    meet = x
-
-    up_u, verts_u = path_up(conflict.u, depth[conflict.u] - depth[meet])
-    up_v, verts_v = path_up(conflict.v, depth[conflict.v] - depth[meet])
-    # meet .. u, then the conflict edge, then v .. back up to meet
-    vertices = list(reversed(verts_u)) + list(verts_v[:-1])
-    edges = list(reversed(up_u)) + [conflict.id] + up_v
-    circle = Circle(tuple(edges), tuple(vertices)).canonical()
+    circle = Circle(*cycle).canonical()
     assert graph.sign_of_walk(circle).is_negative
     return circle
 

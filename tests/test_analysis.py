@@ -23,6 +23,7 @@ from lineconsistency import (
     new_signed_graph,
     validate_circle,
 )
+from lineconsistency import _traversal
 
 ALL_CHECKS = (check_condition_i, check_condition_ii, check_condition_iii)
 
@@ -190,6 +191,13 @@ class TestConditionII:
         assert not check_condition_ii(star("----")).line_consistent
         assert not check_condition_ii(paw("+++", "-")).line_consistent
         assert check_condition_ii(circle4("----")).line_consistent
+
+    def test_local_clause_failure_runs_no_traversal(self, monkeypatch):
+        monkeypatch.setattr(_traversal, "Traversal", forbidden)
+        for g in (star("----"), paw("+++", "-")):
+            v = check_condition_ii(g)
+            assert not v.line_consistent
+            assert len(find_witness(g, v)) == 3
 
 
 class TestConditionIII:

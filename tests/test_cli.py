@@ -112,6 +112,31 @@ class TestCheck:
             for a, b in zip(vertices, vertices[1:] + vertices[:1])
         )
 
+    def test_unbalanced_witness_reuses_the_traversal(self, tmp_path, monkeypatch,
+                                                     capsys):
+        from lineconsistency import _traversal
+
+        searched = []
+
+        class Counted(_traversal.Traversal):
+            def __init__(self, vertex_ids, edges):
+                searched.append(vertex_ids)
+                super().__init__(vertex_ids, edges)
+
+        monkeypatch.setattr(_traversal, "Traversal", Counted)
+        # no local clause fails; the triangle with one negative edge is
+        # unbalanced, and its image is the witness
+        path = write_graph(
+            tmp_path, "unbalanced.json", "abc",
+            [("e1", "a", "b", "-"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")],
+        )
+        assert main(["check", path, "--method", "ii", "--witness"]) == 1
+        out = capsys.readouterr().out
+        assert "(clause: unbalanced)" in out
+        payload = json.loads(out.split("witness ", 1)[1])
+        assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
+        assert len(searched) == 1
+
     def test_duplicate_vertex_id_exits_2(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
         path.write_text('{"vertices": ["a", "b", "a"], "edges": []}')
@@ -197,6 +222,21 @@ class TestFuzz:
         assert code == 0
         assert "graphs checked: 25" in out
         assert "disagreements: 0" in out
+
+    def test_oracle_runs_once_per_graph(self, monkeypatch, capsys):
+        from lineconsistency import cli as cli_module
+
+        oracle = cli_module.is_consistent_oracle
+        calls = []
+
+        def counted(marked):
+            calls.append(marked)
+            return oracle(marked)
+
+        monkeypatch.setattr(cli_module, "is_consistent_oracle", counted)
+        assert main(["fuzz", "--count", "20", "--seed", "4"]) == 0
+        assert "graphs checked: 20" in capsys.readouterr().out
+        assert len(calls) == 20
 
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["fuzz", "--max-n", "0"]) == 2
