@@ -324,6 +324,19 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
         def extras_at(v):
             return [e for e in graph.incident_edges(v) if e.id not in edge_set]
 
+        def check_extras(word, inner):
+            """At most one extra edge at each inner vertex, a positive isthmus."""
+            for v in inner:
+                extras = extras_at(v)
+                if len(extras) > 1:
+                    violations.append(f"more than one extra edge at {word} vertex {v!r}")
+                elif extras and not (
+                    extras[0].sign.is_positive and extras[0].id in isthmi
+                ):
+                    violations.append(
+                        f"extra edge at {word} vertex {v!r} is not a positive isthmus"
+                    )
+
         if kind == "other":
             violations.append(
                 "negative component is not a circle, path, or single vertex"
@@ -332,37 +345,12 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
             is_block = edge_set in block_edge_sets
             if not is_block:
                 violations.append("circle component is not a block")
-            for v in vertices:
-                extras = extras_at(v)
-                if len(extras) > 1:
-                    violations.append(
-                        f"more than one extra edge at circle vertex {v!r}"
-                    )
-                elif extras and not (
-                    extras[0].sign.is_positive and extras[0].id in isthmi
-                ):
-                    violations.append(
-                        f"extra edge at circle vertex {v!r} "
-                        "is not a positive isthmus"
-                    )
+            check_extras("circle", vertices)
         elif kind == "nontrivial-path":
             for v in endpoints:
                 if graph.degree(v) > 2:
                     violations.append(f"path endpoint {v!r} is not at most divalent")
-            for v in vertices:
-                if v in endpoints:
-                    continue
-                extras = extras_at(v)
-                if len(extras) > 1:
-                    violations.append(
-                        f"more than one extra edge at path vertex {v!r}"
-                    )
-                elif extras and not (
-                    extras[0].sign.is_positive and extras[0].id in isthmi
-                ):
-                    violations.append(
-                        f"extra edge at path vertex {v!r} is not a positive isthmus"
-                    )
+            check_extras("path", (v for v in vertices if v not in endpoints))
             if not inside:
                 path_form = "induced"
             elif (

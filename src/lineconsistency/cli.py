@@ -45,6 +45,12 @@ def _load(path: str) -> SignedGraph:
         return read_signed_graph(handle.read())
 
 
+def _methods_for(graph: SignedGraph) -> list:
+    """The methods that decide ``graph``: every one, except the simple-graph
+    criterion on a graph with parallel edges."""
+    return [m for m in _METHODS if m != "thm1" or graph.is_simple]
+
+
 def _run_method(graph: SignedGraph, method: str) -> analysis.Verdict:
     if method == "i":
         return analysis.check_condition_i(graph)
@@ -75,9 +81,7 @@ def _witness_json(witness) -> str:
 
 def cmd_check(args) -> int:
     graph = _load(args.input)
-    methods = list(_METHODS) if args.method == "all" else [args.method]
-    if args.method == "all" and not graph.is_simple:
-        methods.remove("thm1")
+    methods = _methods_for(graph) if args.method == "all" else [args.method]
     verdicts = {method: _run_method(graph, method) for method in methods}
     answers = {v.line_consistent for v in verdicts.values()}
     witness = None
@@ -124,13 +128,9 @@ def _agreement_failures(graph: SignedGraph) -> tuple:
     oracle = is_consistent_oracle(marked)
     failures = []
     verdicts = {
-        "i": analysis.check_condition_i(graph),
-        "ii": analysis.check_condition_ii(graph),
-        "iii": analysis.check_condition_iii(graph),
-        "structure": analysis.classify_structure(graph).as_verdict(),
+        method: _run_method(graph, method)
+        for method in _methods_for(graph) if method != "oracle"
     }
-    if graph.is_simple:
-        verdicts["thm1"] = analysis.check_theorem1_simple(graph)
     for method, verdict in sorted(verdicts.items()):
         if verdict.line_consistent != oracle.consistent:
             failures.append(

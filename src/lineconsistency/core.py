@@ -1,8 +1,11 @@
 """Immutable data model: signed multigraphs, marked multigraphs, circles, walks.
 
-Edges carry explicit string identifiers so parallel edges stay distinguishable;
-loops are rejected at construction.  All values are frozen and every transform
-returns a new value, so everything here is safe to share between threads.
+Edges carry explicit string identifiers so parallel edges stay distinguishable.
+The graph constructors are the one place the graph invariants are checked:
+unique vertex ids, unique edge ids, no loops, and both endpoints among the
+vertices; a violation names its position in the given order (``vertices[i]``
+or ``edges[i]``).  All values are frozen and every transform returns a new
+value, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -95,19 +98,27 @@ class SignedEdge(Edge):
     sign: Sign = Sign.POSITIVE
 
 
-def _check_edges(edges, vertex_set):
+def _check(vertex_ids: tuple, edges: tuple) -> None:
+    """The graph invariants, on vertices and edges in their given order:
+    raise GraphError naming, by its position, the first duplicate vertex id,
+    duplicate edge id, loop or endpoint that is not a vertex."""
+    vertex_set = set(vertex_ids)
+    if len(vertex_set) != len(vertex_ids):
+        seen = set()
+        for i, v in enumerate(vertex_ids):
+            if v in seen:
+                raise GraphError(f"vertices[{i}]: duplicate vertex id {v!r}")
+            seen.add(v)
     seen = set()
-    for e in edges:
+    for i, e in enumerate(edges):
         if e.id in seen:
-            raise GraphError(f"duplicate edge id {e.id!r}")
+            raise GraphError(f"edges[{i}]: duplicate edge id {e.id!r}")
         seen.add(e.id)
         if e.u == e.v:
-            raise GraphError(f"loop edge {e.id!r} at vertex {e.u!r}")
+            raise GraphError(f"edges[{i}]: loop edge {e.id!r} at vertex {e.u!r}")
         for endpoint in (e.u, e.v):
             if endpoint not in vertex_set:
-                raise GraphError(
-                    f"edge {e.id!r} endpoint {endpoint!r} is not a vertex"
-                )
+                raise GraphError(f"edges[{i}]: endpoint {endpoint!r} is not a vertex")
 
 
 class _Multigraph:
@@ -162,11 +173,10 @@ class SignedGraph(_Multigraph):
     edges: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.id))
-        )
-        _check_edges(self.edges, set(self.vertices))
+        vertices, edges = tuple(self.vertices), tuple(self.edges)
+        _check(vertices, edges)
+        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
 
     @property
     def vertex_ids(self) -> tuple:
@@ -242,18 +252,12 @@ class MarkedGraph(_Multigraph):
     edges: tuple = ()
 
     def __post_init__(self):
+        vertices, edges = tuple(self.vertices), tuple(self.edges)
+        _check(tuple(mv.id for mv in vertices), edges)
         object.__setattr__(
-            self, "vertices", tuple(sorted(self.vertices, key=lambda mv: mv.id))
+            self, "vertices", tuple(sorted(vertices, key=lambda mv: mv.id))
         )
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.id))
-        )
-        seen = set()
-        for mv in self.vertices:
-            if mv.id in seen:
-                raise GraphError(f"duplicate vertex id {mv.id!r}")
-            seen.add(mv.id)
-        _check_edges(self.edges, seen)
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
 
     @cached_property
     def _mark_index(self) -> dict:

@@ -34,6 +34,17 @@ def _parallel_groups(edge_triples):
     return {pair: sorted(eids) for pair, eids in sorted(groups.items())}
 
 
+def _simple_adjacency(vertex_ids, edge_triples):
+    """The underlying simple graph: vertex -> sorted distinct neighbours, and
+    the parallel groups (sorted endpoint pair -> sorted edge ids)."""
+    pair_edges = _parallel_groups(edge_triples)
+    adj = {x: [] for x in vertex_ids}
+    for u, v in pair_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {x: tuple(sorted(ws)) for x, ws in adj.items()}, pair_edges
+
+
 def _vertex_cycles_through(adj, start, banned):
     """Elementary vertex cycles (length >= 3) through ``start``.
 
@@ -90,12 +101,7 @@ def _circles(graph, targets, max_circles):
         if len(block_edges) < 3:
             continue
         block_triples = [(e.id, e.u, e.v) for e in map(graph.edge, sorted(block_edges))]
-        pair_edges = _parallel_groups(block_triples)
-        adj = {bv: set() for bv in block_vertices}
-        for _, u, v in block_triples:
-            adj[u].add(v)
-            adj[v].add(u)
-        adj = {bv: tuple(sorted(ws)) for bv, ws in adj.items()}
+        adj, pair_edges = _simple_adjacency(block_vertices, block_triples)
         if target_set is None:
             block_targets = sorted(block_vertices)
         else:
@@ -109,25 +115,17 @@ def _circles(graph, targets, max_circles):
                     yield emit(Circle(combo, vertex_cycle).canonical())
 
 
-def _first_circle_through(graph, target, banned):
-    """The first circle through ``target`` avoiding ``banned``, or None.
+def _first_circle_through(adj, pair_edges, target, banned):
+    """The first circle through ``target`` avoiding ``banned``, or None, in a
+    graph given by ``_simple_adjacency``.
 
     Deterministic (sorted adjacency, lexicographically least parallel edges);
     used as a fast path by the consistency oracle.
     """
-    triples = graph.edge_triples()
-    pair_edges = _parallel_groups(triples)
-    for (u, v), eids in pair_edges.items():
-        if target not in (u, v) or len(eids) < 2:
-            continue
-        if (v if target == u else u) in banned:
-            continue
-        return Circle((eids[0], eids[1]), (u, v)).canonical()
-    adj = {x: set() for x in graph.vertex_ids}
-    for _, u, v in triples:
-        adj[u].add(v)
-        adj[v].add(u)
-    adj = {x: tuple(sorted(ws)) for x, ws in adj.items()}
+    for w in adj[target]:
+        pair = (min(target, w), max(target, w))
+        if len(pair_edges[pair]) >= 2 and w not in banned:
+            return Circle(tuple(pair_edges[pair][:2]), pair).canonical()
     for vertex_cycle in _vertex_cycles_through(adj, target, banned):
         pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
         edges = tuple(pair_edges[(min(a, b), max(a, b))][0] for a, b in pairs)
@@ -198,8 +196,9 @@ def is_consistent_oracle(marked, *,
     if not targets:
         return ConsistencyResult(True, None)
     target_set = set(targets)
+    adj, pair_edges = _simple_adjacency(marked.vertex_ids, marked.edge_triples())
     for t in targets:
-        circle = _first_circle_through(marked, t, target_set - {t})
+        circle = _first_circle_through(adj, pair_edges, t, target_set - {t})
         if circle is not None:
             return ConsistencyResult(False, circle)
     for circle in _circles(marked, targets, max_circles):

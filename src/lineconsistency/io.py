@@ -2,9 +2,12 @@
 
 The JSON schema: ``{"vertices": [str, ...], "edges": [{"id", "u", "v",
 "sign"}, ...]}`` with signs written as "+" or "-".  Numeric identifiers are
-stringified on read; booleans and duplicate ids are rejected.  Output is
-canonical (keys and lists sorted), so writes are byte-deterministic and reads
-of writes round-trip structurally.
+stringified on read; booleans are rejected.  The reader checks only the
+document's shape; the graph invariants (unique ids, no loops, endpoints among
+the vertices) are checked once, by the graph constructor, and its error is
+re-raised as GraphFormatError with the same ``vertices[i]``/``edges[i]``
+location.  Output is canonical (keys and lists sorted), so writes are
+byte-deterministic and reads of writes round-trip structurally.
 """
 
 from __future__ import annotations
@@ -12,13 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .analysis import StructureReport, Verdict
-from .core import (
-    GraphError,
-    MarkedGraph,
-    SignedGraph,
-    new_signed_graph,
-)
+from .analysis import StructureReport
+from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
 
 
 class GraphFormatError(GraphError):
@@ -52,13 +50,7 @@ def read_signed_graph(text: str) -> SignedGraph:
     vertices = [
         _identifier(v, f"vertices[{i}]") for i, v in enumerate(document["vertices"])
     ]
-    vertex_set = set(vertices)
-    if len(vertex_set) != len(vertices):
-        first = {}
-        i = next(i for i, v in enumerate(vertices) if first.setdefault(v, i) != i)
-        raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {vertices[i]!r}")
     edges = []
-    seen = set()
     for i, item in enumerate(document["edges"]):
         where = f"edges[{i}]"
         if not isinstance(item, dict):
@@ -69,21 +61,15 @@ def read_signed_graph(text: str) -> SignedGraph:
         eid = _identifier(item["id"], f"{where}.id")
         u = _identifier(item["u"], f"{where}.u")
         v = _identifier(item["v"], f"{where}.v")
-        sign = item["sign"]
-        if not isinstance(sign, str) or sign not in ("+", "-"):
-            raise GraphFormatError(f"{where}.sign: must be \"+\" or \"-\"")
-        if eid in seen:
-            raise GraphFormatError(f"{where}: duplicate edge id {eid!r}")
-        seen.add(eid)
-        if u == v:
-            raise GraphFormatError(f"{where}: loop edge {eid!r} at vertex {u!r}")
-        for endpoint in (u, v):
-            if endpoint not in vertex_set:
-                raise GraphFormatError(
-                    f"{where}: endpoint {endpoint!r} is not a vertex"
-                )
+        try:
+            sign = Sign.from_symbol(item["sign"])
+        except GraphError as exc:
+            raise GraphFormatError(f"{where}.sign: {exc}") from None
         edges.append((eid, u, v, sign))
-    return new_signed_graph(vertices, edges)
+    try:
+        return new_signed_graph(vertices, edges)
+    except GraphError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def write_signed_graph(graph: SignedGraph) -> str:
@@ -107,16 +93,6 @@ def write_marked_graph(marked: MarkedGraph) -> str:
         "edges": [{"id": e.id, "u": e.u, "v": e.v} for e in marked.edges],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def verdict_to_dict(verdict: Verdict) -> dict:
-    data = asdict(verdict)
-    if verdict.witness is not None:
-        data["witness"] = {
-            "edges": list(verdict.witness.edges),
-            "vertices": list(verdict.witness.vertices),
-        }
-    return data
 
 
 def structure_report_to_dict(report: StructureReport) -> dict:

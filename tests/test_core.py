@@ -72,6 +72,31 @@ class TestConstruction:
         with pytest.raises(GraphError, match="not a vertex"):
             new_signed_graph("ab", [("e1", "a", "q", "+")])
 
+    def test_duplicate_vertex_id_rejected_at_given_position(self):
+        # sorted, the duplicate 'c' would sit at index 3
+        vertices = ["c", "b", "c", "a"]
+        message = r"^vertices\[2\]: duplicate vertex id 'c'$"
+        with pytest.raises(GraphError, match=message):
+            new_signed_graph(vertices, [])
+        with pytest.raises(GraphError, match=message):
+            new_marked_graph([(v, "+") for v in vertices], [])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([("e2", "a", "b", "+"), ("e1", "a", "a", "+")],
+         "edges[1]: loop edge 'e1' at vertex 'a'"),
+        ([("e2", "a", "b", "+"), ("e1", "a", "q", "+")],
+         "edges[1]: endpoint 'q' is not a vertex"),
+        ([("e1", "a", "b", "+"), ("e3", "a", "b", "+"), ("e1", "a", "b", "-")],
+         "edges[2]: duplicate edge id 'e1'"),
+    ])
+    def test_edge_faults_located_at_given_position(self, edges, message):
+        # sorted by id, the offending edge would sit at another index
+        with pytest.raises(GraphError) as signed:
+            new_signed_graph("ab", edges)
+        with pytest.raises(GraphError) as marked:
+            new_marked_graph([("a", "+"), ("b", "-")], [e[:3] for e in edges])
+        assert str(signed.value) == str(marked.value) == message
+
 
 class TestAccessors:
     def test_degree(self):

@@ -72,6 +72,34 @@ class TestRead:
                 '"edges":[{"id":"e1","u":"a","v":"b","sign":"+"}]}'
             )
 
+    @pytest.mark.parametrize("document, message", [
+        ('{"vertices":["c","b","c","a"],"edges":[]}',
+         "vertices[2]: duplicate vertex id 'c'"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e1","u":"a","v":"b","sign":"+"},'
+         '{"id":"e3","u":"a","v":"b","sign":"+"},'
+         '{"id":"e1","u":"a","v":"b","sign":"-"}]}',
+         "edges[2]: duplicate edge id 'e1'"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":"e1","u":"b","v":"b","sign":"+"}]}',
+         "edges[1]: loop edge 'e1' at vertex 'b'"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":"e1","u":"a","v":"z","sign":"+"}]}',
+         "edges[1]: endpoint 'z' is not a vertex"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":"e1","u":"a","v":"b","sign":"x"}]}',
+         "edges[1].sign: invalid sign 'x': expected '+' or '-'"),
+    ], ids=["duplicate-vertex", "duplicate-edge", "loop", "unknown-endpoint",
+            "bad-sign"])
+    def test_single_fault_located(self, document, message):
+        # sorted, each offender would sit at another index: positions are as given
+        with pytest.raises(GraphFormatError) as caught:
+            read_signed_graph(document)
+        assert str(caught.value) == message
+
     def test_numeric_identifiers_stringified(self):
         g = read_signed_graph(
             '{"vertices":[1,2],"edges":[{"id":7,"u":1,"v":2,"sign":"+"}]}'
