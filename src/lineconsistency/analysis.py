@@ -9,27 +9,30 @@ routes.  Isthmi, blocks, components and balance are all read from one
 iterative depth-first search per graph (``SignedGraph.traversal``, linear
 and cached); condition ii starts it only when a positive edge at a
 negative-degree-2 vertex needs testing or every local clause has passed.
-Witnesses are built from the failing clause of condition ii in linear time.
+Witnesses are derived from the failing clause of condition ii in linear time;
+``linegraph`` builds them as line-graph circles and checks them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ._traversal import connected_components
-from .core import Circle, GraphError, SignedGraph, sign_product
-# line_graph, is_consistent_oracle and circle_vertex_sign are not used here
-# but stay importable from this module: bench/tracer.py wraps them here.
+from .core import Circle, GraphError, Sign, SignedGraph
+# line_graph, is_consistent_oracle, circle_vertex_sign and enumerate_circles are
+# not used here but stay importable from this module: bench/tracer.py wraps them.
 from .cycles import (
+    DEFAULT_CIRCLE_CAP,
     circle_vertex_sign,
+    circles_through,
     enumerate_circles,
     find_negative_circle,
     is_balanced_fast,
     is_consistent_oracle,
 )
-from .linegraph import circle_image, line_edge_id, line_graph
+from .linegraph import circle_image, line_circle, line_graph, verify_witness
 
 # The clauses of condition ii; find_witness builds one witness per clause.
 NEGATIVE_DEGREE_ABOVE_2 = "negative-subgraph degree exceeds 2"
@@ -183,20 +186,20 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     every local clause has passed."""
     isthmi = None
     for v in graph.vertices:
-        positive, negative = _split_signs(graph.incident_edges(v))
+        incident = graph.incident_edges(v)
+        negative = [e.sign for e in incident].count(Sign.NEGATIVE)
         if not negative:
             continue
-        if len(negative) > 2:
+        if negative > 2:
             return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=v)
-        if len(positive) > 1:
+        if len(incident) - negative > 1:
             return Verdict(False, TWO_POSITIVE_EDGES, vertex=v)
-        if len(negative) == 2 and positive:
+        if negative == 2 and len(incident) == 3:
+            edge = next(e.id for e in incident if e.sign.is_positive)
             if isthmi is None:
                 isthmi = find_isthmi(graph)
-            if positive[0].id not in isthmi:
-                return Verdict(
-                    False, POSITIVE_EDGE_NOT_ISTHMUS, vertex=v, edge=positive[0].id
-                )
+            if edge not in isthmi:
+                return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS, vertex=v, edge=edge)
     return _balance_verdict(graph)
 
 
@@ -228,18 +231,15 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
 def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     """The simple-graph criterion: balanced; degree > 3 totally positive;
     degree 3 totally positive or two negative edges lying on every circle
-    through the vertex (checked against the circle enumeration, which runs
-    only once such a vertex is reached)."""
+    through the vertex (checked against the circles through that vertex
+    alone, enumerated only once such a vertex is reached)."""
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
-    circles = None
 
     def pair_on_every_circle(v, _, negative):
-        nonlocal circles
-        if circles is None:
-            circles = enumerate_circles(graph)
         pair = {negative[0].id, negative[1].id}
-        if any(v in c.vertices and not pair <= set(c.edges) for c in circles):
+        circles = circles_through(graph, (v,), DEFAULT_CIRCLE_CAP)
+        if any(not pair <= set(c.edges) for c in circles):
             return Verdict(
                 False,
                 "degree-3 negative pair not on all circles through the vertex",
@@ -265,8 +265,8 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
     return all(e.sign.is_positive for e in graph.edges)
 
 
-def _classify_kind(component, neg: SignedGraph):
-    degrees = {v: neg.degree(v) for v in component}
+def _classify_kind(component, negative_degree):
+    degrees = {v: negative_degree[v] for v in component}
     if len(component) == 1 and not any(degrees.values()):
         return "single-vertex", ()
     if all(d == 2 for d in degrees.values()):
@@ -287,17 +287,12 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     block-free endpoints (b).  Divalent-endpoint and endpoint-attachment facts
     are consequences of the form; they are reported, not enforced.
     """
-    negative = graph.negative_subgraph()
+    negative_triples = [(e.id, e.u, e.v) for e in graph.edges if e.sign.is_negative]
+    negative_degree = Counter(x for _, u, v in negative_triples for x in (u, v))
     isthmi = find_isthmi(graph)
-    all_blocks = blocks(graph)
-    block_edge_sets = {b.edges for b in all_blocks if b.edges}
-    nontrivial = [b for b in all_blocks if b.nontrivial]
-    in_nontrivial = set()
-    for b in nontrivial:
-        in_nontrivial.update(b.vertices)
-    nontrivial_block_of = {eid: b for b in nontrivial for eid in b.edges}
+    block_of = {eid: b.edges for b in blocks(graph) for eid in b.edges}
 
-    components = connected_components(negative.vertex_ids, negative.edge_triples())
+    components = connected_components(graph.vertices, negative_triples)
     # each component's negative edges, and the positive edges inside it
     component_of = {v: i for i, component in enumerate(components) for v in component}
     negative_edges = [[] for _ in components]
@@ -313,7 +308,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     for component, comp_edges, inside in zip(components, negative_edges, inside_edges):
         vertices = tuple(sorted(component))
         edge_set = frozenset(comp_edges)
-        kind, endpoints = _classify_kind(component, negative)
+        kind, endpoints = _classify_kind(component, negative_degree)
         violations = []
         is_block = None
         path_form = None
@@ -342,7 +337,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
                 "negative component is not a circle, path, or single vertex"
             )
         elif kind == "circle":
-            is_block = edge_set in block_edge_sets
+            is_block = block_of[comp_edges[0]] == edge_set
             if not is_block:
                 violations.append("circle component is not a block")
             check_extras("circle", vertices)
@@ -357,17 +352,17 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
                 len(inside) == 1
                 and inside[0].sign.is_positive
                 and inside[0].endpoints == frozenset(endpoints)
-                and frozenset(edge_set | {inside[0].id}) in block_edge_sets
+                and block_of[inside[0].id] == edge_set | {inside[0].id}
             ):
                 path_form = "closes-circle-block"
             else:
                 violations.append("path is neither induced nor closes a circle block")
-            block = nontrivial_block_of.get(comp_edges[0])
-            if block is not None and edge_set <= block.edges:
+            block = block_of[comp_edges[0]]
+            if len(block) > 1 and edge_set <= block:
                 case = "a"
                 endpoints_divalent = all(graph.degree(v) == 2 for v in endpoints)
-            elif edge_set <= isthmi and not any(
-                v in in_nontrivial for v in endpoints
+            elif edge_set <= isthmi and all(  # no endpoint in a nontrivial block
+                e.id in isthmi for v in endpoints for e in graph.incident_edges(v)
             ):
                 case = "b"
                 endpoint_extras_ok = all(
@@ -427,29 +422,6 @@ def _circle_through_edge(graph: SignedGraph, edge) -> Optional[Circle]:
     return Circle(tuple(edges) + (edge.id,), tuple(vertices))
 
 
-def _line_circle(lvertices: tuple, shared: tuple) -> Circle:
-    """The line-graph circle through the edges ``lvertices`` in order, where
-    edge k meets edge k + 1 at the vertex ``shared[k]``."""
-    ledges = tuple(
-        line_edge_id(a, b, s)
-        for a, b, s in zip(lvertices, lvertices[1:] + lvertices[:1], shared)
-    )
-    return Circle(ledges, lvertices).canonical()
-
-
-def _verify_witness(graph: SignedGraph, witness: Circle) -> None:
-    """Check in O(len(witness)) that ``witness`` is a negative circle of the
-    line graph of ``graph``: consecutive line vertices are edges of ``graph``
-    that the line edge between them joins at a shared endpoint."""
-    edges = [graph.edge(eid) for eid in witness.vertices]
-    joined = all(
-        line_edge in {line_edge_id(a.id, b.id, s) for s in a.endpoints & b.endpoints}
-        for line_edge, a, b in zip(witness.edges, edges, edges[1:] + edges[:1])
-    )
-    if not joined or sign_product(e.sign for e in edges).is_positive:
-        raise GraphError(f"witness {witness} is not a negative line-graph circle")
-
-
 def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     """The paper's negative line-graph circle for a failed clause of
     condition ii."""
@@ -458,10 +430,9 @@ def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
         return circle_image(find_negative_circle(graph))
     positive, negative = _split_signs(graph.incident_edges(v))
     if clause == NEGATIVE_DEGREE_ABOVE_2:
-        return _line_circle(tuple(e.id for e in negative[:3]), (v, v, v))
+        return line_circle(tuple(e.id for e in negative[:3]), (v, v, v))
     if clause == TWO_POSITIVE_EDGES:
-        triangle = (negative[0].id, positive[0].id, positive[1].id)
-        return _line_circle(triangle, (v, v, v))
+        return line_circle((negative[0].id, positive[0].id, positive[1].id), (v, v, v))
     circle = _circle_through_edge(graph, graph.edge(failed.edge))
     if graph.sign_of_walk(circle).is_negative:
         return circle_image(circle)
@@ -469,7 +440,7 @@ def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     # first edge meet at v
     spare = next(e.id for e in negative if e.id not in circle.edges)
     j = circle.vertices.index(v)
-    return _line_circle(
+    return line_circle(
         circle.edges[j:] + circle.edges[:j] + (spare,),
         circle.vertices[j + 1:] + circle.vertices[:j + 1] + (v,),
     )
@@ -494,5 +465,5 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
         if failed.line_consistent:
             raise GraphError("condition ii finds the graph line consistent")
     witness = _clause_witness(graph, failed)
-    _verify_witness(graph, witness)
+    verify_witness(graph, witness)
     return witness

@@ -72,13 +72,13 @@ def _vertex_cycles_through(adj, start, banned):
         stack.append(iter(adj[w]))
 
 
-def _circles(graph, targets, max_circles):
+def circles_through(graph, targets, max_circles):
     """Yield canonical circles of ``graph`` containing a target vertex.
 
     ``targets=None`` means every vertex, i.e. full enumeration.  Each circle
-    is yielded exactly once: at its first target in sorted order.
+    is yielded exactly once: at its first target in sorted order.  Raises
+    CircleLimitError once more than ``max_circles`` circles are yielded.
     """
-    triples = graph.edge_triples()
     count = 0
 
     def emit(circle):
@@ -88,24 +88,24 @@ def _circles(graph, targets, max_circles):
             raise CircleLimitError(f"more than {max_circles} circles")
         return circle
 
-    target_set = None if targets is None else set(targets)
+    target_set = set(graph.vertex_ids if targets is None else targets)
+    # a circle through a target, digons included, lies in a block holding it
+    blocks = [b for b in graph.traversal.blocks if not b[0].isdisjoint(target_set)]
+    triples = [(e.id, e.u, e.v) for b in blocks for e in map(graph.edge, b[1])]
     for (u, v), eids in _parallel_groups(triples).items():
         if len(eids) < 2:
             continue
-        if target_set is not None and u not in target_set and v not in target_set:
+        if u not in target_set and v not in target_set:
             continue
         for a, b in itertools.combinations(eids, 2):
             yield emit(Circle((a, b), (u, v)).canonical())
 
-    for block_vertices, block_edges in graph.traversal.blocks:
+    for block_vertices, block_edges in blocks:
         if len(block_edges) < 3:
             continue
+        block_targets = sorted(block_vertices & target_set)
         block_triples = [(e.id, e.u, e.v) for e in map(graph.edge, sorted(block_edges))]
         adj, pair_edges = _simple_adjacency(block_vertices, block_triples)
-        if target_set is None:
-            block_targets = sorted(block_vertices)
-        else:
-            block_targets = sorted(block_vertices & target_set)
         for i, t in enumerate(block_targets):
             banned = set(block_targets[:i])
             for vertex_cycle in _vertex_cycles_through(adj, t, banned):
@@ -139,13 +139,13 @@ def enumerate_circles(graph, *, max_circles: int = DEFAULT_CIRCLE_CAP) -> list:
     Works on SignedGraph and MarkedGraph alike.  Raises CircleLimitError when
     the graph has more than ``max_circles`` circles.
     """
-    return list(_circles(graph, None, max_circles))
+    return list(circles_through(graph, None, max_circles))
 
 
 def is_balanced_oracle(graph: SignedGraph, *,
                        max_circles: int = DEFAULT_CIRCLE_CAP) -> bool:
     """Balance by definition: every circle has positive edge-sign product."""
-    for circle in _circles(graph, None, max_circles):
+    for circle in circles_through(graph, None, max_circles):
         signs = (graph.edge(eid).sign for eid in circle.edges)
         if sign_product(signs).is_negative:
             return False
@@ -201,7 +201,7 @@ def is_consistent_oracle(marked, *,
         circle = _first_circle_through(adj, pair_edges, t, target_set - {t})
         if circle is not None:
             return ConsistencyResult(False, circle)
-    for circle in _circles(marked, targets, max_circles):
+    for circle in circles_through(marked, targets, max_circles):
         if sign_product(marked.mark(v) for v in circle.vertices).is_negative:
             return ConsistencyResult(False, circle)
     return ConsistencyResult(True, None)

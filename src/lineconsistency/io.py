@@ -30,7 +30,7 @@ def _identifier(value, where):
         return value
     if isinstance(value, int):
         return str(value)
-    raise GraphFormatError(f"{where}: identifier must be a string")
+    raise GraphFormatError(f"{where}: identifier must be a string or an integer")
 
 
 def read_signed_graph(text: str) -> SignedGraph:

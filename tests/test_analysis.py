@@ -238,10 +238,51 @@ class TestTheorem1:
 
     def test_enumerates_circles_only_at_a_two_negative_degree_3_vertex(
             self, monkeypatch):
-        monkeypatch.setattr(analysis, "enumerate_circles", forbidden)
+        monkeypatch.setattr(analysis, "circles_through", forbidden)
         assert not check_theorem1_simple(star("-+++")).line_consistent
         assert not check_theorem1_simple(paw("+++", "-")).line_consistent
         assert check_theorem1_simple(circle4("----")).line_consistent
+        # the patched name is the one the criterion enumerates through
+        with pytest.raises(AssertionError, match="must not be called"):
+            check_theorem1_simple(star("+--"))
+
+    def test_counts_only_circles_through_the_vertex_against_the_cap(self):
+        # K11 has 5,488,059 circles, more than the default cap of 10^6; the
+        # one two-negative degree-3 vertex v lies on one circle, a negative
+        # square hung from the clique by a positive isthmus
+        import itertools
+
+        clique = [f"k{i:02d}" for i in range(11)]
+        edges = [(f"p{u}{w}", u, w, "+") for u, w in itertools.combinations(clique, 2)]
+        edges += [("isthmus", "v", "k00", "+"), ("n1", "v", "a", "-"),
+                  ("n2", "a", "b", "-"), ("n3", "b", "c", "-"), ("n4", "c", "v", "-")]
+        graph = new_signed_graph(clique + ["v", "a", "b", "c"], edges)
+        assert check_theorem1_simple(graph) == Verdict(True)
+
+    def test_searches_only_the_blocks_through_each_tested_vertex(self, monkeypatch):
+        from lineconsistency import cycles
+
+        searched = []
+        simple_adjacency = cycles._simple_adjacency
+
+        def counted(vertex_ids, edge_triples):
+            searched.append(vertex_ids)
+            return simple_adjacency(vertex_ids, edge_triples)
+
+        monkeypatch.setattr(cycles, "_simple_adjacency", counted)
+        # 20 negative squares, each hung by a positive isthmus at its vertex
+        # vi from hi on a positive path h0 - h1 - ... - h19
+        vertices, edges = [], []
+        for i in range(20):
+            h, v, a, b, c = (f"{x}{i}" for x in "hvabc")
+            vertices += [h, v, a, b, c]
+            edges += [(f"i{i}", h, v, "+"), (f"n{i}1", v, a, "-"),
+                      (f"n{i}2", a, b, "-"), (f"n{i}3", b, c, "-"),
+                      (f"n{i}4", c, v, "-")]
+            if i:
+                edges.append((f"p{i}", f"h{i - 1}", h, "+"))
+        assert check_theorem1_simple(new_signed_graph(vertices, edges)).line_consistent
+        assert len(searched) == 20  # one square per tested vertex, not 20 each
 
     def test_agrees_with_condition_ii_on_simple_graphs(self):
         for g in exhaustive_signed_graphs(4, 5):

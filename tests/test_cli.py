@@ -238,6 +238,24 @@ class TestFuzz:
         assert "graphs checked: 20" in capsys.readouterr().out
         assert len(calls) == 20
 
+    def test_disagreement_prints_each_counterexample(self, monkeypatch, capsys):
+        from lineconsistency import analysis, check_condition_ii, read_signed_graph
+
+        monkeypatch.setattr(analysis, "check_condition_i",
+                            lambda graph: analysis.Verdict(True))
+        code = main(["fuzz", "--exhaustive", "--max-n", "3", "--max-m", "3"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "line consistent: 47" in out
+        assert "disagreements: 48" in out  # every graph the oracle rejects
+        blocks = out.split("counterexample:\n")[1:]
+        assert len(blocks) == 48
+        for block in blocks:
+            document, failure = block.rsplit("}\n", 1)
+            assert failure == "  method i says True, oracle says False\n"
+            graph = read_signed_graph(document + "}")
+            assert not check_condition_ii(graph).line_consistent
+
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["fuzz", "--max-n", "0"]) == 2
         assert main(["fuzz", "--exhaustive", "--max-n", "9"]) == 2

@@ -92,8 +92,23 @@ class TestRead:
          '{"id":"e2","u":"a","v":"b","sign":"+"},'
          '{"id":"e1","u":"a","v":"b","sign":"x"}]}',
          "edges[1].sign: invalid sign 'x': expected '+' or '-'"),
+        ('[["a"], []]', "top level must be an object"),
+        ('{"vertices":{"a":1},"edges":[]}', "'vertices' must be an array"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '"e1"]}',
+         "edges[1]: must be an object"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":"e1","u":"a","v":"b"}]}',
+         "edges[1]: missing key 'sign'"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":1.5,"u":"a","v":"b","sign":"+"}]}',
+         "edges[1].id: identifier must be a string or an integer"),
     ], ids=["duplicate-vertex", "duplicate-edge", "loop", "unknown-endpoint",
-            "bad-sign"])
+            "bad-sign", "top-level-not-object", "vertices-not-array",
+            "edge-not-object", "missing-sign", "float-id"])
     def test_single_fault_located(self, document, message):
         # sorted, each offender would sit at another index: positions are as given
         with pytest.raises(GraphFormatError) as caught:
