@@ -1,18 +1,41 @@
 """One iterative depth-first search yielding bridges, blocks, components and
 switching balance.
 
-The search runs over integer indices: vertex ``i`` is the ``i``-th sorted
-vertex id, edge ``k`` the ``k``-th edge in id order.  Roots are taken in
-vertex order and each vertex's edges in edge-id order, so results are
-deterministic, and nothing recurses.  One pass records discovery numbers,
-low-links (Tarjan 1972), tree parent edges and switching parities (Harary
-1953); the rest is read from those arrays in linear time.  The adjacency
-lists live only for the pass.
+The search reads a graph's integer edge columns (``core._Multigraph``):
+vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
+id order, joining ``tail[k]`` and ``tail[k] ^ ends[k]``, with ``negative[k]``
+its sign bit and ``incidence[i]`` the edges at vertex ``i`` in id order.
+Roots are taken in vertex order and each vertex's edges in edge-id order, so
+results are deterministic, and nothing recurses.  One pass records discovery
+numbers, low-links (Tarjan 1972), tree parent edges and switching parities
+(Harary 1953); the rest is read from those arrays in linear time.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
+from operator import eq
+from typing import NamedTuple
+
+
+class Edges(NamedTuple):
+    """A multigraph's edges as columns, in edge-id order."""
+
+    ids: tuple
+    tail: list
+    ends: list
+    negative: list
+    incidence: list
+
+
+def incidence(n: int, tail, ends) -> list:
+    """For each of ``n`` vertices, the indices of its edges in edge order."""
+    edges_at = [[] for _ in range(n)]
+    for k, (a, e) in enumerate(zip(tail, ends)):
+        edges_at[a].append(k)
+        edges_at[a ^ e].append(k)
+    return edges_at
 
 
 class Traversal:
@@ -22,40 +45,32 @@ class Traversal:
     run from its least vertex, its root; ``disc[v]`` is v's place in
     ``order``, ``low[v]`` the least discovery number one non-tree edge
     reaches from v's subtree, ``parent[v]`` the edge entering v (-1 at a
-    root).  Edge k joins ``tail[k]`` and ``tail[k] ^ ends[k]``.  ``conflict``
-    is the first edge met whose sign contradicts the switching parities of
-    its endpoints, or -1 when the graph is balanced.
+    root).  ``conflict`` is the first edge met whose sign contradicts the
+    switching parities of its endpoints, or -1 when the graph is balanced.
     """
 
-    def __init__(self, vertex_ids, edges):
-        """Search the graph on ``vertex_ids`` (sorted) whose ``edges`` are
-        (id, u, v, negative) tuples in id order."""
-        index = {v: i for i, v in enumerate(vertex_ids)}
-        n = len(index)
-        adj = [[] for _ in range(n)]
-        edge_ids, tail, ends, odd = [], [], [], []
-        for k, (eid, u, v, negative) in enumerate(edges):
-            a, b = index[u], index[v]
-            edge_ids.append(eid)
-            tail.append(a)
-            ends.append(a ^ b)
-            odd.append(1 if negative else 0)
-            adj[a].append(k)
-            adj[b].append(k)
+    def __init__(self, vertex_ids, edges: Edges):
+        """Search the graph on ``vertex_ids`` (sorted) with these ``edges``."""
+        adj, ends, odd = edges.incidence, edges.ends, edges.negative
+        n = len(vertex_ids)
         disc = [-1] * n
         low = [0] * n
         parent = [-1] * n
         parity = [0] * n
+        resume = [0] * n  # resume[v]: how many of v's edges are scanned
         order, conflict = [], -1
         for root in range(n):
             if disc[root] >= 0:
                 continue
             disc[root] = low[root] = len(order)
             order.append(root)
-            stack = [(root, -1, iter(adj[root]))]  # (vertex, entering edge, edges left)
+            stack = [root]  # ints only: a deep search allocates nothing tracked
             while stack:
-                v, entering, edges_left = stack[-1]
-                for k in edges_left:
+                v = stack[-1]
+                incident, entering, i = adj[v], parent[v], resume[v]
+                while i < len(incident):
+                    k = incident[i]
+                    i += 1
                     if k == entering:
                         continue
                     w = ends[k] ^ v
@@ -65,7 +80,8 @@ class Traversal:
                         order.append(w)
                         parent[w] = k
                         parity[w] = parity[v] ^ odd[k]
-                        stack.append((w, k, iter(adj[w])))
+                        resume[v] = i
+                        stack.append(w)
                         break
                     if d < low[v]:
                         low[v] = d
@@ -77,8 +93,8 @@ class Traversal:
                         p = ends[entering] ^ v
                         if low[v] < low[p]:
                             low[p] = low[v]
-        self.vertex_ids, self.edge_ids = tuple(vertex_ids), edge_ids
-        self.tail, self.ends, self.order = tail, ends, order
+        self.vertex_ids, self.edge_ids = vertex_ids, edges.ids
+        self.tail, self.ends, self.order = edges.tail, ends, order
         self.disc, self.low, self.parent, self.conflict = disc, low, parent, conflict
 
     @property
@@ -88,11 +104,10 @@ class Traversal:
     @cached_property
     def bridges(self) -> frozenset:
         """Ids of the edges on no circle: tree edges into a vertex whose
-        subtree no other edge leaves."""
-        disc, low, edge_ids = self.disc, self.low, self.edge_ids
-        return frozenset(
-            edge_ids[k] for v, k in enumerate(self.parent) if k >= 0 and low[v] == disc[v]
-        )
+        subtree no other edge leaves (low equals disc; at a root, which no
+        edge enters, the parent is -1)."""
+        entering = compress(self.parent, map(eq, self.low, self.disc))
+        return frozenset(map(self.edge_ids.__getitem__, filter((-1).__ne__, entering)))
 
     def _runs(self):
         """The components as slices of ``order``."""
@@ -177,5 +192,12 @@ class Traversal:
 
 def connected_components(vertex_ids, edge_triples) -> list:
     """Vertex sets of the components, sorted by their least vertex."""
-    edges = ((eid, u, v, False) for eid, u, v in edge_triples)
+    index = {v: i for i, v in enumerate(vertex_ids)}
+    ids, tail, ends = [], [], []
+    for eid, u, v in edge_triples:
+        a, b = index[u], index[v]
+        ids.append(eid)
+        tail.append(a)
+        ends.append(a ^ b)
+    edges = Edges(ids, tail, ends, [0] * len(ids), incidence(len(index), tail, ends))
     return Traversal(vertex_ids, edges).components

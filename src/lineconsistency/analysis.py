@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import xor
 from typing import Optional
 
 from ._traversal import connected_components
-from .core import Circle, GraphError, Sign, SignedGraph
+from .core import Circle, GraphError, SignedGraph
 # line_graph, is_consistent_oracle, circle_vertex_sign and enumerate_circles are
 # not used here but stay importable from this module: bench/tracer.py wraps them.
 from .cycles import (
@@ -129,12 +131,6 @@ def blocks(graph: SignedGraph) -> list:
     ]
 
 
-def _split_signs(edges):
-    positive = [e for e in edges if e.sign.is_positive]
-    negative = [e for e in edges if e.sign.is_negative]
-    return positive, negative
-
-
 def _balance_verdict(graph: SignedGraph) -> Verdict:
     return Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED)
 
@@ -144,16 +140,17 @@ def _degree_sign_clause(graph: SignedGraph, degree3_clause: str,
     """The local clause of conditions i and iii and the simple-graph
     criterion: degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge (else ``degree3_clause`` fails), and
-    ``at_mixed``, called with the edges split by sign at each degree-3
+    ``at_mixed``, called with the edge ids split by sign at each degree-3
     vertex with one positive edge, returns no failed verdict.  The first
     failure in vertex order, or None."""
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        positive, negative = _split_signs(incident)
+    ids, is_negative = graph.edge_ids, graph.negative
+    for v, incident in zip(graph.vertices, graph.incidence):
+        negative = [ids[k] for k in incident if is_negative[k]]
         if not negative or len(incident) < 3:
             continue
         if len(incident) > 3:
             return Verdict(False, "degree>3 not totally positive", vertex=v)
+        positive = [ids[k] for k in incident if not is_negative[k]]
         if len(positive) != 1:
             return Verdict(False, degree3_clause, vertex=v)
         failed = at_mixed(v, positive[0], negative)
@@ -168,9 +165,9 @@ def check_condition_i(graph: SignedGraph) -> Verdict:
     isthmi = find_isthmi(graph)
 
     def isthmus(v, positive, _):
-        if positive.id not in isthmi:
+        if positive not in isthmi:
             return Verdict(False, "degree-3 positive edge not an isthmus",
-                           vertex=v, edge=positive.id)
+                           vertex=v, edge=positive)
 
     return (_degree_sign_clause(graph, "degree-3 vertex signs invalid", isthmus)
             or _balance_verdict(graph))
@@ -181,49 +178,63 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The graph's one traversal, which gives both isthmi and balance, starts
-    only once a positive edge at a negative-degree-2 vertex needs testing or
-    every local clause has passed."""
+    The clauses are read from the graph's columns, visiting only the
+    vertices with a negative edge.  The graph's one traversal, which gives
+    both isthmi and balance, starts only once a positive edge at a
+    negative-degree-2 vertex needs testing or every local clause has
+    passed."""
+    tail, negative, incidence = graph.tail, graph.negative, graph.incidence
+    # each negative edge counts once at each end
+    negative_tails = list(compress(tail, negative))
+    negative_degree = Counter(negative_tails)
+    negative_degree.update(map(xor, negative_tails, compress(graph.ends, negative)))
     isthmi = None
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        negative = [e.sign for e in incident].count(Sign.NEGATIVE)
-        if not negative:
-            continue
-        if negative > 2:
-            return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=v)
-        if len(incident) - negative > 1:
-            return Verdict(False, TWO_POSITIVE_EDGES, vertex=v)
-        if negative == 2 and len(incident) == 3:
-            edge = next(e.id for e in incident if e.sign.is_positive)
+    for i in sorted(negative_degree):
+        count, incident = negative_degree[i], incidence[i]
+        if count > 2:
+            return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
+        if len(incident) - count > 1:
+            return Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
+        if count == 2 and len(incident) == 3:
+            edge = next(graph.edge_ids[k] for k in incident if not negative[k])
             if isthmi is None:
                 isthmi = find_isthmi(graph)
             if edge not in isthmi:
-                return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS, vertex=v, edge=edge)
+                return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
+                               vertex=graph.vertices[i], edge=edge)
     return _balance_verdict(graph)
 
 
 def check_condition_iii(graph: SignedGraph) -> Verdict:
     """Degree > 3 totally positive; degree 3 totally positive or exactly one
     positive edge; after deleting all positive isthmi, balanced with every
-    negative edge's endpoints of degree at most 2."""
+    negative edge's endpoints of degree at most 2.
+
+    No second graph is built: isthmi lie on no circle, so deleting them
+    leaves balance as it is, and each degree drops by the positive isthmi
+    at the vertex."""
     failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
     if failed:
         return failed
     isthmi = find_isthmi(graph)
-    pruned = graph.without_edges(
-        e.id for e in graph.positive_edges if e.id in isthmi
-    )
-    if not is_balanced_fast(pruned):
+    if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    for e in pruned.negative_edges:
-        for v in (e.u, e.v):
-            if pruned.degree(v) > 2:
+    degree = list(map(len, graph.incidence))
+    edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
+    for eid, a, e, negative in edges:
+        if not negative and eid in isthmi:
+            degree[a] -= 1
+            degree[a ^ e] -= 1
+    for eid, a, e, negative in edges:
+        if not negative:
+            continue
+        for x in (a, a ^ e):
+            if degree[x] > 2:
                 return Verdict(
                     False,
                     "negative-edge endpoint degree exceeds 2 "
                     "after deleting positive isthmi",
-                    vertex=v,
+                    vertex=graph.vertices[x],
                 )
     return Verdict(True)
 
@@ -237,7 +248,7 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
         raise GraphError("requires a simple graph")
 
     def pair_on_every_circle(v, _, negative):
-        pair = {negative[0].id, negative[1].id}
+        pair = set(negative)
         circles = circles_through(graph, (v,), DEFAULT_CIRCLE_CAP)
         if any(not pair <= set(c.edges) for c in circles):
             return Verdict(
@@ -262,7 +273,7 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
         return None
     if any(graph.degree(v) == 2 for v in graph.vertices):
         return None
-    return all(e.sign.is_positive for e in graph.edges)
+    return not any(graph.negative)
 
 
 def _classify_kind(component, negative_degree):
@@ -428,7 +439,9 @@ def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     v, clause = failed.vertex, failed.failed_clause
     if clause == UNBALANCED:
         return circle_image(find_negative_circle(graph))
-    positive, negative = _split_signs(graph.incident_edges(v))
+    incident = graph.incident_edges(v)
+    positive = [e for e in incident if e.sign.is_positive]
+    negative = [e for e in incident if e.sign.is_negative]
     if clause == NEGATIVE_DEGREE_ABOVE_2:
         return line_circle(tuple(e.id for e in negative[:3]), (v, v, v))
     if clause == TWO_POSITIVE_EDGES:

@@ -12,6 +12,7 @@ parameter error, 3 internal disagreement between methods, 4 resource limit
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -241,9 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: its handlers look up the
+    library's functions when they run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CircleLimitError as exc:

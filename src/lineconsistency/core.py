@@ -1,18 +1,26 @@
 """Immutable data model: signed multigraphs, marked multigraphs, circles, walks.
 
 Edges carry explicit string identifiers so parallel edges stay distinguishable.
-The graph constructors are the one place the graph invariants are checked:
-unique vertex ids, unique edge ids, no loops, and both endpoints among the
-vertices; a violation names its position in the given order (``vertices[i]``
-or ``edges[i]``).  All values are frozen and every transform returns a new
-value, so everything here is safe to share between threads.
+A graph is stored as integer columns (``_Multigraph``): its sorted vertex
+ids, its edge ids in id order, each edge's endpoints as indices into the
+vertex ids, and a negative bit per edge.  The depth-first search and the
+checks of condition ii read the columns; edge values (``SignedEdge``) are
+built from them only when a caller asks for ``edges``, ``edge()`` or
+``incident_edges()``, and a graph built from edge values keeps the values it
+was given.  The graph constructors are the one place the graph invariants are
+checked: unique vertex ids, unique edge ids, no loops, and both endpoints
+among the vertices; a violation names its position in the given order
+(``vertices[i]`` or ``edges[i]``).  All values are frozen and every transform
+returns a new value, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
+from itertools import repeat
+from operator import eq, xor
 from typing import Iterable, Union
 
 from . import _traversal
@@ -98,54 +106,93 @@ class SignedEdge(Edge):
     sign: Sign = Sign.POSITIVE
 
 
-def _check(vertex_ids: tuple, edges: tuple) -> None:
-    """The graph invariants, on vertices and edges in their given order:
-    raise GraphError naming, by its position, the first duplicate vertex id,
-    duplicate edge id, loop or endpoint that is not a vertex."""
-    vertex_set = set(vertex_ids)
-    if len(vertex_set) != len(vertex_ids):
-        seen = set()
-        for i, v in enumerate(vertex_ids):
-            if v in seen:
-                raise GraphError(f"vertices[{i}]: duplicate vertex id {v!r}")
-            seen.add(v)
+def _check(vertex_ids, edge_ids, us, vs) -> tuple:
+    """The graph invariants, on vertex ids and edge columns in their given
+    order: raise GraphError naming, by its position, the first duplicate
+    vertex id, duplicate edge id, loop or endpoint that is not a vertex.
+
+    Return the sorted vertex ids, the edge positions in id order, the edge
+    ids in that order, and, in the given order, each edge's endpoints as
+    indices into the sorted vertex ids.  The checks run on whole columns;
+    only a graph that fails one is walked in its given order, to name the
+    first offender."""
+    vertices = tuple(sorted(vertex_ids))
+    index = dict(zip(vertices, range(len(vertices))))
+    order = sorted(range(len(edge_ids)), key=edge_ids.__getitem__)
+    ids = tuple(map(edge_ids.__getitem__, order))
+    a = list(map(index.get, us, repeat(-1)))
+    b = list(map(index.get, vs, repeat(-1)))
+    if (len(index) == len(vertices) and not any(map(eq, ids, ids[1:]))
+            and -1 not in a and -1 not in b and not any(map(eq, a, b))):
+        return vertices, order, ids, a, b
     seen = set()
-    for i, e in enumerate(edges):
-        if e.id in seen:
-            raise GraphError(f"edges[{i}]: duplicate edge id {e.id!r}")
-        seen.add(e.id)
-        if e.u == e.v:
-            raise GraphError(f"edges[{i}]: loop edge {e.id!r} at vertex {e.u!r}")
-        for endpoint in (e.u, e.v):
-            if endpoint not in vertex_set:
+    for i, v in enumerate(vertex_ids):
+        if v in seen:
+            raise GraphError(f"vertices[{i}]: duplicate vertex id {v!r}")
+        seen.add(v)
+    seen = set()
+    for i, (eid, u, v) in enumerate(zip(edge_ids, us, vs)):
+        if eid in seen:
+            raise GraphError(f"edges[{i}]: duplicate edge id {eid!r}")
+        seen.add(eid)
+        if u == v:
+            raise GraphError(f"edges[{i}]: loop edge {eid!r} at vertex {u!r}")
+        for endpoint in (u, v):
+            if endpoint not in index:
                 raise GraphError(f"edges[{i}]: endpoint {endpoint!r} is not a vertex")
 
 
 class _Multigraph:
-    """Edge lookup, incidence and the one depth-first search, shared by
-    signed and marked graphs; ``vertex_ids`` are sorted, ``edges`` in id
-    order, and the cached values are derived from them."""
+    """A graph's columns, edge lookup, incidence and the one depth-first
+    search, shared by signed and marked graphs.
+
+    ``vertex_ids`` are sorted and vertex i is ``vertex_ids[i]``; edge k is
+    the k-th edge in id order, ``edge_ids[k]``, joining ``tail[k]`` and
+    ``tail[k] ^ ends[k]`` (the lesser index is the tail), and
+    ``negative[k]`` is true when it is negative.  Everything cached is
+    derived from these columns.
+    """
+
+    def _store_columns(self, vertex_ids, edge_ids, us, vs, negative) -> list:
+        """Check the invariants on the given order, then store the columns
+        in id order; return that order as positions in the given one."""
+        vertices, order, ids, a, b = _check(vertex_ids, edge_ids, us, vs)
+        a, b = list(map(a.__getitem__, order)), list(map(b.__getitem__, order))
+        self.__dict__.update(
+            vertex_ids=vertices,
+            edge_ids=ids,
+            tail=[x if x < y else y for x, y in zip(a, b)],
+            ends=list(map(xor, a, b)),
+            negative=list(map(negative.__getitem__, order)),
+        )
+        return order
+
+    @cached_property
+    def incidence(self) -> list:
+        """incidence[i]: the indices of vertex i's edges, in id order."""
+        return _traversal.incidence(len(self.vertex_ids), self.tail, self.ends)
+
+    @cached_property
+    def _vertex_index(self) -> dict:
+        return dict(zip(self.vertex_ids, range(len(self.vertex_ids))))
 
     @cached_property
     def _edge_index(self) -> dict:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _incidence(self) -> dict:
-        inc = {v: [] for v in self.vertex_ids}
-        for e in self.edges:
-            inc[e.u].append(e)
-            inc[e.v].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
+        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
 
     @cached_property
     def traversal(self) -> _traversal.Traversal:
         """The graph's one depth-first search: bridges, blocks, components
         and switching balance (an unsigned edge counts as positive)."""
-        return _traversal.Traversal(self.vertex_ids, (
-            (e.id, e.u, e.v, getattr(e, "sign", None) is Sign.NEGATIVE)
-            for e in self.edges
+        return _traversal.Traversal(self.vertex_ids, _traversal.Edges(
+            self.edge_ids, self.tail, self.ends, self.negative, self.incidence
         ))
+
+    def _vertex(self, vertex: str) -> int:
+        try:
+            return self._vertex_index[vertex]
+        except KeyError:
+            raise GraphError(f"unknown vertex {vertex!r}") from None
 
     def edge_triples(self) -> tuple:
         """Edges as (id, u, v) triples."""
@@ -153,43 +200,86 @@ class _Multigraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edge_index[edge_id]
+            return self.edges[self._edge_index[edge_id]]
         except KeyError:
             raise GraphError(f"unknown edge {edge_id!r}") from None
 
+    def incident_edges(self, vertex: str) -> tuple:
+        edges = self.edges
+        return tuple(edges[k] for k in self.incidence[self._vertex(vertex)])
+
     def degree(self, vertex: str) -> int:
-        return len(self.incident_edges(vertex))
+        return len(self.incidence[self._vertex(vertex)])
 
 
-@dataclass(frozen=True)
 class SignedGraph(_Multigraph):
     """A loopless multigraph with signed edges.
 
-    ``vertices`` is kept sorted and ``edges`` sorted by edge id, so structural
-    equality of two graphs is plain dataclass equality.
+    ``vertices`` is kept sorted and ``edges`` sorted by edge id; two graphs
+    are equal when their columns are, which is when their vertices and
+    edges are.
     """
 
-    vertices: tuple = ()
-    edges: tuple = ()
+    def __init__(self, vertices: Iterable[str] = (), edges: Iterable = ()):
+        edges, negative = tuple(edges), Sign.NEGATIVE
+        self.__post_init__(
+            tuple(vertices),
+            [e.id for e in edges],
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [e.sign is negative for e in edges],
+            edges,
+        )
 
-    def __post_init__(self):
-        vertices, edges = tuple(self.vertices), tuple(self.edges)
-        _check(vertices, edges)
-        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
+    @classmethod
+    def _from_columns(cls, vertex_ids, edge_ids, us, vs, negative) -> "SignedGraph":
+        """The graph on ``vertex_ids`` whose edge k is ``edge_ids[k]`` from
+        ``us[k]`` to ``vs[k]``, negative when ``negative[k]``, with the same
+        checks as the constructor."""
+        graph = cls.__new__(cls)
+        graph.__post_init__(vertex_ids, edge_ids, us, vs, negative)
+        return graph
 
-    @property
-    def vertex_ids(self) -> tuple:
-        return self.vertices
+    def __post_init__(self, vertex_ids, edge_ids, us, vs, negative, edges=None):
+        # every construction runs through this one method, under this name:
+        # bench/tracer.py counts the graphs built by wrapping it
+        order = self._store_columns(vertex_ids, edge_ids, us, vs, negative)
+        self.__dict__["vertices"] = self.vertex_ids
+        if edges is not None:
+            self.__dict__["edges"] = tuple(map(edges.__getitem__, order))
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges as SignedEdge values, in id order."""
+        vertices, signs = self.vertices, (Sign.POSITIVE, Sign.NEGATIVE)
+        return tuple(
+            SignedEdge(eid, vertices[a], vertices[a ^ e], signs[negative])
+            for eid, a, e, negative in zip(self.edge_ids, self.tail, self.ends,
+                                           self.negative)
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edge_ids, self.tail, self.ends, self.negative)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self._key())))
+
+    def __repr__(self) -> str:
+        return f"SignedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def has_edge(self, edge_id: str) -> bool:
         return edge_id in self._edge_index
-
-    def incident_edges(self, vertex: str) -> tuple:
-        try:
-            return self._incidence[vertex]
-        except KeyError:
-            raise GraphError(f"unknown vertex {vertex!r}") from None
 
     def is_totally_positive(self, vertex: str) -> bool:
         return all(e.sign.is_positive for e in self.incident_edges(vertex))
@@ -219,13 +309,7 @@ class SignedGraph(_Multigraph):
 
     @property
     def is_simple(self) -> bool:
-        pairs = set()
-        for e in self.edges:
-            key = e.endpoints
-            if key in pairs:
-                return False
-            pairs.add(key)
-        return True
+        return len(set(zip(self.tail, self.ends))) == len(self.tail)
 
     def sign_of_walk(self, walk: Union["Walk", "Circle"]) -> Sign:
         """Product of edge signs along a walk or circle of this graph."""
@@ -253,29 +337,27 @@ class MarkedGraph(_Multigraph):
 
     def __post_init__(self):
         vertices, edges = tuple(self.vertices), tuple(self.edges)
-        _check(tuple(mv.id for mv in vertices), edges)
+        order = self._store_columns(
+            tuple(mv.id for mv in vertices),
+            [e.id for e in edges],
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [False] * len(edges),
+        )
         object.__setattr__(
             self, "vertices", tuple(sorted(vertices, key=lambda mv: mv.id))
         )
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
+        object.__setattr__(self, "edges", tuple(map(edges.__getitem__, order)))
 
     @cached_property
     def _mark_index(self) -> dict:
         return {mv.id: mv.sign for mv in self.vertices}
-
-    @property
-    def vertex_ids(self) -> tuple:
-        return tuple(mv.id for mv in self.vertices)
 
     def mark(self, vertex: str) -> Sign:
         try:
             return self._mark_index[vertex]
         except KeyError:
             raise GraphError(f"unknown vertex {vertex!r}") from None
-
-    def incident_edges(self, vertex: str) -> tuple:
-        self.mark(vertex)
-        return self._incidence[vertex]
 
     @property
     def negative_vertex_ids(self) -> tuple:

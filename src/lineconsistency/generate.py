@@ -8,8 +8,10 @@ definitional oracle feasible on every generated graph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, fields
 
 from .core import GraphError, Sign, SignedEdge, SignedGraph
@@ -57,10 +59,53 @@ def exhaustive_signed_graphs(max_vertices: int, max_edges: int):
                 yield SignedGraph(vertices, edges)
 
 
+def _pairs_at(vertices: tuple, ranks: list) -> list:
+    """The pairs at ``ranks`` of ``sorted(itertools.combinations(vertices,
+    2))``, without listing the n(n - 1)/2 pairs.
+
+    The pairs led by ``vertices[i]`` pair it with the n - 1 - i vertices
+    after it; they form one run, the runs follow their leaders' sorted
+    order, and within a run the partners are sorted.  The leaders are then
+    visited by position, with a Fenwick tree over the sorted vertices that
+    holds exactly the ones after the leader, so each pair takes O(log n).
+    """
+    n = len(vertices)
+    by_name = sorted(range(n), key=vertices.__getitem__)
+    place = [0] * n  # place[i]: the sorted position of vertices[i]
+    for q, i in enumerate(by_name):
+        place[i] = q
+    starts = list(itertools.accumulate((n - 1 - i for i in by_name), initial=0))
+    wanted = defaultdict(list)  # leader -> (slot in ranks, place in its run)
+    for slot, r in enumerate(ranks):
+        q = bisect.bisect_right(starts, r) - 1
+        wanted[by_name[q]].append((slot, r - starts[q]))
+    tree = [k & -k for k in range(n + 1)]  # every sorted position present
+    pairs = [None] * len(ranks)
+    for i in range(n):
+        k = place[i] + 1
+        while k <= n:
+            tree[k] -= 1
+            k += k & -k
+        for slot, t in wanted.get(i, ()):
+            q, step = 0, 1 << n.bit_length()
+            while step:  # q: the sorted position of the t-th present vertex
+                if q + step <= n and tree[q + step] <= t:
+                    q += step
+                    t -= tree[q]
+                step >>= 1
+            pairs[slot] = (vertices[i], vertices[by_name[q]])
+    return pairs
+
+
 def random_signed_graph(
     n: int, m: int, negative_probability: float, seed: int
 ) -> SignedGraph:
-    """A seeded random loopless multigraph with parallel multiplicity <= 2."""
+    """A seeded random loopless multigraph with parallel multiplicity <= 2.
+
+    The edges are m of the 2 * C(n, 2) slots, each sorted vertex pair
+    twice, drawn by ``random.sample`` as indices and sorted; ``_pairs_at``
+    turns the indices into pairs, unless there are so few pairs that listing
+    them is cheaper.  O(n log n + m log n) either way."""
     if n < 0:
         raise GraphError("impossible parameters: negative vertex count")
     if m > 0 and n < 2:
@@ -68,14 +113,21 @@ def random_signed_graph(
     if not 0.0 <= negative_probability <= 1.0:
         raise GraphError("negative_probability must be within [0, 1]")
     vertices = tuple(f"v{i}" for i in range(n))
-    slots = sorted(itertools.combinations(vertices, 2)) * 2
-    if m > len(slots):
+    pairs = n * (n - 1) // 2
+    if m > 2 * pairs:
         raise GraphError(
-            f"impossible parameters: at most {len(slots)} edges "
+            f"impossible parameters: at most {2 * pairs} edges "
             f"(parallel multiplicity 2) on {n} vertices"
         )
     rng = random.Random(seed)
-    chosen = sorted(rng.sample(slots, m)) if m else []
+    # slot j is sorted pair j % pairs; sample draws the same indices, with
+    # the same random numbers, from a range as from a list of the slots
+    ranks = sorted(j % pairs for j in rng.sample(range(2 * pairs), m))
+    if pairs <= 2 * m + 64:  # few pairs: listing them costs no more than the tree
+        listed = sorted(itertools.combinations(vertices, 2))
+        chosen = [listed[r] for r in ranks]
+    else:
+        chosen = _pairs_at(vertices, ranks)
     edges = tuple(
         SignedEdge(
             f"e{j}",

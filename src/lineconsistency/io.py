@@ -3,20 +3,28 @@
 The JSON schema: ``{"vertices": [str, ...], "edges": [{"id", "u", "v",
 "sign"}, ...]}`` with signs written as "+" or "-".  Numeric identifiers are
 stringified on read; booleans are rejected.  The reader checks only the
-document's shape; the graph invariants (unique ids, no loops, endpoints among
-the vertices) are checked once, by the graph constructor, and its error is
-re-raised as GraphFormatError with the same ``vertices[i]``/``edges[i]``
-location.  Output is canonical (keys and lists sorted), so writes are
-byte-deterministic and reads of writes round-trip structurally.
+document's shape, in one pass that takes the decoded edges straight into the
+graph's columns (ids, endpoints, negative bits) without building edge values;
+the graph invariants (unique ids, no loops, endpoints among the vertices) are
+checked once, by the graph constructor, and its error is re-raised as
+GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  Output
+is canonical (keys and lists sorted), so writes are byte-deterministic and
+reads of writes round-trip structurally.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import chain
 
 from .analysis import StructureReport
+# new_signed_graph is not used here but stays importable from this module:
+# bench/tracer.py wraps it.
 from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
+
+_STRING = frozenset((str,))
+_SIGN_SYMBOLS = frozenset(("+", "-"))
 
 
 class GraphFormatError(GraphError):
@@ -33,6 +41,47 @@ def _identifier(value, where):
     raise GraphFormatError(f"{where}: identifier must be a string or an integer")
 
 
+def _vertex_ids(values: list) -> list:
+    if _STRING.issuperset(map(type, values)):
+        return values
+    return [_identifier(v, f"vertices[{i}]") for i, v in enumerate(values)]
+
+
+def _edge_columns(items: list) -> tuple:
+    """(ids, us, vs, negative bits) of the decoded edge objects, in their
+    given order, or GraphFormatError at the first one out of shape.
+
+    The common document (objects with string ids and a "+"/"-" sign) is
+    taken column by column; any other is walked edge by edge, which
+    stringifies integer ids and locates the first fault."""
+    try:
+        ids = [item["id"] for item in items]
+        us = [item["u"] for item in items]
+        vs = [item["v"] for item in items]
+        signs = [item["sign"] for item in items]
+        if (_STRING.issuperset(map(type, chain(ids, us, vs)))
+                and _SIGN_SYMBOLS.issuperset(signs)):
+            return ids, us, vs, list(map("-".__eq__, signs))
+    except (TypeError, KeyError):
+        pass
+    ids, us, vs, negative = [], [], [], []
+    for i, item in enumerate(items):
+        where = f"edges[{i}]"
+        if not isinstance(item, dict):
+            raise GraphFormatError(f"{where}: must be an object")
+        for key in ("id", "u", "v", "sign"):
+            if key not in item:
+                raise GraphFormatError(f"{where}: missing key {key!r}")
+        ids.append(_identifier(item["id"], f"{where}.id"))
+        us.append(_identifier(item["u"], f"{where}.u"))
+        vs.append(_identifier(item["v"], f"{where}.v"))
+        try:
+            negative.append(Sign.from_symbol(item["sign"]) is Sign.NEGATIVE)
+        except GraphError as exc:
+            raise GraphFormatError(f"{where}.sign: {exc}") from None
+    return ids, us, vs, negative
+
+
 def read_signed_graph(text: str) -> SignedGraph:
     """Parse a JSON document into a validated SignedGraph."""
     try:
@@ -46,28 +95,10 @@ def read_signed_graph(text: str) -> SignedGraph:
             raise GraphFormatError(f"missing key {key!r}")
         if not isinstance(document[key], list):
             raise GraphFormatError(f"{key!r} must be an array")
-
-    vertices = [
-        _identifier(v, f"vertices[{i}]") for i, v in enumerate(document["vertices"])
-    ]
-    edges = []
-    for i, item in enumerate(document["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        for key in ("id", "u", "v", "sign"):
-            if key not in item:
-                raise GraphFormatError(f"{where}: missing key {key!r}")
-        eid = _identifier(item["id"], f"{where}.id")
-        u = _identifier(item["u"], f"{where}.u")
-        v = _identifier(item["v"], f"{where}.v")
-        try:
-            sign = Sign.from_symbol(item["sign"])
-        except GraphError as exc:
-            raise GraphFormatError(f"{where}.sign: {exc}") from None
-        edges.append((eid, u, v, sign))
+    vertices = _vertex_ids(document["vertices"])
+    columns = _edge_columns(document["edges"])
     try:
-        return new_signed_graph(vertices, edges)
+        return SignedGraph._from_columns(vertices, *columns)
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from None
 
@@ -122,7 +153,7 @@ def export_dot(graph, report: StructureReport = None) -> str:
                 lines.append(f"    {_node_line(graph, v)}")
                 clustered.add(v)
             lines.append("  }")
-    for v in _vertex_ids(graph):
+    for v in graph.vertex_ids:
         if v not in clustered:
             lines.append(f"  {_node_line(graph, v)}")
     for e in graph.edges:
@@ -136,12 +167,6 @@ def export_dot(graph, report: StructureReport = None) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _vertex_ids(graph):
-    if isinstance(graph, MarkedGraph):
-        return graph.vertex_ids
-    return graph.vertices
 
 
 def _node_line(graph, vertex: str) -> str:

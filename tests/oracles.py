@@ -2,12 +2,14 @@
 
 These deliberately share no code with the library's enumeration: a circle is
 found as an edge subset forming a connected 2-regular subgraph.  Exponential,
-for tiny graphs only.
+for tiny graphs only.  The slot-list sampler is the reference for the seeded
+random generator.
 """
 
 import itertools
+import random
 
-from lineconsistency.core import sign_product
+from lineconsistency.core import Sign, SignedEdge, SignedGraph, sign_product
 
 
 def circle_edge_sets(graph):
@@ -63,3 +65,22 @@ def consistent_bruteforce(marked):
         if sign_product(marked.mark(v) for v in vertices).is_negative:
             return False
     return True
+
+
+def random_signed_graph_by_slots(n, m, negative_probability, seed):
+    """The slot-list sampler ``generate.random_signed_graph`` replaced: it
+    lists every sorted vertex pair twice and samples the list itself."""
+    vertices = tuple(f"v{i}" for i in range(n))
+    slots = sorted(itertools.combinations(vertices, 2)) * 2
+    rng = random.Random(seed)
+    chosen = sorted(rng.sample(slots, m)) if m else []
+    edges = tuple(
+        SignedEdge(
+            f"e{j}",
+            u,
+            v,
+            Sign.NEGATIVE if rng.random() < negative_probability else Sign.POSITIVE,
+        )
+        for j, (u, v) in enumerate(chosen)
+    )
+    return SignedGraph(vertices, edges)

@@ -216,6 +216,31 @@ class TestConditionIII:
         assert not v.line_consistent
         assert v.failed_clause == "unbalanced after deleting positive isthmi"
 
+    def test_builds_no_second_graph(self, monkeypatch):
+        from lineconsistency.core import SignedGraph
+
+        graphs = [paw("+++", "+"), star("+--"), circle4("--++"), circle4("-+++"),
+                  sg("abcdef", ("e1", "a", "b", "-"), ("e2", "b", "c", "-"),
+                     ("e3", "c", "d", "+"), ("e4", "d", "e", "-"),
+                     ("e5", "e", "f", "+"), ("e6", "c", "a", "+"))]
+        built = []
+        monkeypatch.setattr(SignedGraph, "__post_init__",
+                            lambda self, *args: built.append(args))
+        verdicts = [check_condition_iii(g).line_consistent for g in graphs]
+        assert verdicts == [True, True, True, False, False]
+        assert built == []
+
+    def test_degrees_drop_by_the_positive_isthmi(self):
+        # e has degree 3 but keeps 2 once the positive isthmus e2 is gone, so
+        # the first failing endpoint is c, on the later negative edge e4
+        g = sg("bcdef", ("e1", "d", "e", "-"), ("e2", "e", "f", "+"),
+               ("e3", "c", "d", "+"), ("e4", "c", "e", "-"), ("e5", "b", "c", "-"))
+        v = check_condition_iii(g)
+        assert (v.failed_clause, v.vertex) == (
+            "negative-edge endpoint degree exceeds 2 after deleting positive isthmi",
+            "c",
+        )
+
 
 class TestTheorem1:
     def test_star3_vacuous(self):

@@ -137,6 +137,30 @@ class TestCheck:
         assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
         assert len(searched) == 1
 
+    def test_consistent_check_builds_no_edge_values(self, tmp_path, monkeypatch,
+                                                    capsys):
+        from lineconsistency import core
+
+        # a negative circle block with a positive chord path and pendants:
+        # every local clause, the bridge pass and the balance pass run
+        path = write_graph(
+            tmp_path, "consistent.json", "abcdefg",
+            [("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "d", "-"),
+             ("e4", "d", "a", "-"), ("e5", "a", "e", "+"), ("e6", "e", "f", "+"),
+             ("e7", "c", "g", "+")],
+        )
+        built = []
+        edge_post_init = core.Edge.__post_init__
+
+        def counted(self):
+            built.append(self.id)
+            edge_post_init(self)
+
+        monkeypatch.setattr(core.SignedEdge, "__post_init__", counted)
+        assert main(["check", path, "--method", "ii", "--witness"]) == 0
+        assert capsys.readouterr().out == "ii: line consistent\n"
+        assert built == []
+
     def test_duplicate_vertex_id_exits_2(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
         path.write_text('{"vertices": ["a", "b", "a"], "edges": []}')
@@ -163,6 +187,39 @@ class TestCheck:
         code = main(["check", neg_star])
         assert code == 3
         assert "methods disagree" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, neg_star, monkeypatch, capsys):
+        from lineconsistency import cli as cli_module
+
+        build = cli_module.build_parser
+        built = []
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted)
+        cli_module._parser.cache_clear()
+        try:
+            assert main(["check", neg_star, "--method", "ii"]) == 1
+            assert main(["decompose", neg_star]) == 0
+        finally:
+            cli_module._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_handlers_look_up_the_library_when_they_run(self, neg_star, monkeypatch,
+                                                        capsys):
+        from lineconsistency import Verdict
+        from lineconsistency import cli as cli_module
+
+        assert main(["check", neg_star, "--method", "ii"]) == 1
+        monkeypatch.setattr(cli_module.analysis, "check_condition_ii",
+                            lambda graph: Verdict(True))
+        capsys.readouterr()
+        assert main(["check", neg_star, "--method", "ii"]) == 0
+        assert capsys.readouterr().out == "ii: line consistent\n"
 
 
 class TestLineGraph:

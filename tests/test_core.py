@@ -128,6 +128,16 @@ class TestAccessors:
         assert {e.id for e in neg.edges} == {"e2", "e3"}
         assert neg.vertices == star3().vertices  # spanning: leaves retained
 
+    def test_graphs_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        g = triangle()
+        with pytest.raises(FrozenInstanceError):
+            g.vertices = ()
+        with pytest.raises(FrozenInstanceError):
+            del g.edges
+        assert g == triangle()
+
     def test_transforms_return_new_values(self):
         g = star3("+--")
         trimmed = g.without_edges(["e1"])

@@ -1,4 +1,8 @@
+import itertools
+from collections import Counter
+
 import pytest
+from oracles import random_signed_graph_by_slots
 
 from lineconsistency import (
     GraphError,
@@ -90,6 +94,56 @@ class TestRandom:
                 assert e.u != e.v
                 pair_counts[e.endpoints] = pair_counts.get(e.endpoints, 0) + 1
             assert all(c <= 2 for c in pair_counts.values())
+
+
+class TestRandomSampler:
+    """random_signed_graph draws slot indices instead of listing the slots;
+    the slot-list sampler it replaced is the reference."""
+
+    def test_equals_the_slot_list_sampler_up_to_seven_vertices(self):
+        for n in range(8):
+            for m in range(n * (n - 1) + 1):  # every feasible edge count
+                for seed in (0, 1):
+                    expected = random_signed_graph_by_slots(n, m, 0.5, seed)
+                    graph = random_signed_graph(n, m, 0.5, seed)
+                    assert graph == expected
+                    assert graph.edges == expected.edges
+
+    @pytest.mark.parametrize("n, m", [
+        (50, 1), (50, 100), (50, 2_450), (300, 600), (300, 40_000), (2_000, 4_000),
+    ])
+    def test_equals_the_slot_list_sampler_on_larger_graphs(self, n, m):
+        expected = random_signed_graph_by_slots(n, m, 0.3, n + m)
+        graph = random_signed_graph(n, m, 0.3, n + m)
+        assert graph.edges == expected.edges
+        assert graph == expected
+
+    def test_pairs_at_unranks_every_pair(self):
+        # the tree-based unranking that random_signed_graph uses once the
+        # pairs far outnumber the edges, checked against the listing
+        from lineconsistency.generate import _pairs_at
+
+        for n in range(13):
+            vertices = tuple(f"v{i}" for i in range(n))
+            listed = sorted(itertools.combinations(vertices, 2))
+            ranks = sorted(list(range(len(listed))) * 2)
+            assert _pairs_at(vertices, ranks) == [listed[r] for r in ranks]
+
+    def test_samples_slot_indices(self, monkeypatch):
+        import random
+
+        sample = random.Random.sample
+        populations = []
+
+        def spied(self, population, k):
+            populations.append(population)
+            return sample(self, population, k)
+
+        monkeypatch.setattr(random.Random, "sample", spied)
+        graph = random_signed_graph(2_000, 20, 0.5, 9)
+        assert populations == [range(2_000 * 1_999)]
+        assert len(graph.edges) == 20
+        assert max(Counter(e.endpoints for e in graph.edges).values()) <= 2
 
 
 class TestRecipe:

@@ -4,10 +4,15 @@ from hypothesis import given, settings, strategies as st
 from lineconsistency import (
     GraphFormatError,
     Sign,
+    SignedEdge,
+    SignedGraph,
     classify_structure,
+    exhaustive_signed_graphs,
     export_dot,
+    generate_line_consistent,
     line_graph,
     new_signed_graph,
+    random_recipe,
     random_signed_graph,
     read_signed_graph,
     structure_report_to_dict,
@@ -129,6 +134,61 @@ class TestRead:
     def test_missing_keys(self):
         with pytest.raises(GraphFormatError, match="missing key"):
             read_signed_graph('{"vertices":[]}')
+
+
+def built_graphs():
+    """Graphs from every constructor: JSON, tuples, edge values, generators."""
+    yield "read", read_signed_graph(
+        '{"vertices":["b","a","c",7],"edges":['
+        '{"id":"e2","u":"c","v":"a","sign":"-"},{"id":"e1","u":"b","v":"a","sign":"+"},'
+        '{"id":3,"u":"a","v":7,"sign":"-"},{"id":"e0","u":"a","v":"c","sign":"+"}]}'
+    )
+    yield "tuples", new_signed_graph(
+        "dcba", [("x", "d", "a", "-"), ("w", "b", "a", "+"), ("y", "a", "b", "-")]
+    )
+    yield "edge-values", SignedGraph(
+        ("q", "p", "r"),
+        (SignedEdge("f2", "r", "p", Sign.NEGATIVE), SignedEdge("f1", "q", "p")),
+    )
+    yield "exhaustive", list(exhaustive_signed_graphs(3, 3))[-1]
+    yield "random", random_signed_graph(12, 30, 0.4, 5)
+    yield "recipe", generate_line_consistent(random_recipe(4), 4)
+
+
+class TestColumns:
+    """A graph read from JSON holds columns and builds its edge values on
+    demand; one built from edge values keeps them.  Both must agree."""
+
+    @pytest.mark.parametrize("name, graph", list(built_graphs()))
+    def test_json_round_trip_agrees_with_direct_construction(self, name, graph):
+        read = read_signed_graph(write_signed_graph(graph))
+        direct = SignedGraph(graph.vertices, graph.edges)
+        for other in (read, direct):
+            assert other == graph and graph == other
+            assert hash(other) == hash(graph)
+            assert repr(other) == repr(graph)
+            assert other.edges == graph.edges
+            for e in graph.edges:
+                assert other.edge(e.id) == e
+            for v in graph.vertices:
+                assert other.incident_edges(v) == graph.incident_edges(v)
+                assert other.degree(v) == graph.degree(v)
+
+    def test_built_from_edge_values_keeps_them(self):
+        edges = (SignedEdge("b", "y", "x", Sign.NEGATIVE), SignedEdge("a", "x", "z"))
+        graph = SignedGraph(("z", "y", "x"), edges)
+        assert graph.edges[0] is edges[1] and graph.edges[1] is edges[0]
+        assert graph.edge("b") is edges[0]
+
+    def test_graphs_differing_in_one_column_differ(self):
+        graph = new_signed_graph("abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "-")])
+        for other in (
+            new_signed_graph("abc", [("e1", "a", "b", "-"), ("e2", "b", "c", "-")]),
+            new_signed_graph("abc", [("e1", "a", "c", "+"), ("e2", "b", "c", "-")]),
+            new_signed_graph("abc", [("e1", "a", "b", "+"), ("e3", "b", "c", "-")]),
+            new_signed_graph("abcd", [("e1", "a", "b", "+"), ("e2", "b", "c", "-")]),
+        ):
+            assert other != graph
 
 
 class TestWrite:
