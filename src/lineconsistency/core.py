@@ -3,11 +3,12 @@
 Edges carry explicit string identifiers so parallel edges stay distinguishable.
 A graph is stored as integer columns (``_Multigraph``): its sorted vertex
 ids, its edge ids in id order, each edge's endpoints as indices into the
-vertex ids, and a negative bit per edge.  The depth-first search and the
-checks of condition ii read the columns; edge values (``SignedEdge``) are
-built from them only when a caller asks for ``edges``, ``edge()`` or
-``incident_edges()``, and a graph built from edge values keeps the values it
-was given.  The graph constructors are the one place the graph invariants are
+vertex ids, and a negative bit per edge.  The depth-first search, condition
+ii, circle checks and witnesses read the columns and find an id by bisecting
+the sorted ids, so checking a circle of length L costs O(L log m).  Edge
+values (``SignedEdge``) are built only when a caller asks for ``edges``,
+``edge()`` or ``incident_edges()``; a graph built from edge values keeps
+them.  The graph constructors are the one place the graph invariants are
 checked: unique vertex ids, unique edge ids, no loops, and both endpoints
 among the vertices; a violation names its position in the given order
 (``vertices[i]`` or ``edges[i]``).  All values are frozen and every transform
@@ -17,6 +18,7 @@ returns a new value, so everything here is safe to share between threads.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import repeat
@@ -142,6 +144,15 @@ def _check(vertex_ids, edge_ids, us, vs) -> tuple:
                 raise GraphError(f"edges[{i}]: endpoint {endpoint!r} is not a vertex")
 
 
+def _find(ids, key) -> int:
+    """The index of ``key`` in the sorted ``ids``, or -1."""
+    try:
+        i = bisect_left(ids, key)
+    except TypeError:  # not comparable with the ids, so not among them
+        return -1
+    return i if i < len(ids) and ids[i] == key else -1
+
+
 class _Multigraph:
     """A graph's columns, edge lookup, incidence and the one depth-first
     search, shared by signed and marked graphs.
@@ -173,14 +184,6 @@ class _Multigraph:
         return _traversal.incidence(len(self.vertex_ids), self.tail, self.ends)
 
     @cached_property
-    def _vertex_index(self) -> dict:
-        return dict(zip(self.vertex_ids, range(len(self.vertex_ids))))
-
-    @cached_property
-    def _edge_index(self) -> dict:
-        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
-
-    @cached_property
     def traversal(self) -> _traversal.Traversal:
         """The graph's one depth-first search: bridges, blocks, components
         and switching balance (an unsigned edge counts as positive)."""
@@ -189,20 +192,31 @@ class _Multigraph:
         ))
 
     def _vertex(self, vertex: str) -> int:
-        try:
-            return self._vertex_index[vertex]
-        except KeyError:
-            raise GraphError(f"unknown vertex {vertex!r}") from None
+        i = _find(self.vertex_ids, vertex)
+        if i < 0:
+            raise GraphError(f"unknown vertex {vertex!r}")
+        return i
+
+    def _edge_number(self, edge_id: str) -> int:
+        k = _find(self.edge_ids, edge_id)
+        if k < 0:
+            raise GraphError(f"unknown edge {edge_id!r}")
+        return k
+
+    def _endpoints(self, k: int) -> tuple:
+        """The ids of edge k's endpoints, the lesser first."""
+        a = self.tail[k]
+        return self.vertex_ids[a], self.vertex_ids[a ^ self.ends[k]]
 
     def edge_triples(self) -> tuple:
         """Edges as (id, u, v) triples."""
         return tuple((e.id, e.u, e.v) for e in self.edges)
 
     def edge(self, edge_id: str) -> Edge:
-        try:
-            return self.edges[self._edge_index[edge_id]]
-        except KeyError:
-            raise GraphError(f"unknown edge {edge_id!r}") from None
+        return self.edges[self._edge_number(edge_id)]
+
+    def has_edge(self, edge_id: str) -> bool:
+        return _find(self.edge_ids, edge_id) >= 0
 
     def incident_edges(self, vertex: str) -> tuple:
         edges = self.edges
@@ -278,9 +292,6 @@ class SignedGraph(_Multigraph):
     def __repr__(self) -> str:
         return f"SignedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edge_index
-
     def is_totally_positive(self, vertex: str) -> bool:
         return all(e.sign.is_positive for e in self.incident_edges(vertex))
 
@@ -315,7 +326,8 @@ class SignedGraph(_Multigraph):
         """Product of edge signs along a walk or circle of this graph."""
         if isinstance(walk, Circle):
             validate_circle(self, walk)
-            return sign_product(self.edge(eid).sign for eid in walk.edges)
+            odd = sum(self.negative[self._edge_number(eid)] for eid in walk.edges) & 1
+            return Sign.NEGATIVE if odd else Sign.POSITIVE
         _validate_walk(self, walk)
         return sign_product(self.edge(eid).sign for eid in walk.edges)
 
@@ -349,15 +361,8 @@ class MarkedGraph(_Multigraph):
         )
         object.__setattr__(self, "edges", tuple(map(edges.__getitem__, order)))
 
-    @cached_property
-    def _mark_index(self) -> dict:
-        return {mv.id: mv.sign for mv in self.vertices}
-
     def mark(self, vertex: str) -> Sign:
-        try:
-            return self._mark_index[vertex]
-        except KeyError:
-            raise GraphError(f"unknown vertex {vertex!r}") from None
+        return self.vertices[self._vertex(vertex)].sign
 
     @property
     def negative_vertex_ids(self) -> tuple:
@@ -435,34 +440,34 @@ def _validate_walk(graph, walk: Walk) -> None:
 
 
 def validate_circle(graph, circle: Circle) -> None:
-    """Check that ``circle`` is a circle of ``graph``; raise GraphError if not."""
+    """Check that ``circle`` is a circle of ``graph``, signed or marked, from
+    its columns in O(len(circle) log m); raise GraphError if not."""
     n = len(circle)
     for i, eid in enumerate(circle.edges):
-        e = graph.edge(eid)
-        expected = frozenset((circle.vertices[i], circle.vertices[(i + 1) % n]))
-        if e.endpoints != expected:
-            raise GraphError(
-                f"circle edge {eid!r} does not join "
-                f"{sorted(expected)[0]!r} and {sorted(expected)[1]!r}"
-            )
+        k = graph._edge_number(eid)
+        u, v = sorted((circle.vertices[i], circle.vertices[(i + 1) % n]))
+        if graph._endpoints(k) != (u, v):
+            raise GraphError(f"circle edge {eid!r} does not join {u!r} and {v!r}")
 
 
 def new_signed_graph(vertices: Iterable[str], edges: Iterable) -> SignedGraph:
     """Build a validated SignedGraph.
 
     ``edges`` items may be SignedEdge values or (id, u, v, sign) tuples where
-    the sign is a Sign or one of the symbols "+"/"-".
+    the sign is a Sign or one of the symbols "+"/"-".  The items go straight
+    into the graph's columns; no edge value is built.
     """
-    built = []
+    rows = []
     for item in edges:
         if isinstance(item, SignedEdge):
-            built.append(item)
+            rows.append((item.id, item.u, item.v, item.sign is Sign.NEGATIVE))
             continue
         eid, u, v, sign = item
         if not isinstance(sign, Sign):
             sign = Sign.from_symbol(sign)
-        built.append(SignedEdge(str(eid), str(u), str(v), sign))
-    return SignedGraph(tuple(str(v) for v in vertices), tuple(built))
+        rows.append((str(eid), str(u), str(v), sign is Sign.NEGATIVE))
+    columns = zip(*rows) if rows else ((),) * 4
+    return SignedGraph._from_columns(tuple(str(v) for v in vertices), *columns)
 
 
 def new_marked_graph(vertices: Iterable, edges: Iterable) -> MarkedGraph:

@@ -163,13 +163,14 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
 
     The witness is the fundamental circle of the first conflicting edge found
     by the graph's depth-first search: the tree path between its endpoints
-    plus the edge.
+    plus the edge.  Its sign is checked on the graph's columns.
     """
     cycle = graph.traversal.negative_cycle()
     if cycle is None:
         return None
     circle = Circle(*cycle).canonical()
-    assert graph.sign_of_walk(circle).is_negative
+    if graph.sign_of_walk(circle).is_positive:
+        raise GraphError(f"the search's circle {circle} is not negative")
     return circle
 
 

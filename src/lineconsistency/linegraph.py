@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import (Circle, GraphError, MarkedGraph, SignedGraph, new_marked_graph,
-                   sign_product)
+from .core import Circle, GraphError, MarkedGraph, SignedGraph, new_marked_graph
 
 
 def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
@@ -53,15 +52,18 @@ def line_circle(lvertices: tuple, shared: tuple) -> Circle:
 
 
 def verify_witness(graph: SignedGraph, witness: Circle) -> None:
-    """Check in O(len(witness)) that ``witness`` is a negative circle of the
-    line graph of ``graph``: consecutive line vertices are edges of ``graph``
-    that the line edge between them joins at a shared endpoint."""
-    edges = [graph.edge(eid) for eid in witness.vertices]
+    """Check in O(len(witness) log m), on the graph's columns, that ``witness``
+    is a negative circle of the line graph of ``graph``: consecutive line
+    vertices are edges of ``graph`` that the line edge between them joins at a
+    shared endpoint, and an odd number of them are negative."""
+    numbers = [graph._edge_number(eid) for eid in witness.vertices]
+    edges = list(zip(witness.vertices, (set(graph._endpoints(k)) for k in numbers)))
     joined = all(
-        line_edge in {line_edge_id(a.id, b.id, s) for s in a.endpoints & b.endpoints}
-        for line_edge, a, b in zip(witness.edges, edges, edges[1:] + edges[:1])
+        line_edge in {line_edge_id(a, b, s) for s in ends_a & ends_b}
+        for line_edge, (a, ends_a), (b, ends_b)
+        in zip(witness.edges, edges, edges[1:] + edges[:1])
     )
-    if not joined or sign_product(e.sign for e in edges).is_positive:
+    if not joined or not sum(map(graph.negative.__getitem__, numbers)) & 1:
         raise GraphError(f"witness {witness} is not a negative line-graph circle")
 
 

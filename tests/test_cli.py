@@ -137,29 +137,53 @@ class TestCheck:
         assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
         assert len(searched) == 1
 
-    def test_consistent_check_builds_no_edge_values(self, tmp_path, monkeypatch,
-                                                    capsys):
-        from lineconsistency import core
-
+    @pytest.mark.parametrize("edges, clause, witness", [
         # a negative circle block with a positive chord path and pendants:
         # every local clause, the bridge pass and the balance pass run
-        path = write_graph(
-            tmp_path, "consistent.json", "abcdefg",
-            [("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "d", "-"),
-             ("e4", "d", "a", "-"), ("e5", "a", "e", "+"), ("e6", "e", "f", "+"),
-             ("e7", "c", "g", "+")],
-        )
-        built = []
-        edge_post_init = core.Edge.__post_init__
-
-        def counted(self):
-            built.append(self.id)
-            edge_post_init(self)
-
-        monkeypatch.setattr(core.SignedEdge, "__post_init__", counted)
-        assert main(["check", path, "--method", "ii", "--witness"]) == 0
-        assert capsys.readouterr().out == "ii: line consistent\n"
-        assert built == []
+        ([("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "d", "-"),
+          ("e4", "d", "a", "-"), ("e5", "a", "e", "+"), ("e6", "e", "f", "+"),
+          ("e7", "c", "g", "+")], None, None),
+        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "-")],
+         "negative-subgraph degree exceeds 2",
+         '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
+        ([("e1", "a", "b", "-"), ("e2", "a", "c", "+"), ("e3", "a", "d", "+")],
+         "negative-edge endpoint with two positive edges",
+         '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
+        # the shortest circle through e3 is negative: its image
+        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
+          ("e4", "d", "b", "+")],
+         "negative-degree-2 positive edge not an isthmus",
+         '{"edges": ["e1~e3@a", "e1~e4@b", "e3~e4@d"], "vertices": ["e3", "e1", "e4"]}'),
+        # the shortest circle through e3 is positive: the spare e2 interposed
+        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
+          ("e4", "d", "b", "-")],
+         "negative-degree-2 positive edge not an isthmus",
+         '{"edges": ["e1~e2@a", "e1~e4@b", "e3~e4@d", "e2~e3@a"], '
+         '"vertices": ["e2", "e1", "e4", "e3"]}'),
+        ([("e1", "a", "b", "-"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")],
+         "unbalanced",
+         '{"edges": ["e1~e2@b", "e1~e3@a", "e2~e3@c"], "vertices": ["e2", "e1", "e3"]}'),
+    ], ids=["consistent", "degree-above-2", "two-positive-edges",
+            "not-isthmus-negative-circle", "not-isthmus-spare-edge", "unbalanced"])
+    def test_check_builds_no_edge_values(self, tmp_path, capsys, built_edge_values,
+                                         edges, clause, witness):
+        # a positive path of 1,000 edges beside the clause's graph: building
+        # the edge values would show as over 1,000 ids
+        vertices = sorted({x for e in edges for x in e[1:3]})
+        vertices += [f"p{i:04d}" for i in range(1001)]
+        edges = edges + [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "+")
+                         for i in range(1000)]
+        path = write_graph(tmp_path, "padded.json", vertices, edges)
+        built_edge_values.clear()  # writing the file builds them
+        code = main(["check", path, "--method", "ii", "--witness"])
+        if clause is None:
+            assert (code, capsys.readouterr().out) == (0, "ii: line consistent\n")
+        else:
+            assert (code, capsys.readouterr().out) == (1, (
+                f"ii: NOT line consistent (clause: {clause})\n"
+                f"ii: witness {witness}\n"
+            ))
+        assert built_edge_values == []
 
     def test_duplicate_vertex_id_exits_2(self, tmp_path, capsys):
         path = tmp_path / "dup.json"

@@ -12,8 +12,10 @@ from lineconsistency import (
     new_marked_graph,
     new_signed_graph,
     random_signed_graph,
+    read_signed_graph,
     sign_product,
     validate_circle,
+    write_signed_graph,
 )
 
 
@@ -261,6 +263,59 @@ class TestCircle:
         )
         with pytest.raises(GraphError):
             validate_circle(g, Circle(("e1", "e2"), ("a", "b")))
+
+
+def lookup_graphs():
+    """A triangle on vertices b, d, f with edges e2, e4, e6, built three ways."""
+    edges = [("e2", "b", "d", "+"), ("e4", "d", "f", "-"), ("e6", "f", "b", "+")]
+    tuples = new_signed_graph("fdb", edges)
+    return {
+        "json": read_signed_graph(write_signed_graph(tuples)),
+        "tuples": tuples,
+        "marked": new_marked_graph([("b", "+"), ("d", "-"), ("f", "+")],
+                                   [e[:3] for e in edges]),
+    }
+
+
+class TestLookups:
+    """Ids are found by bisecting the sorted ids: unknown ones before the
+    first, between two and after the last id are all reported."""
+
+    @pytest.mark.parametrize("vertex, edge", [
+        ("a", "e1"), ("c", "e3"), ("g", "e7"), (7, 7),
+    ], ids=["before-first", "between", "after-last", "not-a-string"])
+    @pytest.mark.parametrize("kind", ["json", "tuples", "marked"])
+    def test_unknown_ids(self, kind, vertex, edge):
+        graph = lookup_graphs()[kind]
+        calls = [
+            (lambda: graph.edge(edge), f"unknown edge {edge!r}"),
+            (lambda: graph.degree(vertex), f"unknown vertex {vertex!r}"),
+            (lambda: graph.incident_edges(vertex), f"unknown vertex {vertex!r}"),
+            (lambda: validate_circle(graph, Circle((edge, "e4", "e6"), "bdf")),
+             f"unknown edge {edge!r}"),
+        ]
+        if kind == "marked":
+            calls.append((lambda: graph.mark(vertex), f"unknown vertex {vertex!r}"))
+        if isinstance(vertex, str):
+            pair = sorted((vertex, "d"))
+            calls.append((lambda: validate_circle(graph, Circle(("e2", "e4", "e6"),
+                                                                (vertex, "d", "f"))),
+                          f"circle edge 'e2' does not join {pair[0]!r} and {pair[1]!r}"))
+        for call, message in calls:
+            with pytest.raises(GraphError) as raised:
+                call()
+            assert str(raised.value) == message
+        assert not graph.has_edge(edge)
+
+    @pytest.mark.parametrize("kind", ["json", "tuples", "marked"])
+    def test_first_and_last_ids_found(self, kind):
+        graph = lookup_graphs()[kind]
+        assert [graph.edge(e).id for e in ("e2", "e4", "e6")] == ["e2", "e4", "e6"]
+        assert all(graph.has_edge(e) for e in ("e2", "e4", "e6"))
+        assert [graph.degree(v) for v in "bdf"] == [2, 2, 2]
+        assert [e.id for e in graph.incident_edges("f")] == ["e4", "e6"]
+        validate_circle(graph, Circle(("e2", "e4", "e6"), "bdf"))
+        validate_circle(graph, Circle(("e6", "e4", "e2"), "bfd"))
 
 
 class TestMarkedGraph:

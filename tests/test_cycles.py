@@ -163,6 +163,18 @@ class TestBalance:
             else:
                 assert g.sign_of_walk(circle) is Sign.NEGATIVE
 
+    def test_positive_circle_from_the_search_raises(self, monkeypatch):
+        # a raised error, not an assert, so the check survives python -O
+        from lineconsistency._traversal import Traversal
+
+        monkeypatch.setattr(Traversal, "negative_cycle",
+                            lambda self: (("e1", "e2", "e3"), ("a", "b", "c")))
+        triangle = new_signed_graph(
+            "abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")]
+        )
+        with pytest.raises(GraphError, match="is not negative"):
+            find_negative_circle(triangle)
+
 
 class TestConsistencyOracle:
     def test_all_positive_marks(self):

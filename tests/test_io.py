@@ -180,6 +180,19 @@ class TestColumns:
         assert graph.edges[0] is edges[1] and graph.edges[1] is edges[0]
         assert graph.edge("b") is edges[0]
 
+    def test_built_from_tuples_builds_edge_values_only_when_read(self,
+                                                                built_edge_values):
+        graph = new_signed_graph(
+            "abc", [("e2", "c", "b", "-"), ("e1", "a", "b", Sign.POSITIVE)]
+        )
+        assert graph.degree("b") == 2 and graph.has_edge("e2")
+        assert built_edge_values == []
+        edges = graph.edges
+        assert built_edge_values == ["e1", "e2"]
+        assert edges == (
+            SignedEdge("e1", "a", "b"), SignedEdge("e2", "b", "c", Sign.NEGATIVE)
+        )
+
     def test_graphs_differing_in_one_column_differ(self):
         graph = new_signed_graph("abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "-")])
         for other in (
