@@ -103,9 +103,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class SignedEdge(Edge):
-    """An edge of a signed graph."""
+    """An edge of a signed graph; the sign is a Sign or its symbol "+"/"-"."""
 
     sign: Sign = Sign.POSITIVE
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sign.__class__ is not Sign:
+            object.__setattr__(self, "sign", Sign.from_symbol(self.sign))
 
 
 def _check(vertex_ids, edge_ids, us, vs) -> tuple:
@@ -325,8 +330,7 @@ class SignedGraph(_Multigraph):
     def sign_of_walk(self, walk: Union["Walk", "Circle"]) -> Sign:
         """Product of edge signs along a walk or circle of this graph."""
         if isinstance(walk, Circle):
-            validate_circle(self, walk)
-            odd = sum(self.negative[self._edge_number(eid)] for eid in walk.edges) & 1
+            odd = sum(map(self.negative.__getitem__, validate_circle(self, walk))) & 1
             return Sign.NEGATIVE if odd else Sign.POSITIVE
         _validate_walk(self, walk)
         return sign_product(self.edge(eid).sign for eid in walk.edges)
@@ -439,15 +443,18 @@ def _validate_walk(graph, walk: Walk) -> None:
         raise GraphError("closed walk does not return to its start vertex")
 
 
-def validate_circle(graph, circle: Circle) -> None:
+def validate_circle(graph, circle: Circle) -> list:
     """Check that ``circle`` is a circle of ``graph``, signed or marked, from
-    its columns in O(len(circle) log m); raise GraphError if not."""
-    n = len(circle)
+    its columns in O(len(circle) log m); raise GraphError if not.  Return the
+    numbers of the circle's edges, in its order."""
+    n, numbers = len(circle), []
     for i, eid in enumerate(circle.edges):
         k = graph._edge_number(eid)
         u, v = sorted((circle.vertices[i], circle.vertices[(i + 1) % n]))
         if graph._endpoints(k) != (u, v):
             raise GraphError(f"circle edge {eid!r} does not join {u!r} and {v!r}")
+        numbers.append(k)
+    return numbers
 
 
 def new_signed_graph(vertices: Iterable[str], edges: Iterable) -> SignedGraph:

@@ -91,8 +91,9 @@ def circles_through(graph, targets, max_circles):
     target_set = set(graph.vertex_ids if targets is None else targets)
     # a circle through a target, digons included, lies in a block holding it
     blocks = [b for b in graph.traversal.blocks if not b[0].isdisjoint(target_set)]
-    triples = [(e.id, e.u, e.v) for b in blocks for e in map(graph.edge, b[1])]
-    for (u, v), eids in _parallel_groups(triples).items():
+    by_id = {eid: (eid, *graph._endpoints(graph._edge_number(eid)))
+             for b in blocks for eid in b[1]}
+    for (u, v), eids in _parallel_groups(by_id.values()).items():
         if len(eids) < 2:
             continue
         if u not in target_set and v not in target_set:
@@ -104,8 +105,7 @@ def circles_through(graph, targets, max_circles):
         if len(block_edges) < 3:
             continue
         block_targets = sorted(block_vertices & target_set)
-        block_triples = [(e.id, e.u, e.v) for e in map(graph.edge, sorted(block_edges))]
-        adj, pair_edges = _simple_adjacency(block_vertices, block_triples)
+        adj, pair_edges = _simple_adjacency(block_vertices, map(by_id.get, block_edges))
         for i, t in enumerate(block_targets):
             banned = set(block_targets[:i])
             for vertex_cycle in _vertex_cycles_through(adj, t, banned):
@@ -146,8 +146,7 @@ def is_balanced_oracle(graph: SignedGraph, *,
                        max_circles: int = DEFAULT_CIRCLE_CAP) -> bool:
     """Balance by definition: every circle has positive edge-sign product."""
     for circle in circles_through(graph, None, max_circles):
-        signs = (graph.edge(eid).sign for eid in circle.edges)
-        if sign_product(signs).is_negative:
+        if graph.sign_of_walk(circle).is_negative:
             return False
     return True
 

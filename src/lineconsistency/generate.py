@@ -3,7 +3,8 @@ and guaranteed line-consistent graphs assembled from the structural form.
 
 Exhaustive and random generation cap parallel multiplicity at 2: digons
 already exercise everything multigraph-specific, and the cap keeps the
-definitional oracle feasible on every generated graph.
+definitional oracle feasible on every generated graph.  The seeded generators
+fill the graph's columns directly and build no edge values.
 """
 
 from __future__ import annotations
@@ -128,16 +129,11 @@ def random_signed_graph(
         chosen = [listed[r] for r in ranks]
     else:
         chosen = _pairs_at(vertices, ranks)
-    edges = tuple(
-        SignedEdge(
-            f"e{j}",
-            u,
-            v,
-            Sign.NEGATIVE if rng.random() < negative_probability else Sign.POSITIVE,
-        )
-        for j, (u, v) in enumerate(chosen)
+    negative = [rng.random() < negative_probability for _ in chosen]
+    return SignedGraph._from_columns(
+        vertices, [f"e{j}" for j in range(m)],
+        [u for u, _ in chosen], [v for _, v in chosen], negative,
     )
-    return SignedGraph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,12 @@ class Recipe:
 
 
 class _Builder:
+    """A graph's columns, grown path by path: vertex i is ``n{i}`` and edge j
+    is ``e{j}``."""
+
     def __init__(self):
         self.vertices = []
-        self.edges = []
+        self.us, self.vs, self.negative = [], [], []
         self.slots = []  # vertices that may take one extra positive isthmus
 
     def vertex(self):
@@ -231,17 +230,22 @@ class _Builder:
         self.vertices.append(v)
         return v
 
-    def edge(self, u, v, sign):
-        self.edges.append(SignedEdge(f"e{len(self.edges)}", u, v, sign))
+    def path(self, vertices, negative):
+        """Join consecutive ``vertices``, edge i negative when ``negative[i]``."""
+        self.us += vertices[:-1]
+        self.vs += vertices[1:]
+        self.negative += negative
 
-    def circle(self, length, signs):
-        ring = [self.vertex() for _ in range(length)]
-        for i in range(length):
-            self.edge(ring[i], ring[(i + 1) % length], signs[i])
+    def circle(self, negative):
+        ring = [self.vertex() for _ in negative]
+        self.path(ring + ring[:1], negative)
         return ring
 
     def graph(self):
-        return SignedGraph(tuple(self.vertices), tuple(self.edges))
+        ids = [f"e{j}" for j in range(len(self.us))]
+        return SignedGraph._from_columns(
+            self.vertices, ids, self.us, self.vs, self.negative
+        )
 
 
 def generate_line_consistent(recipe: Recipe, seed: int) -> SignedGraph:
@@ -255,23 +259,20 @@ def generate_line_consistent(recipe: Recipe, seed: int) -> SignedGraph:
     b = _Builder()
 
     for length in recipe.negative_circles:
-        ring = b.circle(length, [Sign.NEGATIVE] * length)
+        ring = b.circle([True] * length)
         b.slots.extend(ring)
     for length in recipe.closing_paths:
         # circle of length+1 edges: `length` negatives, one positive closing
-        signs = [Sign.NEGATIVE] * length + [Sign.POSITIVE]
-        ring = b.circle(length + 1, signs)
+        ring = b.circle([True] * length + [False])
         b.slots.extend(ring[1:length])  # internal path vertices only
     for length in recipe.induced_paths:
         # circle of length+2 edges: the path, then two positive edges
-        signs = [Sign.NEGATIVE] * length + [Sign.POSITIVE, Sign.POSITIVE]
-        ring = b.circle(length + 2, signs)
+        ring = b.circle([True] * length + [False, False])
         b.slots.extend(ring[1:length])  # internal path vertices
         b.slots.append(ring[length + 1])  # the all-positive circle vertex
     for length in recipe.isthmus_paths:
         chain = [b.vertex() for _ in range(length + 1)]
-        for u, v in zip(chain, chain[1:]):
-            b.edge(u, v, Sign.NEGATIVE)
+        b.path(chain, [True] * length)
         b.slots.extend(chain)  # endpoints included: their extra is an isthmus
 
     if recipe.pendant_positives > len(b.slots):
@@ -283,14 +284,14 @@ def generate_line_consistent(recipe: Recipe, seed: int) -> SignedGraph:
         current = anchor
         for _ in range(rng.randint(1, 2)):
             nxt = b.vertex()
-            b.edge(current, nxt, Sign.POSITIVE)
+            b.path([current, nxt], [False])
             current = nxt
 
     if recipe.scaffold_tree:
         tree = [b.vertex()]
         for _ in range(recipe.scaffold_tree):
             nxt = b.vertex()
-            b.edge(rng.choice(tree), nxt, Sign.POSITIVE)
+            b.path([rng.choice(tree), nxt], [False])
             tree.append(nxt)
 
     return b.graph()

@@ -7,9 +7,11 @@ document's shape, in one pass that takes the decoded edges straight into the
 graph's columns (ids, endpoints, negative bits) without building edge values;
 the graph invariants (unique ids, no loops, endpoints among the vertices) are
 checked once, by the graph constructor, and its error is re-raised as
-GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  Output
-is canonical (keys and lists sorted), so writes are byte-deterministic and
-reads of writes round-trip structurally.
+GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  The
+writers emit the canonical text of ``json.dumps(document, indent=2,
+sort_keys=True)`` straight from the columns, each id quoted by json's own C
+string encoder: writes are byte-deterministic, reads of writes round-trip
+structurally, and ids must be strings (another id raises TypeError).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .analysis import StructureReport
 # new_signed_graph is not used here but stays importable from this module:
@@ -103,27 +106,39 @@ def read_signed_graph(text: str) -> SignedGraph:
         raise GraphFormatError(str(exc)) from None
 
 
+# items of json.dumps(indent=2, sort_keys=True)'s lists: objects at depth 2
+_EDGE = '{\n      "id": %s,\n      "sign": "%s",\n      "u": %s,\n      "v": %s\n    }'
+_LINE_EDGE = '{\n      "id": %s,\n      "u": %s,\n      "v": %s\n    }'
+_MARK = '{\n      "id": %s,\n      "sign": "%s"\n    }'
+
+
+def _document(edges: list, vertices: list) -> str:
+    """``json.dumps({"edges": [...], "vertices": [...]}, indent=2,
+    sort_keys=True) + "\\n"`` from the lists' items, written at depth 2."""
+    lists = ("[\n    " + ",\n    ".join(x) + "\n  ]" if x else "[]"
+             for x in (edges, vertices))
+    return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % tuple(lists)
+
+
 def write_signed_graph(graph: SignedGraph) -> str:
     """Canonical JSON for a signed graph; read(write(g)) equals g."""
-    document = {
-        "vertices": list(graph.vertices),
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "sign": e.sign.value}
-            for e in graph.edges
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    quoted = list(map(encode_basestring_ascii, graph.vertex_ids))
+    edges = [
+        _EDGE % (encode_basestring_ascii(eid), "+-"[n], quoted[a], quoted[a ^ e])
+        for eid, a, e, n in zip(graph.edge_ids, graph.tail, graph.ends, graph.negative)
+    ]
+    return _document(edges, quoted)
 
 
 def write_marked_graph(marked: MarkedGraph) -> str:
     """Canonical JSON for a marked graph (vertices carry the signs)."""
-    document = {
-        "vertices": [
-            {"id": mv.id, "sign": mv.sign.value} for mv in marked.vertices
-        ],
-        "edges": [{"id": e.id, "u": e.u, "v": e.v} for e in marked.edges],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    quoted = list(map(encode_basestring_ascii, marked.vertex_ids))
+    edges = [
+        _LINE_EDGE % (encode_basestring_ascii(eid), quoted[a], quoted[a ^ e])
+        for eid, a, e in zip(marked.edge_ids, marked.tail, marked.ends)
+    ]
+    marks = [_MARK % (q, mv.sign.value) for q, mv in zip(quoted, marked.vertices)]
+    return _document(edges, marks)
 
 
 def structure_report_to_dict(report: StructureReport) -> dict:

@@ -7,7 +7,7 @@ from lineconsistency import core
 def built_edge_values(monkeypatch):
     """The ids of the SignedEdge values built while the test runs, in order."""
     built = []
-    edge_post_init = core.Edge.__post_init__
+    edge_post_init = core.SignedEdge.__post_init__
 
     def counted(self):
         built.append(self.id)

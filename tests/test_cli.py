@@ -174,7 +174,6 @@ class TestCheck:
         edges = edges + [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "+")
                          for i in range(1000)]
         path = write_graph(tmp_path, "padded.json", vertices, edges)
-        built_edge_values.clear()  # writing the file builds them
         code = main(["check", path, "--method", "ii", "--witness"])
         if clause is None:
             assert (code, capsys.readouterr().out) == (0, "ii: line consistent\n")

@@ -7,8 +7,11 @@ from lineconsistency import (
     Circle,
     GraphError,
     Sign,
+    SignedEdge,
     SignedGraph,
     Walk,
+    check_condition_ii,
+    classify_structure,
     new_marked_graph,
     new_signed_graph,
     random_signed_graph,
@@ -100,6 +103,23 @@ class TestConstruction:
         assert str(signed.value) == str(marked.value) == message
 
 
+class TestSignedEdgeSign:
+    def test_symbols_become_signs(self):
+        # the negative 3-star from edge values with symbol signs
+        star = SignedGraph("abcd", [SignedEdge(f"e{x}", "a", x, "-") for x in "bcd"])
+        assert all(e.sign is Sign.NEGATIVE for e in star.edges)
+        verdict = check_condition_ii(star)
+        assert (verdict.line_consistent, verdict.failed_clause, verdict.vertex) == (
+            False, "negative-subgraph degree exceeds 2", "a")
+        report = classify_structure(star)
+        assert report.balanced and not report.line_consistent
+
+    @pytest.mark.parametrize("sign", [True, 1, None, "x", "+-"])
+    def test_other_signs_rejected(self, sign):
+        with pytest.raises(GraphError, match="invalid sign"):
+            SignedEdge("x", "a", "b", sign)
+
+
 class TestAccessors:
     def test_degree(self):
         assert triangle().degree("a") == 2
@@ -161,6 +181,23 @@ class TestWalks:
         )
         square = Circle(("e1", "e2", "e3", "e4"), ("a", "b", "c", "d"))
         assert c4.sign_of_walk(square) is Sign.POSITIVE
+
+    def test_sign_of_circle_bisects_once_per_edge(self, monkeypatch):
+        ring = [f"v{i}" for i in range(12)]
+        graph = new_signed_graph(ring, [
+            (f"e{i}", ring[i], ring[(i + 1) % 12], "-+"[i % 4 == 0]) for i in range(12)
+        ])
+        circle = Circle([f"e{i}" for i in range(12)], ring)
+        calls = []
+        edge_number = SignedGraph._edge_number
+
+        def counted(self, edge_id):
+            calls.append(edge_id)
+            return edge_number(self, edge_id)
+
+        monkeypatch.setattr(SignedGraph, "_edge_number", counted)
+        assert graph.sign_of_walk(circle) is Sign.NEGATIVE
+        assert calls == list(circle.edges)
 
     def test_walk_validation(self):
         g = triangle()

@@ -15,10 +15,13 @@ from lineconsistency import (
     is_balanced_fast,
     is_balanced_oracle,
     is_consistent_oracle,
+    check_theorem1_simple,
     line_graph,
     new_marked_graph,
     new_signed_graph,
     random_signed_graph,
+    read_signed_graph,
+    write_signed_graph,
 )
 from oracles import balanced_bruteforce, circle_edge_sets
 
@@ -121,6 +124,21 @@ class TestEnumerateCircles:
 
 
 class TestBalance:
+    def test_oracles_read_the_columns(self, built_edge_values):
+        def k4(negative):  # K4 on a, b, c, d; the edges named by their ends
+            return read_signed_graph(write_signed_graph(new_signed_graph("abcd", [
+                (u + v, u, v, "-" if u + v in negative else "+")
+                for u, v in itertools.combinations("abcd", 2)
+            ])))
+
+        cut, pair = k4({"ab", "ac", "ad"}), k4({"ab", "ac"})
+        # balanced: every circle is enumerated and signed
+        assert is_balanced_oracle(cut)
+        # at a, the negative pair misses circle a-b-d: found by enumeration
+        verdict = check_theorem1_simple(pair)
+        assert (verdict.line_consistent, verdict.vertex) == (False, "a")
+        assert built_edge_values == []
+
     def test_all_positive_balanced(self):
         assert is_balanced_oracle(complete_graph(4))
         assert is_balanced_fast(complete_graph(4))

@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from oracles import random_signed_graph_by_slots
+from oracles import generate_line_consistent_by_edges, random_signed_graph_by_slots
 
 from lineconsistency import (
     GraphError,
@@ -182,6 +182,14 @@ class TestRecipe:
         assert generate_line_consistent(recipe, 3) == generate_line_consistent(
             recipe, 3
         )
+
+    def test_equals_the_edge_value_builder(self):
+        recipes = [(random_recipe(seed), seed) for seed in range(200)]
+        recipes.append((Recipe((2, 8), (2, 6), (4, 2), (1, 6), 9, 20), 7))
+        for recipe, seed in recipes:
+            g = generate_line_consistent(recipe, seed)
+            reference = generate_line_consistent_by_edges(recipe, seed)
+            assert g == reference and g.edges == reference.edges, seed
 
     def test_json_round_trip(self):
         recipe = random_recipe(23)

@@ -1,8 +1,14 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import write_marked_graph_by_document, write_signed_graph_by_document
 
 from lineconsistency import (
     GraphFormatError,
+    MarkedGraph,
+    Recipe,
     Sign,
     SignedEdge,
     SignedGraph,
@@ -11,6 +17,7 @@ from lineconsistency import (
     export_dot,
     generate_line_consistent,
     line_graph,
+    new_marked_graph,
     new_signed_graph,
     random_recipe,
     random_signed_graph,
@@ -234,6 +241,125 @@ class TestWrite:
         text = write_marked_graph(line_graph(g))
         assert '"sign": "-"' in text
         assert '"e1~e2@a"' in text
+
+
+# ids that json writes with escapes: quotes, backslashes, control and
+# non-ASCII characters, an astral character and a lone surrogate
+_ESCAPED_IDS = ('a"b', "c\\d", "e\nf", "g\th", "\x00", "\u00fc", "\u20acx", "\U0001f600",
+                "\ud800", "/", "")
+
+
+def _escaping_graph():
+    ring = sorted(_ESCAPED_IDS)
+    return new_signed_graph(ring, [
+        (f"{ring[i - 1]}|{v}", ring[i - 1], v, "-" if i % 3 else "+")
+        for i, v in enumerate(ring)
+    ])
+
+
+def _benchmark_shaped_recipe(edges: int, seed: int) -> Recipe:
+    """A recipe of about ``edges`` edges with the part mix of the benchmark's
+    large line-consistent inputs (26.5 edges per part on average)."""
+    rng = random.Random(seed)
+    parts = round(edges / 26.5)
+    return Recipe(
+        negative_circles=tuple(rng.choice((2, 4, 6, 8)) for _ in range(parts)),
+        closing_paths=tuple(rng.choice((2, 4, 6)) for _ in range(parts)),
+        induced_paths=tuple(rng.choice((2, 4, 6)) for _ in range(parts)),
+        isthmus_paths=tuple(rng.randint(1, 6) for _ in range(parts)),
+        pendant_positives=2 * parts,
+        scaffold_tree=4 * parts,
+    )
+
+
+def _recipe_graphs(count: int) -> list:
+    return [generate_line_consistent(random_recipe(s), s) for s in range(count)]
+
+
+class TestCanonicalText:
+    """The writers emit exactly the text of ``json.dumps(document, indent=2,
+    sort_keys=True)`` on the document of dicts, kept in ``oracles``."""
+
+    @pytest.mark.parametrize("family", [
+        "exhaustive", "random", "recipes", "empty", "isolated", "escaped",
+    ])
+    def test_writers_match_the_document_writers(self, family):
+        graphs = {
+            "exhaustive": lambda: exhaustive_signed_graphs(4, 5),
+            "random": lambda: (
+                random_signed_graph(n, min(s % 23, n * (n - 1)), s % 11 / 10, s)
+                for s in range(300) for n in [2 + s % 9]
+            ),
+            "recipes": lambda: _recipe_graphs(200),
+            "empty": lambda: [new_signed_graph([], [])],
+            "isolated": lambda: [new_signed_graph(["b", "a", "c"], []),
+                                 new_signed_graph("abcd", [("x", "d", "b", "-")])],
+            "escaped": lambda: [_escaping_graph()],
+        }[family]()
+        marked = family not in ("exhaustive", "random")
+        for graph in graphs:
+            assert write_signed_graph(graph) == write_signed_graph_by_document(graph)
+            if marked:
+                lg = line_graph(graph)
+                assert write_marked_graph(lg) == write_marked_graph_by_document(lg)
+
+    @pytest.mark.parametrize("marked", [
+        MarkedGraph(),
+        new_marked_graph([("b", "-"), ("a", "+")], []),
+        new_marked_graph([(v, "-+"[i % 2]) for i, v in enumerate(_ESCAPED_IDS)],
+                         [("q\"", 'a"b', "\x00"), ("r", "/", "")]),
+    ], ids=["empty", "isolated", "escaped"])
+    def test_marked_writer_on_graphs_no_line_graph_gives(self, marked):
+        assert write_marked_graph(marked) == write_marked_graph_by_document(marked)
+
+    def test_ids_must_be_strings(self):
+        # json.dumps wrote these as numbers, which read back as other ids
+        graph = SignedGraph((1, 2), (SignedEdge("e1", 1, 2),))
+        with pytest.raises(TypeError):
+            write_signed_graph(graph)
+
+    def test_escaped_ids_round_trip(self):
+        graph = _escaping_graph()
+        assert read_signed_graph(write_signed_graph(graph)) == graph
+
+    def test_golden_digests(self):
+        """SHA-256 of the text written for fixed seeded calls: any change to
+        the generators' draws or to the writers' bytes shows here."""
+        def digest(texts):
+            return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+        small = _recipe_graphs(50)
+        assert {
+            "recipe-50k": digest([write_signed_graph(
+                generate_line_consistent(_benchmark_shaped_recipe(50_000, 2014), 11))]),
+            "random-2000-4000": digest([write_signed_graph(
+                random_signed_graph(2000, 4000, 0.2, 7))]),
+            "small-recipes": digest(map(write_signed_graph, small)),
+            "small-line-graphs": digest(write_marked_graph(line_graph(g)) for g in small),
+        } == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_line_consistent(_benchmark_shaped_recipe(2_000, 3), 3),
+        lambda: random_signed_graph(50, 200, 0.3, 3),
+    ], ids=["recipe", "random"])
+    def test_generate_and_write_build_no_edge_values(self, build, built_edge_values):
+        text = write_signed_graph(build())
+        assert text.count('"id"') > 100
+        assert built_edge_values == []
+
+
+# computed with the document writers and the edge-value recipe builder that
+# tests/oracles.py keeps
+GOLDEN_DIGESTS = {
+    "recipe-50k":
+        "08a314603936b52951c5a0a3480b9f09b85e81f3c9c131d4e7a3b12ec75b4cda",
+    "random-2000-4000":
+        "93b4161285a7525db89c5177aa0dd1aef83f0f034474951ba48b37f3198de0d9",
+    "small-recipes":
+        "c6df015492309f6085946c4e513f5132c52cc33977548fc35ebbf334d98c1d94",
+    "small-line-graphs":
+        "3ba8b423204706b0db9c6b9bcef0551c45d0a195386e7ccd7690307e4470bc40",
+}
 
 
 class TestDot:
