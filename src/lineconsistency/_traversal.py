@@ -121,36 +121,46 @@ class Traversal:
         return [{self.vertex_ids[v] for v in run} for run in self._runs()]
 
     @cached_property
-    def blocks(self) -> list:
-        """Blocks as (frozenset of vertex ids, frozenset of edge ids), sorted
-        by (least vertex, least edge id); isolated vertices are blocks with no
-        edges, and parallel edges share a block.
+    def block_labels(self) -> tuple:
+        """(label, sizes): ``label[k]`` numbers edge k's block, and
+        ``sizes[b]`` counts block b's edges, so an edge is a bridge exactly
+        when its block has one edge.
 
         A tree edge into w starts a block when no non-tree edge leaves w's
         subtree above w's parent, and otherwise joins the block of the tree
         edge entering the parent; a non-tree edge joins the block of the tree
         edge entering its deeper endpoint.
         """
-        disc, low, parent = self.disc, self.low, self.parent
-        tail, ends = self.tail, self.ends
-        label = [-1] * len(tail)
-        members = []
+        disc, low, parent, ends = self.disc, self.low, self.parent, self.ends
+        label, sizes = [-1] * len(ends), []
         for w in self.order:
             k = parent[w]
             if k < 0:
                 continue
             p = ends[k] ^ w
             if low[w] >= disc[p]:
-                label[k] = len(members)
-                members.append([k])
+                label[k] = len(sizes)
+                sizes.append(0)
             else:
                 label[k] = label[parent[p]]
-                members[label[k]].append(k)
-        for k, a in enumerate(tail):
+            sizes[label[k]] += 1
+        for k, a in enumerate(self.tail):
             if label[k] < 0:
                 b = ends[k] ^ a
-                members[label[parent[a if disc[a] > disc[b] else b]]].append(k)
-        ids, edge_ids = self.vertex_ids, self.edge_ids
+                label[k] = label[parent[a if disc[a] > disc[b] else b]]
+                sizes[label[k]] += 1
+        return label, sizes
+
+    @cached_property
+    def blocks(self) -> list:
+        """Blocks as (frozenset of vertex ids, frozenset of edge ids), sorted
+        by (least vertex, least edge id); isolated vertices are blocks with no
+        edges, and parallel edges share a block."""
+        label, sizes = self.block_labels
+        members = [[] for _ in sizes]
+        for k, b in enumerate(label):
+            members[b].append(k)
+        ids, edge_ids, tail, ends = self.vertex_ids, self.edge_ids, self.tail, self.ends
         found = [
             (
                 frozenset(ids[x] for k in edges for x in (tail[k], tail[k] ^ ends[k])),
@@ -189,15 +199,3 @@ class Traversal:
             tuple(self.vertex_ids[x] for x in vertices),
         )
 
-
-def connected_components(vertex_ids, edge_triples) -> list:
-    """Vertex sets of the components, sorted by their least vertex."""
-    index = {v: i for i, v in enumerate(vertex_ids)}
-    ids, tail, ends = [], [], []
-    for eid, u, v in edge_triples:
-        a, b = index[u], index[v]
-        ids.append(eid)
-        tail.append(a)
-        ends.append(a ^ b)
-    edges = Edges(ids, tail, ends, [0] * len(ids), incidence(len(index), tail, ends))
-    return Traversal(vertex_ids, edges).components

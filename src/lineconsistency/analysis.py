@@ -21,7 +21,6 @@ from itertools import compress
 from operator import xor
 from typing import Optional
 
-from ._traversal import connected_components
 from .core import Circle, GraphError, SignedGraph
 # line_graph, is_consistent_oracle, circle_vertex_sign and enumerate_circles are
 # not used here but stay importable from this module: bench/tracer.py wraps them.
@@ -276,16 +275,15 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
     return not any(graph.negative)
 
 
-def _classify_kind(component, negative_degree):
-    degrees = {v: negative_degree[v] for v in component}
-    if len(component) == 1 and not any(degrees.values()):
-        return "single-vertex", ()
-    if all(d == 2 for d in degrees.values()):
-        return "circle", ()
-    ones = sorted(v for v, d in degrees.items() if d == 1)
-    if all(d in (1, 2) for d in degrees.values()) and len(ones) == 2:
-        return "nontrivial-path", tuple(ones)
-    return "other", ()
+def _classify_kind(degrees: list) -> str:
+    """A negative component's kind, from its vertices' negative degrees."""
+    if len(degrees) == 1:  # a vertex on no negative edge
+        return "single-vertex"
+    if all(d == 2 for d in degrees):
+        return "circle"
+    if degrees.count(1) == 2 and all(d in (1, 2) for d in degrees):
+        return "nontrivial-path"
+    return "other"
 
 
 def classify_structure(graph: SignedGraph) -> StructureReport:
@@ -297,50 +295,64 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     sitting inside a nontrivial block (a) or made entirely of isthmi with
     block-free endpoints (b).  Divalent-endpoint and endpoint-attachment facts
     are consequences of the form; they are reported, not enforced.
-    """
-    negative_triples = [(e.id, e.u, e.v) for e in graph.edges if e.sign.is_negative]
-    negative_degree = Counter(x for _, u, v in negative_triples for x in (u, v))
-    isthmi = find_isthmi(graph)
-    block_of = {eid: b.edges for b in blocks(graph) for eid in b.edges}
 
-    components = connected_components(graph.vertices, negative_triples)
+    Read from the columns and the traversal's per-edge block labels.  Every
+    negative edge at a vertex lies in its component, so a component's extra
+    edges at a vertex are the vertex's positive edges.
+    """
+    ids, edge_ids, tail, ends = graph.vertex_ids, graph.edge_ids, graph.tail, graph.ends
+    negative, incidence = graph.negative, graph.incidence
+    isthmi = find_isthmi(graph)
+    label, sizes = graph.traversal.block_labels
+    # the negative subgraph's components, by least vertex, from a search along
+    # the negative edges; runs[i] lists component i's vertices in order
+    component, runs = [-1] * len(ids), []
+    for root in range(len(ids)):
+        if component[root] < 0:
+            component[root] = len(runs)
+            run = [root]
+            for v in run:  # run grows as the search reaches vertices
+                for k in incidence[v]:
+                    w = ends[k] ^ v
+                    if negative[k] and component[w] < 0:
+                        component[w] = len(runs)
+                        run.append(w)
+            runs.append(sorted(run))
     # each component's negative edges, and the positive edges inside it
-    component_of = {v: i for i, component in enumerate(components) for v in component}
-    negative_edges = [[] for _ in components]
-    inside_edges = [[] for _ in components]
-    for e in graph.edges:
-        i = component_of[e.u]
-        if e.sign.is_negative:
-            negative_edges[i].append(e.id)
-        elif i == component_of[e.v]:
-            inside_edges[i].append(e)
+    negative_edges = [[] for _ in runs]
+    inside_edges = [[] for _ in runs]
+    for k, (a, e) in enumerate(zip(tail, ends)):
+        i = component[a]
+        if negative[k]:
+            negative_edges[i].append(k)
+        elif i == component[a ^ e]:
+            inside_edges[i].append(k)
+
+    def isthmus(k):
+        return edge_ids[k] in isthmi
+
+    def whole_block(edges):  # whether edges are exactly one block's edges
+        b = label[edges[0]]
+        return sizes[b] == len(edges) and all(label[k] == b for k in edges)
 
     reports = []
-    for component, comp_edges, inside in zip(components, negative_edges, inside_edges):
-        vertices = tuple(sorted(component))
-        edge_set = frozenset(comp_edges)
-        kind, endpoints = _classify_kind(component, negative_degree)
+    for run, comp_edges, inside in zip(runs, negative_edges, inside_edges):
+        degrees = [sum(map(negative.__getitem__, incidence[v])) for v in run]
+        kind = _classify_kind(degrees)
+        endpoints = []
         violations = []
-        is_block = None
-        path_form = None
-        case = None
-        endpoints_divalent = None
-        endpoint_extras_ok = None
-
-        def extras_at(v):
-            return [e for e in graph.incident_edges(v) if e.id not in edge_set]
+        is_block = path_form = case = endpoints_divalent = endpoint_extras_ok = None
 
         def check_extras(word, inner):
             """At most one extra edge at each inner vertex, a positive isthmus."""
             for v in inner:
-                extras = extras_at(v)
+                extras = [k for k in incidence[v] if not negative[k]]
                 if len(extras) > 1:
-                    violations.append(f"more than one extra edge at {word} vertex {v!r}")
-                elif extras and not (
-                    extras[0].sign.is_positive and extras[0].id in isthmi
-                ):
                     violations.append(
-                        f"extra edge at {word} vertex {v!r} is not a positive isthmus"
+                        f"more than one extra edge at {word} vertex {ids[v]!r}")
+                elif extras and not isthmus(extras[0]):
+                    violations.append(
+                        f"extra edge at {word} vertex {ids[v]!r} is not a positive isthmus"
                     )
 
         if kind == "other":
@@ -348,39 +360,36 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
                 "negative component is not a circle, path, or single vertex"
             )
         elif kind == "circle":
-            is_block = block_of[comp_edges[0]] == edge_set
+            is_block = whole_block(comp_edges)
             if not is_block:
                 violations.append("circle component is not a block")
-            check_extras("circle", vertices)
+            check_extras("circle", run)
         elif kind == "nontrivial-path":
+            endpoints = [v for v, d in zip(run, degrees) if d == 1]
             for v in endpoints:
-                if graph.degree(v) > 2:
-                    violations.append(f"path endpoint {v!r} is not at most divalent")
-            check_extras("path", (v for v in vertices if v not in endpoints))
+                if len(incidence[v]) > 2:
+                    violations.append(f"path endpoint {ids[v]!r} is not at most divalent")
+            check_extras("path", (v for v in run if v not in endpoints))
             if not inside:
                 path_form = "induced"
             elif (
                 len(inside) == 1
-                and inside[0].sign.is_positive
-                and inside[0].endpoints == frozenset(endpoints)
-                and block_of[inside[0].id] == edge_set | {inside[0].id}
+                and [tail[inside[0]], tail[inside[0]] ^ ends[inside[0]]] == endpoints
+                and whole_block(comp_edges + inside)
             ):
                 path_form = "closes-circle-block"
             else:
                 violations.append("path is neither induced nor closes a circle block")
-            block = block_of[comp_edges[0]]
-            if len(block) > 1 and edge_set <= block:
+            b = label[comp_edges[0]]
+            if sizes[b] > 1 and all(label[k] == b for k in comp_edges):
                 case = "a"
-                endpoints_divalent = all(graph.degree(v) == 2 for v in endpoints)
-            elif edge_set <= isthmi and all(  # no endpoint in a nontrivial block
-                e.id in isthmi for v in endpoints for e in graph.incident_edges(v)
+                endpoints_divalent = all(len(incidence[v]) == 2 for v in endpoints)
+            elif all(map(isthmus, comp_edges)) and all(  # no endpoint in a nontrivial block
+                isthmus(k) for v in endpoints for k in incidence[v]
             ):
                 case = "b"
-                endpoint_extras_ok = all(
-                    e.sign.is_positive and e.id in isthmi
-                    for v in endpoints
-                    for e in extras_at(v)
-                )
+                # every edge at an endpoint is an isthmus, and the extra ones are positive
+                endpoint_extras_ok = True
             else:
                 violations.append(
                     "path is neither inside a nontrivial block nor an "
@@ -390,14 +399,14 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
         reports.append(
             ComponentReport(
                 kind=kind,
-                vertices=vertices,
-                edges=tuple(comp_edges),
+                vertices=tuple(map(ids.__getitem__, run)),
+                edges=tuple(map(edge_ids.__getitem__, comp_edges)),
                 ok=not violations,
                 violations=tuple(violations),
                 is_block=is_block,
                 path_form=path_form,
                 case=case,
-                endpoints=endpoints,
+                endpoints=tuple(map(ids.__getitem__, endpoints)),
                 endpoints_divalent=endpoints_divalent,
                 endpoint_extras_positive_isthmi=endpoint_extras_ok,
             )

@@ -5,14 +5,16 @@ A graph is stored as integer columns (``_Multigraph``): its sorted vertex
 ids, its edge ids in id order, each edge's endpoints as indices into the
 vertex ids, and a negative bit per edge.  The depth-first search, condition
 ii, circle checks and witnesses read the columns and find an id by bisecting
-the sorted ids, so checking a circle of length L costs O(L log m).  Edge
-values (``SignedEdge``) are built only when a caller asks for ``edges``,
-``edge()`` or ``incident_edges()``; a graph built from edge values keeps
-them.  The graph constructors are the one place the graph invariants are
-checked: unique vertex ids, unique edge ids, no loops, and both endpoints
-among the vertices; a violation names its position in the given order
-(``vertices[i]`` or ``edges[i]``).  All values are frozen and every transform
-returns a new value, so everything here is safe to share between threads.
+the sorted ids, so checking a circle of length L costs O(L log m).  A marked
+graph has the same columns plus a negative bit per vertex.  Edge and vertex
+values (``SignedEdge``, ``Edge``, ``MarkedVertex``) are built only when a
+caller asks for ``edges``, a marked graph's ``vertices``, ``edge()`` or
+``incident_edges()``; a graph built from values keeps them.  The graph
+constructors are the one place the graph invariants are checked: unique
+vertex ids, unique edge ids, no loops, and both endpoints among the
+vertices; a violation names its position in the given order (``vertices[i]``
+or ``edges[i]``).  All values are frozen and every transform returns a new
+value, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import compress, repeat, starmap
 from operator import eq, xor
 from typing import Iterable, Union
 
@@ -61,6 +63,9 @@ class Sign(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+_SIGNS = (Sign.POSITIVE, Sign.NEGATIVE)  # indexed by a negative bit
 
 
 def sign_product(signs: Iterable[Sign]) -> Sign:
@@ -214,8 +219,10 @@ class _Multigraph:
         return self.vertex_ids[a], self.vertex_ids[a ^ self.ends[k]]
 
     def edge_triples(self) -> tuple:
-        """Edges as (id, u, v) triples."""
-        return tuple((e.id, e.u, e.v) for e in self.edges)
+        """Edges as (id, u, v) triples, in id order, read from the columns."""
+        ids = self.vertex_ids
+        return tuple((eid, ids[a], ids[a ^ e])
+                     for eid, a, e in zip(self.edge_ids, self.tail, self.ends))
 
     def edge(self, edge_id: str) -> Edge:
         return self.edges[self._edge_number(edge_id)]
@@ -229,6 +236,23 @@ class _Multigraph:
 
     def degree(self, vertex: str) -> int:
         return len(self.incidence[self._vertex(vertex)])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self._key())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(vertices={self.vertices!r}, edges={self.edges!r})"
 
 
 class SignedGraph(_Multigraph):
@@ -270,32 +294,15 @@ class SignedGraph(_Multigraph):
     @cached_property
     def edges(self) -> tuple:
         """The edges as SignedEdge values, in id order."""
-        vertices, signs = self.vertices, (Sign.POSITIVE, Sign.NEGATIVE)
+        vertices = self.vertices
         return tuple(
-            SignedEdge(eid, vertices[a], vertices[a ^ e], signs[negative])
+            SignedEdge(eid, vertices[a], vertices[a ^ e], _SIGNS[negative])
             for eid, a, e, negative in zip(self.edge_ids, self.tail, self.ends,
                                            self.negative)
         )
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def _key(self) -> tuple:
         return (self.vertices, self.edge_ids, self.tail, self.ends, self.negative)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(tuple, self._key())))
-
-    def __repr__(self) -> str:
-        return f"SignedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def is_totally_positive(self, vertex: str) -> bool:
         return all(e.sign.is_positive for e in self.incident_edges(vertex))
@@ -338,39 +345,65 @@ class SignedGraph(_Multigraph):
 
 @dataclass(frozen=True)
 class MarkedVertex:
-    """A vertex of a marked graph, carrying its sign."""
+    """A vertex of a marked graph; the sign is a Sign or its symbol "+"/"-"."""
 
     id: str
     sign: Sign
 
-
-@dataclass(frozen=True)
-class MarkedGraph(_Multigraph):
-    """A loopless multigraph with signed vertices (a marked graph)."""
-
-    vertices: tuple = ()
-    edges: tuple = ()
-
     def __post_init__(self):
-        vertices, edges = tuple(self.vertices), tuple(self.edges)
-        order = self._store_columns(
-            tuple(mv.id for mv in vertices),
-            [e.id for e in edges],
-            [e.u for e in edges],
-            [e.v for e in edges],
-            [False] * len(edges),
-        )
-        object.__setattr__(
-            self, "vertices", tuple(sorted(vertices, key=lambda mv: mv.id))
-        )
-        object.__setattr__(self, "edges", tuple(map(edges.__getitem__, order)))
+        if self.sign.__class__ is not Sign:
+            object.__setattr__(self, "sign", Sign.from_symbol(self.sign))
+
+
+class MarkedGraph(_Multigraph):
+    """A loopless multigraph with signed vertices (a marked graph): the
+    columns of ``SignedGraph`` with all-false ``negative``, plus ``marks[i]``,
+    true when vertex i is negative.  A graph built from values keeps them."""
+
+    def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
+        vertices, edges = tuple(vertices), tuple(edges)
+        order = self._store([mv.id for mv in vertices],
+                            [mv.sign is Sign.NEGATIVE for mv in vertices],
+                            [e.id for e in edges], [e.u for e in edges], [e.v for e in edges])
+        self.__dict__.update(vertices=tuple(sorted(vertices, key=lambda mv: mv.id)),
+                             edges=tuple(map(edges.__getitem__, order)))
+
+    @classmethod
+    def _from_columns(cls, vertex_ids, marks, edge_ids, us, vs) -> "MarkedGraph":
+        """The marked graph on ``vertex_ids``, the i-th negative when
+        ``marks[i]``, whose edge k is ``edge_ids[k]`` from ``us[k]`` to
+        ``vs[k]``, with the same checks as the constructor."""
+        graph = cls.__new__(cls)
+        graph._store(vertex_ids, marks, edge_ids, us, vs)
+        return graph
+
+    def _store(self, vertex_ids, marks, edge_ids, us, vs) -> list:
+        order = self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us))
+        if self.vertex_ids != tuple(vertex_ids):  # put the marks in id order
+            marks = map(dict(zip(vertex_ids, marks)).__getitem__, self.vertex_ids)
+        self.__dict__["marks"] = list(marks)
+        return order
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The vertices as MarkedVertex values, by id."""
+        signs = map(_SIGNS.__getitem__, self.marks)
+        return tuple(map(MarkedVertex, self.vertex_ids, signs))
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges as Edge values, in id order."""
+        return tuple(starmap(Edge, self.edge_triples()))
+
+    def _key(self) -> tuple:
+        return (self.vertex_ids, self.marks, self.edge_ids, self.tail, self.ends)
 
     def mark(self, vertex: str) -> Sign:
-        return self.vertices[self._vertex(vertex)].sign
+        return _SIGNS[self.marks[self._vertex(vertex)]]
 
     @property
     def negative_vertex_ids(self) -> tuple:
-        return tuple(mv.id for mv in self.vertices if mv.sign.is_negative)
+        return tuple(compress(self.vertex_ids, self.marks))
 
 
 @dataclass(frozen=True)
@@ -481,18 +514,14 @@ def new_marked_graph(vertices: Iterable, edges: Iterable) -> MarkedGraph:
     """Build a validated MarkedGraph from (id, sign) and (id, u, v) items."""
     marked = []
     for item in vertices:
-        if isinstance(item, MarkedVertex):
-            marked.append(item)
-            continue
-        vid, sign = item
-        if not isinstance(sign, Sign):
-            sign = Sign.from_symbol(sign)
-        marked.append(MarkedVertex(str(vid), sign))
+        if not isinstance(item, MarkedVertex):
+            vid, sign = item
+            item = MarkedVertex(str(vid), sign)
+        marked.append(item)
     built = []
     for item in edges:
-        if isinstance(item, Edge):
-            built.append(item)
-        else:
+        if not isinstance(item, Edge):
             eid, u, v = item
-            built.append(Edge(str(eid), str(u), str(v)))
-    return MarkedGraph(tuple(marked), tuple(built))
+            item = Edge(str(eid), str(u), str(v))
+        built.append(item)
+    return MarkedGraph(marked, built)

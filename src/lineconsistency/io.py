@@ -137,7 +137,7 @@ def write_marked_graph(marked: MarkedGraph) -> str:
         _LINE_EDGE % (encode_basestring_ascii(eid), quoted[a], quoted[a ^ e])
         for eid, a, e in zip(marked.edge_ids, marked.tail, marked.ends)
     ]
-    marks = [_MARK % (q, mv.sign.value) for q, mv in zip(quoted, marked.vertices)]
+    marks = [_MARK % (q, "+-"[n]) for q, n in zip(quoted, marked.marks)]
     return _document(edges, marks)
 
 
@@ -152,7 +152,8 @@ def _quote(identifier: str) -> str:
 
 def export_dot(graph, report: StructureReport = None) -> str:
     """Graphviz DOT text: positive edges solid, negative dashed; marked-graph
-    vertex signs in node labels; structure-report components as clusters."""
+    vertex signs in node labels; structure-report components as clusters.
+    Edges and marks are read from the graph's columns."""
     lines = ["graph {"]
     clustered = set()
     if report is not None:
@@ -165,27 +166,26 @@ def export_dot(graph, report: StructureReport = None) -> str:
                 label += f" (case {comp.case})"
             lines.append(f'    label="{label}";')
             for v in comp.vertices:
-                lines.append(f"    {_node_line(graph, v)}")
+                lines.append(f"    {_node_line(graph, graph._vertex(v))}")
                 clustered.add(v)
             lines.append("  }")
-    for v in graph.vertex_ids:
+    ids = graph.vertex_ids
+    for i, v in enumerate(ids):
         if v not in clustered:
-            lines.append(f"  {_node_line(graph, v)}")
-    for e in graph.edges:
-        style = "solid"
-        sign = getattr(e, "sign", None)
-        if sign is not None and sign.is_negative:
-            style = "dashed"
+            lines.append(f"  {_node_line(graph, i)}")
+    for eid, a, e, negative in zip(graph.edge_ids, graph.tail, graph.ends, graph.negative):
         lines.append(
-            f"  {_quote(e.u)} -- {_quote(e.v)} "
-            f"[label={_quote(e.id)}, style={style}];"
+            f"  {_quote(ids[a])} -- {_quote(ids[a ^ e])} "
+            f"[label={_quote(eid)}, style={'dashed' if negative else 'solid'}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _node_line(graph, vertex: str) -> str:
+def _node_line(graph, i: int) -> str:
+    """The DOT line of vertex i, with its mark on a marked graph."""
+    vertex = graph.vertex_ids[i]
     if isinstance(graph, MarkedGraph):
-        label = _quote(f"{vertex} [{graph.mark(vertex).value}]")
+        label = _quote(f"{vertex} [{'+-'[graph.marks[i]]}]")
         return f"{_quote(vertex)} [label={label}];"
     return f"{_quote(vertex)};"

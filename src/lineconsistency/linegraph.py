@@ -3,16 +3,17 @@
 The line graph has one vertex per edge of the input, marked with that edge's
 sign, and one edge per unordered pair of distinct input edges *per shared
 endpoint*, so a parallel pair in the input becomes a double edge here.
-Line-graph circles read off the base graph (circle images, vertex triangles,
-witnesses) are built by ``line_circle`` and checked against the base graph by
-``verify_witness``; neither builds the line graph.
+``line_graph`` fills its columns from the input's columns and builds no edge
+or vertex value.  Line-graph circles read off the base graph (circle images,
+vertex triangles, witnesses) are built by ``line_circle`` and checked against
+the base graph by ``verify_witness``; neither builds the line graph.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import Circle, GraphError, MarkedGraph, SignedGraph, new_marked_graph
+from .core import Circle, GraphError, MarkedGraph, SignedGraph
 
 
 def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
@@ -30,15 +31,16 @@ def line_graph(graph: SignedGraph) -> MarkedGraph:
     """The line graph of ``graph`` with vertex marks inherited from edge signs.
 
     Line-graph vertex ids are the originating edge ids verbatim, so circles in
-    the result read directly against the input graph.
+    the result read directly against the input graph: line vertex k is edge
+    k, marked by its negative bit, and each incidence list, in id order, gives
+    its vertex's pairs of edges already sorted.
     """
-    vertices = [(e.id, e.sign) for e in graph.edges]
-    edges = []
-    for v in graph.vertices:
-        incident = graph.incident_edges(v)
-        for a, b in itertools.combinations(incident, 2):
-            edges.append((line_edge_id(a.id, b.id, v), a.id, b.id))
-    return new_marked_graph(vertices, edges)
+    ids = graph.edge_ids
+    pairs = [(ids[a], ids[b], v) for v, incident in zip(graph.vertex_ids, graph.incidence)
+             for a, b in itertools.combinations(incident, 2)]
+    return MarkedGraph._from_columns(
+        ids, graph.negative, [f"{a}~{b}@{v}" for a, b, v in pairs],  # line_edge_id
+        [p[0] for p in pairs], [p[1] for p in pairs])
 
 
 def line_circle(lvertices: tuple, shared: tuple) -> Circle:

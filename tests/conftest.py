@@ -5,13 +5,13 @@ from lineconsistency import core
 
 @pytest.fixture
 def built_edge_values(monkeypatch):
-    """The ids of the SignedEdge values built while the test runs, in order."""
+    """The ids of the SignedEdge, Edge and MarkedVertex values built while the
+    test runs, in order."""
     built = []
-    edge_post_init = core.SignedEdge.__post_init__
+    for cls in (core.SignedEdge, core.Edge, core.MarkedVertex):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.id)
 
-    def counted(self):
-        built.append(self.id)
-        edge_post_init(self)
-
-    monkeypatch.setattr(core.SignedEdge, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return built

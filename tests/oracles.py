@@ -4,14 +4,39 @@ These deliberately share no code with the library's enumeration: a circle is
 found as an edge subset forming a connected 2-regular subgraph.  Exponential,
 for tiny graphs only.  The slot-list sampler, the edge-value recipe builder
 and the document writers are the references for the seeded generators and
-the JSON writers.
+the JSON writers; the edge-value line graph, structural classifier and DOT
+writer are the references for the column-built ones.
 """
 
 import itertools
 import json
 import random
+from collections import Counter
 
-from lineconsistency.core import Sign, SignedEdge, SignedGraph, sign_product
+from lineconsistency.analysis import (
+    ComponentReport,
+    StructureReport,
+    blocks,
+    find_isthmi,
+    is_balanced_fast,
+)
+from lineconsistency.core import (
+    Edge,
+    MarkedGraph,
+    MarkedVertex,
+    Sign,
+    SignedEdge,
+    SignedGraph,
+    new_signed_graph,
+    sign_product,
+)
+from lineconsistency.generate import (
+    exhaustive_signed_graphs,
+    generate_line_consistent,
+    random_recipe,
+    random_signed_graph,
+)
+from lineconsistency.linegraph import line_edge_id
 
 
 def circle_edge_sets(graph):
@@ -159,3 +184,228 @@ def generate_line_consistent_by_edges(recipe, seed):
             edge(rng.choice(tree), nxt, plus)
             tree.append(nxt)
     return SignedGraph(tuple(vertices), tuple(edges))
+
+
+def export_dot_by_values(graph, report=None):
+    """The DOT writer ``io.export_dot`` replaced: it read edge values and
+    marks through ``mark()``."""
+    def quote(identifier):
+        return '"%s"' % identifier.replace("\\", "\\\\").replace('"', '\\"')
+
+    def node_line(vertex):
+        if isinstance(graph, MarkedGraph):
+            label = quote(f"{vertex} [{graph.mark(vertex).value}]")
+            return f"{quote(vertex)} [label={label}];"
+        return f"{quote(vertex)};"
+
+    lines = ["graph {"]
+    clustered = set()
+    for i, comp in enumerate(report.components if report is not None else ()):
+        lines.append(f"  subgraph cluster_{i} {{")
+        label = comp.kind
+        if comp.is_block:
+            label += " (block)"
+        if comp.case:
+            label += f" (case {comp.case})"
+        lines.append(f'    label="{label}";')
+        for v in comp.vertices:
+            lines.append(f"    {node_line(v)}")
+            clustered.add(v)
+        lines.append("  }")
+    for v in graph.vertex_ids:
+        if v not in clustered:
+            lines.append(f"  {node_line(v)}")
+    for e in graph.edges:
+        sign = getattr(e, "sign", None)
+        style = "dashed" if sign is not None and sign.is_negative else "solid"
+        lines.append(f"  {quote(e.u)} -- {quote(e.v)} [label={quote(e.id)}, style={style}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def line_graph_by_values(graph):
+    """The builder ``linegraph.line_graph`` replaced: a ``MarkedVertex`` per
+    edge and an ``Edge`` per pair of edges at each vertex, read from the
+    graph's edge values."""
+    vertices = [MarkedVertex(e.id, e.sign) for e in graph.edges]
+    edges = []
+    for v in graph.vertices:
+        for a, b in itertools.combinations(graph.incident_edges(v), 2):
+            edges.append(Edge(line_edge_id(a.id, b.id, v), a.id, b.id))
+    return MarkedGraph(tuple(vertices), tuple(edges))
+
+
+def _components(vertices, edge_triples):
+    """Vertex sets of the components, by least vertex, by plain search."""
+    adjacency = {v: [] for v in vertices}
+    for _, u, v in edge_triples:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen, found = set(), []
+    for root in sorted(vertices):
+        if root in seen:
+            continue
+        component, stack = {root}, [root]
+        while stack:
+            for y in adjacency[stack.pop()]:
+                if y not in component:
+                    component.add(y)
+                    stack.append(y)
+        seen |= component
+        found.append(component)
+    return found
+
+
+def _classify_kind_by_ids(component, negative_degree):
+    degrees = {v: negative_degree[v] for v in component}
+    if len(component) == 1 and not any(degrees.values()):
+        return "single-vertex", ()
+    if all(d == 2 for d in degrees.values()):
+        return "circle", ()
+    ones = sorted(v for v, d in degrees.items() if d == 1)
+    if all(d in (1, 2) for d in degrees.values()) and len(ones) == 2:
+        return "nontrivial-path", tuple(ones)
+    return "other", ()
+
+
+def classify_structure_by_values(graph):
+    """The classifier ``analysis.classify_structure`` replaced: edge values,
+    id sets per block and a second search for the negative components."""
+    negative_triples = [(e.id, e.u, e.v) for e in graph.edges if e.sign.is_negative]
+    negative_degree = Counter(x for _, u, v in negative_triples for x in (u, v))
+    isthmi = find_isthmi(graph)
+    block_of = {eid: b.edges for b in blocks(graph) for eid in b.edges}
+
+    components = _components(graph.vertices, negative_triples)
+    component_of = {v: i for i, component in enumerate(components) for v in component}
+    negative_edges = [[] for _ in components]
+    inside_edges = [[] for _ in components]
+    for e in graph.edges:
+        i = component_of[e.u]
+        if e.sign.is_negative:
+            negative_edges[i].append(e.id)
+        elif i == component_of[e.v]:
+            inside_edges[i].append(e)
+
+    reports = []
+    for component, comp_edges, inside in zip(components, negative_edges, inside_edges):
+        vertices = tuple(sorted(component))
+        edge_set = frozenset(comp_edges)
+        kind, endpoints = _classify_kind_by_ids(component, negative_degree)
+        violations = []
+        is_block = path_form = case = None
+        endpoints_divalent = endpoint_extras_ok = None
+
+        def extras_at(v):
+            return [e for e in graph.incident_edges(v) if e.id not in edge_set]
+
+        def check_extras(word, inner):
+            for v in inner:
+                extras = extras_at(v)
+                if len(extras) > 1:
+                    violations.append(f"more than one extra edge at {word} vertex {v!r}")
+                elif extras and not (
+                    extras[0].sign.is_positive and extras[0].id in isthmi
+                ):
+                    violations.append(
+                        f"extra edge at {word} vertex {v!r} is not a positive isthmus"
+                    )
+
+        if kind == "other":
+            violations.append(
+                "negative component is not a circle, path, or single vertex"
+            )
+        elif kind == "circle":
+            is_block = block_of[comp_edges[0]] == edge_set
+            if not is_block:
+                violations.append("circle component is not a block")
+            check_extras("circle", vertices)
+        elif kind == "nontrivial-path":
+            for v in endpoints:
+                if graph.degree(v) > 2:
+                    violations.append(f"path endpoint {v!r} is not at most divalent")
+            check_extras("path", (v for v in vertices if v not in endpoints))
+            if not inside:
+                path_form = "induced"
+            elif (
+                len(inside) == 1
+                and inside[0].sign.is_positive
+                and inside[0].endpoints == frozenset(endpoints)
+                and block_of[inside[0].id] == edge_set | {inside[0].id}
+            ):
+                path_form = "closes-circle-block"
+            else:
+                violations.append("path is neither induced nor closes a circle block")
+            block = block_of[comp_edges[0]]
+            if len(block) > 1 and edge_set <= block:
+                case = "a"
+                endpoints_divalent = all(graph.degree(v) == 2 for v in endpoints)
+            elif edge_set <= isthmi and all(
+                e.id in isthmi for v in endpoints for e in graph.incident_edges(v)
+            ):
+                case = "b"
+                endpoint_extras_ok = all(
+                    e.sign.is_positive and e.id in isthmi
+                    for v in endpoints
+                    for e in extras_at(v)
+                )
+            else:
+                violations.append(
+                    "path is neither inside a nontrivial block nor an "
+                    "isthmus path with block-free endpoints"
+                )
+
+        reports.append(ComponentReport(
+            kind=kind,
+            vertices=vertices,
+            edges=tuple(comp_edges),
+            ok=not violations,
+            violations=tuple(violations),
+            is_block=is_block,
+            path_form=path_form,
+            case=case,
+            endpoints=endpoints,
+            endpoints_divalent=endpoints_divalent,
+            endpoint_extras_positive_isthmi=endpoint_extras_ok,
+        ))
+
+    balanced = is_balanced_fast(graph)
+    overall = balanced and all(r.ok for r in reports)
+    return StructureReport(
+        balanced=balanced, components=tuple(reports), line_consistent=overall
+    )
+
+
+_TILDE_VERTICES = ("s", "x@y", "y", "x", "y@s")
+_TILDE_EDGES = ("p", "q", "r", "p~q", "q~r", "1", "2", "2@x", "r@x", "q~r@x")
+
+
+def _tilde_graph(seed):
+    """A random multigraph on ids holding '~' and '@': some have line-graph
+    edge ids that collide."""
+    rng = random.Random(seed)
+    vertices = rng.sample(_TILDE_VERTICES, rng.randint(2, 4))
+    edges = [(eid, *rng.sample(vertices, 2), rng.choice("+-"))
+             for eid in rng.sample(_TILDE_EDGES, rng.randint(0, 7))]
+    return new_signed_graph(vertices, edges)
+
+
+def differential_corpus(family):
+    """The graphs column-built code is compared with its reference on."""
+    if family == "exhaustive":
+        return exhaustive_signed_graphs(4, 5)
+    if family == "random":
+        return (random_signed_graph(n, min(s % 23, n * (n - 1)), s % 11 / 10, s)
+                for s in range(300) for n in [2 + s % 9])
+    if family == "recipes":
+        return (generate_line_consistent(random_recipe(s), s) for s in range(200))
+    if family == "collisions":
+        return [
+            # the star whose line edges p~q~r@s collide
+            new_signed_graph("sabcd", [("p", "s", "a", "+"), ("q~r", "s", "b", "+"),
+                                       ("p~q", "s", "c", "+"), ("r", "s", "d", "+")]),
+            # edges 1, 2 meet at x@y and 1, 2@x at y: both named 1~2@x@y
+            new_signed_graph(["x@y", "y", "c", "d"], [
+                ("1", "x@y", "y", "+"), ("2", "x@y", "c", "-"), ("2@x", "y", "d", "+")]),
+        ] + [_tilde_graph(s) for s in range(300)]
+    raise ValueError(family)

@@ -1,4 +1,5 @@
 import pytest
+from oracles import classify_structure_by_values, differential_corpus
 
 from lineconsistency import (
     GraphError,
@@ -599,3 +600,11 @@ def test_degenerate_inputs():
     # an all-negative degree-3 forest is still inconsistent
     forest = star("---")
     assert not any(check(forest).line_consistent for check in ALL_CHECKS)
+
+
+@pytest.mark.parametrize("family", ["exhaustive", "random", "recipes", "collisions"])
+def test_classifier_matches_the_edge_value_classifier(family):
+    """The classifier reads the columns and the traversal's block labels;
+    the one it replaced, which read edge values, is kept in ``oracles``."""
+    for graph in differential_corpus(family):
+        assert classify_structure(graph) == classify_structure_by_values(graph)

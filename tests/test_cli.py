@@ -1,11 +1,15 @@
 import json
+from collections import Counter
 
 import pytest
 
 from lineconsistency import (
     CircleLimitError,
+    generate_line_consistent,
     line_edge_id,
     new_signed_graph,
+    random_recipe,
+    random_signed_graph,
     write_signed_graph,
 )
 from lineconsistency.cli import main
@@ -182,6 +186,27 @@ class TestCheck:
                 f"ii: NOT line consistent (clause: {clause})\n"
                 f"ii: witness {witness}\n"
             ))
+        assert built_edge_values == []
+
+    def test_all_methods_build_no_edge_values(self, tmp_path, capsys, built_edge_values):
+        """``check --witness`` with every method (the classifier, the line
+        graph and the oracle among them) on small seeded graphs: random
+        multigraphs of 2-7 vertices and up to 12 edges across negative
+        shares, recipe graphs, and ids whose line-graph edge ids collide."""
+        graphs = [
+            random_signed_graph(n, min(i % 13, n * (n - 1)), (i // 6) % 7 / 6, i)
+            for i in range(84) for n in [2 + i % 6]
+        ]
+        graphs += [generate_line_consistent(random_recipe(s), s) for s in range(6)]
+        graphs.append(new_signed_graph(["x@y", "y", "c", "d"], [
+            ("1", "x@y", "y", "+"), ("2", "x@y", "c", "+"), ("2@x", "y", "d", "+")]))
+        codes = Counter()
+        for i, graph in enumerate(graphs):
+            path = tmp_path / f"{i}.json"
+            path.write_text(write_signed_graph(graph))
+            codes[main(["check", str(path), "--witness"])] += 1
+        assert codes[0] > 20 and codes[1] > 20 and codes[2] == 1 and not codes[3]
+        assert "oracle: witness" in capsys.readouterr().out
         assert built_edge_values == []
 
     def test_duplicate_vertex_id_exits_2(self, tmp_path, capsys):

@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from lineconsistency import (
     Circle,
+    Edge,
     GraphError,
+    MarkedGraph,
+    MarkedVertex,
     Sign,
     SignedEdge,
     SignedGraph,
@@ -368,6 +371,97 @@ class TestMarkedGraph:
     def test_loop_rejected(self):
         with pytest.raises(GraphError, match="loop"):
             new_marked_graph([("x", "+")], [("d1", "x", "x")])
+
+    @staticmethod
+    def unsorted():
+        """The marked graph y(-) x(+) z(+), edges d2, d1 on x-y, d3 on y-z,
+        each given out of id order, from values and from items."""
+        vertices = (MarkedVertex("y", Sign.NEGATIVE), MarkedVertex("x", Sign.POSITIVE),
+                    MarkedVertex("z", Sign.POSITIVE))
+        edges = (Edge("d2", "y", "x"), Edge("d1", "x", "y"), Edge("d3", "z", "y"))
+        items = new_marked_graph([("y", "-"), ("x", "+"), ("z", "+")],
+                                 [("d2", "y", "x"), ("d1", "x", "y"), ("d3", "z", "y")])
+        return MarkedGraph(vertices, edges), items
+
+    def test_values_sorted_and_equal_across_constructions(self):
+        values, items = self.unsorted()
+        expected_vertices = (MarkedVertex("x", Sign.POSITIVE),
+                             MarkedVertex("y", Sign.NEGATIVE),
+                             MarkedVertex("z", Sign.POSITIVE))
+        expected_edges = (Edge("d1", "x", "y"), Edge("d2", "x", "y"), Edge("d3", "y", "z"))
+        for graph in (values, items):
+            assert graph.vertices == expected_vertices
+            assert graph.edges == expected_edges
+            assert graph.vertex_ids == ("x", "y", "z")
+            assert graph.negative_vertex_ids == ("y",)
+            assert [graph.mark(v) for v in "xyz"] == [Sign.POSITIVE, Sign.NEGATIVE,
+                                                      Sign.POSITIVE]
+            assert graph.edge_triples() == (("d1", "x", "y"), ("d2", "x", "y"),
+                                            ("d3", "y", "z"))
+        assert values == items and hash(values) == hash(items)
+        assert MarkedGraph(expected_vertices, expected_edges) == values
+
+    def test_graphs_differing_in_a_mark_or_an_edge_differ(self):
+        values, _ = self.unsorted()
+        flipped = new_marked_graph([("x", "+"), ("y", "+"), ("z", "+")],
+                                   [("d1", "x", "y"), ("d2", "x", "y"), ("d3", "y", "z")])
+        moved = new_marked_graph([("x", "+"), ("y", "-"), ("z", "+")],
+                                 [("d1", "x", "y"), ("d2", "x", "z"), ("d3", "y", "z")])
+        assert values != flipped and values != moved
+        signed = new_signed_graph("xyz", [("d1", "x", "y", "+"), ("d2", "x", "y", "+"),
+                                          ("d3", "y", "z", "+")])
+        assert values != signed and signed != values
+
+    def test_repr(self):
+        values, items = self.unsorted()
+        assert repr(values) == repr(items) == (
+            "MarkedGraph(vertices=(MarkedVertex(id='x', sign=<Sign.POSITIVE: '+'>), "
+            "MarkedVertex(id='y', sign=<Sign.NEGATIVE: '-'>), "
+            "MarkedVertex(id='z', sign=<Sign.POSITIVE: '+'>)), "
+            "edges=(Edge(id='d1', u='x', v='y'), Edge(id='d2', u='x', v='y'), "
+            "Edge(id='d3', u='y', v='z')))"
+        )
+
+    def test_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        for graph in self.unsorted():
+            with pytest.raises(FrozenInstanceError):
+                graph.vertices = ()
+            with pytest.raises(FrozenInstanceError):
+                graph.edges = ()
+            with pytest.raises(FrozenInstanceError):
+                del graph.vertices
+        assert self.unsorted()[0] == self.unsorted()[1]
+
+    def test_empty(self):
+        empty = MarkedGraph()
+        assert (empty.vertices, empty.edges, empty.negative_vertex_ids) == ((), (), ())
+        assert empty == new_marked_graph([], []) == MarkedGraph((), ())
+        assert hash(empty) == hash(MarkedGraph())
+        assert repr(empty) == "MarkedGraph(vertices=(), edges=())"
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([("x", "+"), ("y", "-"), ("x", "-")], [], "vertices[2]: duplicate vertex id 'x'"),
+        ([("x", "+"), ("y", "-")], [("d2", "x", "y"), ("d1", "y", "x"), ("d2", "y", "x")],
+         "edges[2]: duplicate edge id 'd2'"),
+        ([("x", "+"), ("y", "-")], [("d1", "x", "y"), ("d2", "x", "w")],
+         "edges[1]: endpoint 'w' is not a vertex"),
+    ])
+    def test_errors_name_the_given_position(self, vertices, edges, message):
+        with pytest.raises(GraphError) as raised:
+            new_marked_graph(vertices, edges)
+        assert str(raised.value) == message
+        with pytest.raises(GraphError) as raised:
+            MarkedGraph([MarkedVertex(v, Sign.from_symbol(s)) for v, s in vertices],
+                        [Edge(*e) for e in edges])
+        assert str(raised.value) == message
+
+    def test_vertex_sign_symbols(self):
+        assert MarkedVertex("y", "-") == MarkedVertex("y", Sign.NEGATIVE)
+        assert MarkedGraph((MarkedVertex("y", "-"),)).negative_vertex_ids == ("y",)
+        with pytest.raises(GraphError, match="invalid sign"):
+            MarkedVertex("y", True)
 
 
 def test_structural_equality_is_order_independent():

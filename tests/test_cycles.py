@@ -115,9 +115,7 @@ class TestEnumerateCircles:
     def test_cycle_space_lower_bound(self, seed, n, m):
         g = random_signed_graph(n, min(m, n * (n - 1)), 0.5, seed)
         circles = enumerate_circles(g)
-        from lineconsistency._traversal import connected_components
-
-        components = len(connected_components(g.vertex_ids, g.edge_triples()))
+        components = len(g.traversal.components)
         betti = len(g.edges) - len(g.vertices) + components
         assert len(circles) >= betti
         assert (len(circles) == 0) == (betti == 0)

@@ -3,9 +3,15 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import write_marked_graph_by_document, write_signed_graph_by_document
+from oracles import (
+    differential_corpus,
+    export_dot_by_values,
+    write_marked_graph_by_document,
+    write_signed_graph_by_document,
+)
 
 from lineconsistency import (
+    GraphError,
     GraphFormatError,
     MarkedGraph,
     Recipe,
@@ -397,6 +403,20 @@ class TestDot:
     def test_byte_determinism(self):
         g = random_signed_graph(5, 6, 0.5, 9)
         assert export_dot(g) == export_dot(g)
+
+    @pytest.mark.parametrize("family", ["exhaustive", "recipes", "collisions", "escaped"])
+    def test_columns_match_the_edge_value_writer(self, family):
+        graphs = ([_escaping_graph()] if family == "escaped"
+                  else differential_corpus(family))
+        for graph in graphs:
+            report = classify_structure(graph)
+            assert export_dot(graph) == export_dot_by_values(graph)
+            assert export_dot(graph, report) == export_dot_by_values(graph, report)
+            try:
+                marked = line_graph(graph)
+            except GraphError:  # colliding line-graph edge ids
+                continue
+            assert export_dot(marked) == export_dot_by_values(marked)
 
 
 def test_structure_report_to_dict_is_json_friendly():

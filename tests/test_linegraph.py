@@ -1,6 +1,14 @@
 import math
 
+import pytest
+from oracles import (
+    differential_corpus,
+    line_graph_by_values,
+    write_marked_graph_by_document,
+)
+
 from lineconsistency import (
+    GraphError,
     Sign,
     circle_image,
     circle_vertex_sign,
@@ -10,6 +18,7 @@ from lineconsistency import (
     new_signed_graph,
     validate_circle,
     vertex_triangles,
+    write_marked_graph,
 )
 
 
@@ -59,6 +68,40 @@ class TestLineGraph:
                 math.comb(g.degree(v), 2) for v in g.vertices
             )
             assert len(m.edges) == expected
+
+
+class TestAgainstEdgeValues:
+    """``line_graph`` fills its columns straight from the graph's; the
+    builder it replaced, which read edge values, is kept in ``oracles``."""
+
+    @pytest.mark.parametrize("family", ["exhaustive", "random", "recipes", "collisions"])
+    def test_same_line_graph_or_same_error(self, family):
+        errors = 0
+        for graph in differential_corpus(family):
+            try:
+                expected = line_graph_by_values(graph)
+            except GraphError as exc:
+                errors += 1
+                with pytest.raises(GraphError) as raised:
+                    line_graph(graph)
+                assert str(raised.value) == str(exc)
+                continue
+            found = line_graph(graph)
+            assert found == expected and hash(found) == hash(expected)
+            assert found.negative_vertex_ids == expected.negative_vertex_ids
+            assert found.edge_triples() == expected.edge_triples()
+            assert write_marked_graph(found) == write_marked_graph_by_document(expected)
+            assert (found.vertices, found.edges) == (expected.vertices, expected.edges)
+            assert repr(found) == repr(expected)
+        # '~'/'@' ids: some line-graph edge ids collide, with the same message
+        assert (errors > 0) == (family == "collisions")
+
+    def test_collision_names_the_duplicate(self):
+        star_ids = new_signed_graph("sabcd", [
+            ("p", "s", "a", "+"), ("q~r", "s", "b", "+"), ("p~q", "s", "c", "+"),
+            ("r", "s", "d", "+")])
+        with pytest.raises(GraphError, match=r"^edges\[4\]: duplicate edge id 'p~q~r@s'$"):
+            line_graph(star_ids)
 
 
 class TestCircleImage:

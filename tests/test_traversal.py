@@ -136,3 +136,17 @@ def test_balance_matches_bipartite_subdivision(name, graph):
     assert (circle is None) == balanced
     if circle is not None:
         assert graph.sign_of_walk(circle).is_negative
+
+
+@pytest.mark.parametrize("name, graph", GRAPHS, ids=IDS)
+def test_block_labels_give_blocks_and_bridges(name, graph):
+    label, sizes = graph.traversal.block_labels
+    members = defaultdict(set)
+    for k, b in enumerate(label):
+        members[b].add(graph.edge_ids[k])
+    assert sorted(map(len, members.values())) == sorted(sizes)
+    assert {frozenset(m) for m in members.values()} \
+        == {b.edges for b in blocks(graph) if b.edges}
+    # an edge is a bridge exactly when it is alone in its block
+    assert {graph.edge_ids[k] for k, b in enumerate(label) if sizes[b] == 1} \
+        == find_isthmi(graph)
