@@ -1,16 +1,17 @@
 """Circle enumeration and the definitional balance/consistency oracles.
 
-The enumerator works on signed or marked multigraphs: digons come from
-unordered parallel-edge pairs, longer circles from an elementary vertex-cycle
-search confined to biconnected blocks, expanded over every choice of parallel
-edge.  Cycle counts grow exponentially, so enumeration carries a hard cap;
-these oracles are desk-scale tools by design.
+Both search signed or marked multigraphs on their integer columns: digons
+come from parallel-edge groups, longer circles from a depth-first vertex-cycle
+search in each block that prunes every branch closing no circle, expanded over
+every choice of parallel edge.  So the work per circle is polynomial and the
+cap bounds time too; only the number of circles grows exponentially.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from itertools import combinations, compress, product
+from math import comb, prod
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .core import Circle, GraphError, Sign, SignedGraph, sign_product
@@ -27,49 +28,99 @@ class ConsistencyResult(NamedTuple):
     witness: Optional[Circle]
 
 
-def _parallel_groups(edge_triples):
-    groups = defaultdict(list)
-    for eid, u, v in edge_triples:
-        groups[(min(u, v), max(u, v))].append(eid)
-    return {pair: sorted(eids) for pair, eids in sorted(groups.items())}
+def _adjacency(graph, edges) -> dict:
+    """The simple graph under the edge numbers ``edges`` (ascending): vertex
+    -> {neighbour: the edges joining them}, both in index (= id) order."""
+    tail, ends, groups, adj = graph.tail, graph.ends, {}, {}
+    for k in edges:
+        a = tail[k]
+        groups.setdefault((a, a ^ ends[k]), []).append(k)
+    for (a, b), group in sorted(groups.items()):
+        adj.setdefault(a, {})[b] = group
+        adj.setdefault(b, {})[a] = group
+    return adj
 
 
-def _simple_adjacency(vertex_ids, edge_triples):
-    """The underlying simple graph: vertex -> sorted distinct neighbours, and
-    the parallel groups (sorted endpoint pair -> sorted edge ids)."""
-    pair_edges = _parallel_groups(edge_triples)
-    adj = {x: [] for x in vertex_ids}
-    for u, v in pair_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {x: tuple(sorted(ws)) for x, ws in adj.items()}, pair_edges
+def _extensions(adj, path, blocked) -> list:
+    """The search's moves from the end of ``path`` (path[0] is the start), in
+    neighbour order: the start when it closes a cycle of length >= 3 with
+    path[1] < path[-1], and each neighbour w outside ``blocked`` that reaches
+    a neighbour y > path[1] (y > w at the root) of the start outside
+    ``blocked``; the other branches close no counted cycle (Read & Tarjan
+    1975, Networks 5(3)), so every search node leads to one."""
+    start, last = path[0], path[-1]
+    moves, reach = [], {}  # reach[x]: the greatest start neighbour x reaches
+    for w in adj[last]:
+        if w == start:
+            if len(path) > 2 and path[1] < last:
+                moves.append(w)
+        elif w not in blocked:
+            if w not in reach:
+                part, top = [w], -1
+                reach[w] = -1
+                for x in part:  # part grows as the search reaches vertices
+                    for y in adj[x]:
+                        if y == start:
+                            if x > top:
+                                top = x
+                        elif y not in blocked and y not in reach:
+                            reach[y] = -1
+                            part.append(y)
+                reach.update(dict.fromkeys(part, top))
+            if reach[w] > (path[1] if len(path) > 1 else w):
+                moves.append(w)
+    return moves
 
 
-def _vertex_cycles_through(adj, start, banned):
-    """Elementary vertex cycles (length >= 3) through ``start``.
-
-    ``adj`` maps vertex -> sorted distinct neighbours.  Cycles visiting any
-    vertex in ``banned`` are skipped; each cycle is produced once (the reverse
-    traversal is suppressed by requiring path[1] < path[-1]).
-    """
-    path = [start]
-    on_path = {start}
-    stack = [iter(adj[start])]
+def _vertex_cycles(adj, start, banned):
+    """Elementary vertex cycles (length >= 3) through ``start`` avoiding
+    ``banned``, in depth-first order, with the edges joining their pairs."""
+    path, blocked = [start], {start, *banned}
+    stack = [iter(_extensions(adj, path, blocked))]
     while stack:
         w = next(stack[-1], None)
         if w is None:
             stack.pop()
-            on_path.discard(path.pop())
-            continue
-        if w == start:
-            if len(path) >= 3 and path[1] < path[-1]:
-                yield tuple(path)
-            continue
-        if w in on_path or w in banned:
-            continue
-        path.append(w)
-        on_path.add(w)
-        stack.append(iter(adj[w]))
+            blocked.discard(path.pop())
+        elif w == start:
+            yield tuple(path), [adj[a][b] for a, b in zip(path, path[1:] + path[:1])]
+        else:
+            path.append(w)
+            blocked.add(w)
+            stack.append(iter(_extensions(adj, path, blocked)))
+
+
+def _cycles_through(graph, targets):
+    """Every vertex cycle through a vertex of the set ``targets``, in emission
+    order, as (vertices, an iterator over its circles' edge numbers, their
+    count): first the digons touching a target, by endpoint pair; then, block
+    by block by sorted vertex list, the longer cycles through each target of
+    the block avoiding its lesser targets, over every choice of parallel edge.
+    Only the blocks holding a target are read."""
+    label, sizes = graph.traversal.block_labels
+    touched = {label[k] for v in targets for k in graph.incidence[v] if sizes[label[k]] > 1}
+    members = {}
+    for k in compress(range(len(label)), map(touched.__contains__, label)):
+        members.setdefault(label[k], []).append(k)
+    blocks = sorted((_adjacency(graph, edges) for edges in members.values()), key=sorted)
+    digons = [((a, b), group) for adj in blocks for a, nbrs in adj.items()
+              for b, group in nbrs.items() if a < b and len(group) > 1]
+    for pair, group in sorted(digons):
+        if not targets.isdisjoint(pair):
+            yield pair, combinations(group, 2), comb(len(group), 2)
+    for adj in blocks:
+        block_targets = sorted(targets.intersection(adj))
+        for i, t in enumerate(block_targets):
+            for cycle, choices in _vertex_cycles(adj, t, block_targets[:i]):
+                yield cycle, product(*choices), prod(map(len, choices))
+
+
+def _circle(graph, cycle, edges) -> Circle:
+    """The canonical circle along the vertex numbers ``cycle`` and the edge
+    numbers ``edges``, built once (``Circle.canonical`` reads only them)."""
+    return Circle.canonical(SimpleNamespace(
+        edges=tuple(map(graph.edge_ids.__getitem__, edges)),
+        vertices=tuple(map(graph.vertex_ids.__getitem__, cycle))))
 
 
 def circles_through(graph, targets, max_circles):
@@ -79,58 +130,14 @@ def circles_through(graph, targets, max_circles):
     is yielded exactly once: at its first target in sorted order.  Raises
     CircleLimitError once more than ``max_circles`` circles are yielded.
     """
+    numbers = range(len(graph.vertex_ids)) if targets is None else map(graph._vertex, targets)
     count = 0
-
-    def emit(circle):
-        nonlocal count
-        count += 1
-        if count > max_circles:
-            raise CircleLimitError(f"more than {max_circles} circles")
-        return circle
-
-    target_set = set(graph.vertex_ids if targets is None else targets)
-    # a circle through a target, digons included, lies in a block holding it
-    blocks = [b for b in graph.traversal.blocks if not b[0].isdisjoint(target_set)]
-    by_id = {eid: (eid, *graph._endpoints(graph._edge_number(eid)))
-             for b in blocks for eid in b[1]}
-    for (u, v), eids in _parallel_groups(by_id.values()).items():
-        if len(eids) < 2:
-            continue
-        if u not in target_set and v not in target_set:
-            continue
-        for a, b in itertools.combinations(eids, 2):
-            yield emit(Circle((a, b), (u, v)).canonical())
-
-    for block_vertices, block_edges in blocks:
-        if len(block_edges) < 3:
-            continue
-        block_targets = sorted(block_vertices & target_set)
-        adj, pair_edges = _simple_adjacency(block_vertices, map(by_id.get, block_edges))
-        for i, t in enumerate(block_targets):
-            banned = set(block_targets[:i])
-            for vertex_cycle in _vertex_cycles_through(adj, t, banned):
-                pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
-                choices = [pair_edges[(min(a, b), max(a, b))] for a, b in pairs]
-                for combo in itertools.product(*choices):
-                    yield emit(Circle(combo, vertex_cycle).canonical())
-
-
-def _first_circle_through(adj, pair_edges, target, banned):
-    """The first circle through ``target`` avoiding ``banned``, or None, in a
-    graph given by ``_simple_adjacency``.
-
-    Deterministic (sorted adjacency, lexicographically least parallel edges);
-    used as a fast path by the consistency oracle.
-    """
-    for w in adj[target]:
-        pair = (min(target, w), max(target, w))
-        if len(pair_edges[pair]) >= 2 and w not in banned:
-            return Circle(tuple(pair_edges[pair][:2]), pair).canonical()
-    for vertex_cycle in _vertex_cycles_through(adj, target, banned):
-        pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
-        edges = tuple(pair_edges[(min(a, b), max(a, b))][0] for a, b in pairs)
-        return Circle(edges, vertex_cycle).canonical()
-    return None
+    for cycle, combos, _ in _cycles_through(graph, set(numbers)):
+        for combo in combos:
+            count += 1
+            if count > max_circles:
+                raise CircleLimitError(f"more than {max_circles} circles")
+            yield _circle(graph, cycle, combo)
 
 
 def enumerate_circles(graph, *, max_circles: int = DEFAULT_CIRCLE_CAP) -> list:
@@ -186,22 +193,31 @@ def is_consistent_oracle(marked, *,
     """Consistency by definition, with a violating circle as witness.
 
     Circles avoiding every negative vertex are positive by inspection, so only
-    circles through a negative vertex are enumerated.  A fast pass first looks
+    circles through a negative vertex are searched.  A fast pass first looks
     for a circle through exactly one negative vertex (such a circle is negative
-    outright, and enumeration order can otherwise bury it in dense graphs);
-    the full restricted enumeration then decides, returning the first negative
-    circle found in deterministic order as witness.
+    outright, and search order can otherwise bury it in dense graphs); the
+    ``circles_through`` search then decides, returning its first negative
+    circle as witness.  A vertex cycle's sign is the parity of its marks, so
+    its parallel-edge choices are counted against the cap, not built.
     """
-    targets = marked.negative_vertex_ids
+    marks = marked.marks
+    targets = set(compress(range(len(marks)), marks))
     if not targets:
         return ConsistencyResult(True, None)
-    target_set = set(targets)
-    adj, pair_edges = _simple_adjacency(marked.vertex_ids, marked.edge_triples())
-    for t in targets:
-        circle = _first_circle_through(adj, pair_edges, t, target_set - {t})
-        if circle is not None:
-            return ConsistencyResult(False, circle)
-    for circle in circles_through(marked, targets, max_circles):
-        if sign_product(marked.mark(v) for v in circle.vertices).is_negative:
-            return ConsistencyResult(False, circle)
+    adj = _adjacency(marked, range(len(marked.edge_ids)))
+    for t in sorted(targets.intersection(adj)):
+        others = targets - {t}
+        for w, edges in adj[t].items():
+            if len(edges) > 1 and w not in others:
+                return ConsistencyResult(False, _circle(marked, (t, w), edges[:2]))
+        for cycle, choices in _vertex_cycles(adj, t, others):
+            return ConsistencyResult(False, _circle(marked, cycle, [c[0] for c in choices]))
+    count = 0
+    for cycle, combos, circles in _cycles_through(marked, targets):
+        negative = sum(map(marks.__getitem__, cycle)) & 1
+        count += 1 if negative else circles  # a negative one ends at its first
+        if count > max_circles:
+            raise CircleLimitError(f"more than {max_circles} circles")
+        if negative:
+            return ConsistencyResult(False, _circle(marked, cycle, next(combos)))
     return ConsistencyResult(True, None)

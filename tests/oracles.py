@@ -5,13 +5,14 @@ found as an edge subset forming a connected 2-regular subgraph.  Exponential,
 for tiny graphs only.  The slot-list sampler, the edge-value recipe builder
 and the document writers are the references for the seeded generators and
 the JSON writers; the edge-value line graph, structural classifier and DOT
-writer are the references for the column-built ones.
+writer are the references for the column-built ones; the string-dict
+circle search is the reference for the one on the integer columns.
 """
 
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 from lineconsistency.analysis import (
     ComponentReport,
@@ -21,14 +22,21 @@ from lineconsistency.analysis import (
     is_balanced_fast,
 )
 from lineconsistency.core import (
+    Circle,
     Edge,
     MarkedGraph,
     MarkedVertex,
     Sign,
     SignedEdge,
     SignedGraph,
+    new_marked_graph,
     new_signed_graph,
     sign_product,
+)
+from lineconsistency.cycles import (
+    DEFAULT_CIRCLE_CAP,
+    CircleLimitError,
+    ConsistencyResult,
 )
 from lineconsistency.generate import (
     exhaustive_signed_graphs,
@@ -390,6 +398,19 @@ def _tilde_graph(seed):
     return new_signed_graph(vertices, edges)
 
 
+def random_marked_multigraph(seed):
+    """A random marked multigraph of 1-8 vertices and up to 14 edges, with
+    parallel edges, a random share of negative vertices, and ids whose order
+    differs from the order of construction."""
+    rng = random.Random(seed)
+    vertices = rng.sample([f"v{i}" for i in range(20)], rng.randint(1, 8))
+    edges = [(f"e{rng.randrange(100)}.{j}", *rng.sample(vertices, 2))
+             for j in range(rng.randint(0, 14) if len(vertices) > 1 else 0)]
+    share = rng.random()
+    return new_marked_graph(
+        [(v, "-" if rng.random() < share else "+") for v in vertices], edges)
+
+
 def differential_corpus(family):
     """The graphs column-built code is compared with its reference on."""
     if family == "exhaustive":
@@ -399,6 +420,12 @@ def differential_corpus(family):
                 for s in range(300) for n in [2 + s % 9])
     if family == "recipes":
         return (generate_line_consistent(random_recipe(s), s) for s in range(200))
+    if family == "crossval":
+        # the shapes of the crossval-small benchmark: 2-7 vertices, up to 12
+        # edges, negative shares from 0 to 1, and one recipe graph in eight
+        return (generate_line_consistent(random_recipe(i), i) if i % 8 == 7 else
+                random_signed_graph(n, min(i // 6 % 13, n * (n - 1)), i // 3 % 7 / 6, i)
+                for i in range(480) for n in [2 + i % 6])
     if family == "collisions":
         return [
             # the star whose line edges p~q~r@s collide
@@ -409,3 +436,111 @@ def differential_corpus(family):
                 ("1", "x@y", "y", "+"), ("2", "x@y", "c", "-"), ("2@x", "y", "d", "+")]),
         ] + [_tilde_graph(s) for s in range(300)]
     raise ValueError(family)
+
+
+def _parallel_groups(edge_triples):
+    groups = defaultdict(list)
+    for eid, u, v in edge_triples:
+        groups[(min(u, v), max(u, v))].append(eid)
+    return {pair: sorted(eids) for pair, eids in sorted(groups.items())}
+
+
+def _simple_adjacency(vertex_ids, edge_triples):
+    pair_edges = _parallel_groups(edge_triples)
+    adj = {x: [] for x in vertex_ids}
+    for u, v in pair_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {x: tuple(sorted(ws)) for x, ws in adj.items()}, pair_edges
+
+
+def _vertex_cycles_through(adj, start, banned):
+    """Elementary vertex cycles (length >= 3) through ``start`` avoiding
+    ``banned``, by an unpruned search over every simple path; each once
+    (path[1] < path[-1])."""
+    path = [start]
+    on_path = {start}
+    stack = [iter(adj[start])]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            on_path.discard(path.pop())
+            continue
+        if w == start:
+            if len(path) >= 3 and path[1] < path[-1]:
+                yield tuple(path)
+            continue
+        if w in on_path or w in banned:
+            continue
+        path.append(w)
+        on_path.add(w)
+        stack.append(iter(adj[w]))
+
+
+def circles_through_by_ids(graph, targets, max_circles):
+    """The enumerator ``cycles.circles_through`` replaced: string-dict
+    adjacency per block, every parallel-edge choice expanded."""
+    count = 0
+
+    def emit(circle):
+        nonlocal count
+        count += 1
+        if count > max_circles:
+            raise CircleLimitError(f"more than {max_circles} circles")
+        return circle
+
+    target_set = set(graph.vertex_ids if targets is None else targets)
+    blocks = [b for b in graph.traversal.blocks if not b[0].isdisjoint(target_set)]
+    by_id = {eid: (eid, *graph._endpoints(graph._edge_number(eid)))
+             for b in blocks for eid in b[1]}
+    for (u, v), eids in _parallel_groups(by_id.values()).items():
+        if len(eids) < 2:
+            continue
+        if u not in target_set and v not in target_set:
+            continue
+        for a, b in itertools.combinations(eids, 2):
+            yield emit(Circle((a, b), (u, v)).canonical())
+
+    for block_vertices, block_edges in blocks:
+        if len(block_edges) < 3:
+            continue
+        block_targets = sorted(block_vertices & target_set)
+        adj, pair_edges = _simple_adjacency(block_vertices, map(by_id.get, block_edges))
+        for i, t in enumerate(block_targets):
+            banned = set(block_targets[:i])
+            for vertex_cycle in _vertex_cycles_through(adj, t, banned):
+                pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
+                choices = [pair_edges[(min(a, b), max(a, b))] for a, b in pairs]
+                for combo in itertools.product(*choices):
+                    yield emit(Circle(combo, vertex_cycle).canonical())
+
+
+def _first_circle_through(adj, pair_edges, target, banned):
+    for w in adj[target]:
+        pair = (min(target, w), max(target, w))
+        if len(pair_edges[pair]) >= 2 and w not in banned:
+            return Circle(tuple(pair_edges[pair][:2]), pair).canonical()
+    for vertex_cycle in _vertex_cycles_through(adj, target, banned):
+        pairs = zip(vertex_cycle, vertex_cycle[1:] + vertex_cycle[:1])
+        edges = tuple(pair_edges[(min(a, b), max(a, b))][0] for a, b in pairs)
+        return Circle(edges, vertex_cycle).canonical()
+    return None
+
+
+def is_consistent_oracle_by_ids(marked, *, max_circles=DEFAULT_CIRCLE_CAP):
+    """The oracle ``cycles.is_consistent_oracle`` replaced: an unpruned fast
+    pass, then ``circles_through_by_ids``, signing every emitted circle."""
+    targets = marked.negative_vertex_ids
+    if not targets:
+        return ConsistencyResult(True, None)
+    target_set = set(targets)
+    adj, pair_edges = _simple_adjacency(marked.vertex_ids, marked.edge_triples())
+    for t in targets:
+        circle = _first_circle_through(adj, pair_edges, t, target_set - {t})
+        if circle is not None:
+            return ConsistencyResult(False, circle)
+    for circle in circles_through_by_ids(marked, targets, max_circles):
+        if sign_product(marked.mark(v) for v in circle.vertices).is_negative:
+            return ConsistencyResult(False, circle)
+    return ConsistencyResult(True, None)

@@ -289,13 +289,13 @@ class TestTheorem1:
         from lineconsistency import cycles
 
         searched = []
-        simple_adjacency = cycles._simple_adjacency
+        adjacency = cycles._adjacency
 
-        def counted(vertex_ids, edge_triples):
-            searched.append(vertex_ids)
-            return simple_adjacency(vertex_ids, edge_triples)
+        def counted(graph, edges):
+            searched.append(edges)
+            return adjacency(graph, edges)
 
-        monkeypatch.setattr(cycles, "_simple_adjacency", counted)
+        monkeypatch.setattr(cycles, "_adjacency", counted)
         # 20 negative squares, each hung by a positive isthmus at its vertex
         # vi from hi on a positive path h0 - h1 - ... - h19
         vertices, edges = [], []

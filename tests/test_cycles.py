@@ -15,7 +15,9 @@ from lineconsistency import (
     is_balanced_fast,
     is_balanced_oracle,
     is_consistent_oracle,
+    check_condition_ii,
     check_theorem1_simple,
+    cycles,
     line_graph,
     new_marked_graph,
     new_signed_graph,
@@ -23,7 +25,15 @@ from lineconsistency import (
     read_signed_graph,
     write_signed_graph,
 )
-from oracles import balanced_bruteforce, circle_edge_sets
+from lineconsistency.cycles import DEFAULT_CIRCLE_CAP
+from oracles import (
+    balanced_bruteforce,
+    circle_edge_sets,
+    circles_through_by_ids,
+    differential_corpus,
+    is_consistent_oracle_by_ids,
+    random_marked_multigraph,
+)
 
 
 def complete_graph(n, sign="+"):
@@ -280,3 +290,173 @@ class TestCircleVertexSign:
         )
         with pytest.raises(GraphError):
             circle_vertex_sign(m, Circle(("d1", "zz"), ("x", "y")))
+
+
+def k_family(k, negative_path=2):
+    """K_k on x0..x(k-1), all positive, with a negative path from u to v hung
+    from it by the positive edges u - x0 and v - x1.  In its line graph every
+    circle through a negative vertex passes through all the others."""
+    edges = [(f"p{a}{b}", f"x{a}", f"x{b}", "+")
+             for a, b in itertools.combinations(range(k), 2)]
+    path = ["u"] + [f"w{i}" for i in range(1, negative_path)] + ["v"]
+    edges += [(f"n{i}", a, b, "-") for i, (a, b) in enumerate(zip(path, path[1:]))]
+    edges += [("hu", "u", "x0", "+"), ("hv", "v", "x1", "+")]
+    return new_signed_graph([f"x{i}" for i in range(k)] + path, edges)
+
+
+def guarded_marks(negatives):
+    """K10 on c0..c9, all positive, and a path c1 - a - t - ... - u - c0
+    whose vertices t, ..., u are the negative ones: every circle through a
+    negative vertex passes through all the others."""
+    clique = [f"c{i}" for i in range(10)]
+    path = ["c1", "a", "t"] + [f"s{i}" for i in range(negatives - 2)] + ["u", "c0"]
+    edges = [(f"k{a}{b}", f"c{a}", f"c{b}") for a, b in itertools.combinations(range(10), 2)]
+    edges += [(f"q{i}", a, b) for i, (a, b) in enumerate(zip(path, path[1:]))]
+    return new_marked_graph(
+        [(v, "-" if v in path[2:-1] else "+") for v in clique + path[1:-1]], edges)
+
+
+def _oracle_outcome(oracle, marked, cap):
+    """The oracle's answer and witness, or its CircleLimitError message."""
+    try:
+        return oracle(marked, max_circles=cap)
+    except CircleLimitError as exc:
+        return str(exc)
+
+
+def _circle_list(through, graph, targets, cap):
+    """The circles a search yields, then its CircleLimitError message."""
+    found = []
+    try:
+        for circle in through(graph, targets, cap):
+            found.append(circle)
+    except CircleLimitError as exc:
+        found.append(str(exc))
+    return found
+
+
+def _marked_corpus(family):
+    if family == "marked":
+        return map(random_marked_multigraph, range(5_000))
+    graphs = []
+    for graph in differential_corpus(family):
+        try:
+            graphs.append(line_graph(graph))
+        except GraphError:  # colliding line-graph edge ids
+            pass
+    return graphs
+
+
+class TestSearchMatchesReference:
+    """The search on integer incidence against the string-dict search it
+    replaced, kept in ``oracles``: the same answers, witnesses, circle lists
+    and CircleLimitError messages."""
+
+    @pytest.mark.parametrize("family", ["crossval", "exhaustive", "collisions", "marked"])
+    def test_oracle_answer_witness_or_limit(self, family):
+        for marked in _marked_corpus(family):
+            for cap in (1, 2, 5, 50, DEFAULT_CIRCLE_CAP):
+                assert (_oracle_outcome(is_consistent_oracle, marked, cap)
+                        == _oracle_outcome(is_consistent_oracle_by_ids, marked, cap)), marked
+
+    @pytest.mark.parametrize("family", ["crossval", "exhaustive", "collisions", "marked"])
+    def test_circle_lists(self, family):
+        # the 6,256 exhaustive line graphs are left to the oracle test above:
+        # here they would take 7 s more
+        graphs = [] if family == "exhaustive" else list(_marked_corpus(family))
+        if family == "marked":  # the oracle's search: through the negative vertices
+            for graph in graphs:
+                negative = graph.negative_vertex_ids
+                assert (_circle_list(cycles.circles_through, graph, negative, 50)
+                        == _circle_list(circles_through_by_ids, graph, negative, 50)), graph
+        else:
+            graphs += differential_corpus(family)
+        for graph in graphs:
+            assert (_circle_list(cycles.circles_through, graph, None, 50)
+                    == _circle_list(circles_through_by_ids, graph, None, 50)), graph
+            if len(graph.edge_ids) <= 6:
+                assert enumerate_circles(graph) == list(
+                    circles_through_by_ids(graph, None, DEFAULT_CIRCLE_CAP))
+
+
+class TestSearchWork:
+    """Every search node below a root leads to a counted circle, at most
+    n - 1 levels down, and there are fewer than 3n roots: one per negative
+    vertex in the fast pass and one per target of each block.  So a search
+    that stops at its c-th counted circle makes at most (n - 1) * c + 3n
+    extension steps."""
+
+    @staticmethod
+    def budget(marked, circles):
+        return (len(marked.vertex_ids) - 1) * circles + 3 * len(marked.vertex_ids)
+
+    @pytest.fixture
+    def extensions(self, monkeypatch):
+        """The length of the path at each extension step."""
+        calls = []
+        extend = cycles._extensions
+
+        def counted(adj, path, blocked):
+            calls.append(len(path))
+            return extend(adj, path, blocked)
+
+        monkeypatch.setattr(cycles, "_extensions", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_k_family_reaches_the_cap_within_budget(self, k, extensions):
+        graph = k_family(k)
+        assert check_condition_ii(graph).line_consistent
+        marked = line_graph(graph)
+        with pytest.raises(CircleLimitError, match="more than 1000 circles"):
+            is_consistent_oracle(marked, max_circles=1000)
+        assert len(extensions) <= self.budget(marked, 1001)
+
+    def test_odd_negative_path_gives_a_witness_within_budget(self, extensions):
+        # every circle through a negative vertex holds all three
+        marked = line_graph(k_family(8, negative_path=3))
+        consistent, witness = is_consistent_oracle(marked, max_circles=1000)
+        assert not consistent and circle_vertex_sign(marked, witness) is Sign.NEGATIVE
+        assert len(extensions) <= self.budget(marked, 1)
+
+    @pytest.mark.parametrize("negatives", [2, 3])
+    def test_guarded_negative_vertices_within_budget(self, negatives, extensions):
+        marked = guarded_marks(negatives)
+        if negatives == 2:
+            with pytest.raises(CircleLimitError, match="more than 1000 circles"):
+                is_consistent_oracle(marked, max_circles=1000)
+        else:
+            consistent, witness = is_consistent_oracle(marked, max_circles=1000)
+            assert not consistent and circle_vertex_sign(marked, witness) is Sign.NEGATIVE
+        # the fast pass stops at each negative vertex's root, where no branch
+        # can close a circle; the full search's root then descends
+        assert extensions[:negatives + 2] == [1] * (negatives + 1) + [2]
+        assert len(extensions) <= self.budget(marked, 1001 if negatives == 2 else 1)
+
+
+class TestOracleBuildsOnlyItsWitness:
+    @pytest.fixture
+    def built_circles(self, monkeypatch):
+        built = []
+        post_init = Circle.__post_init__
+
+        def counted(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(Circle, "__post_init__", counted)
+        return built
+
+    def test_no_circle_on_a_consistent_line_graph(self, built_circles):
+        # 1,464 positive circles through the negative line vertices
+        assert is_consistent_oracle(line_graph(k_family(4))) == (True, None)
+        assert built_circles == []
+
+    @pytest.mark.parametrize("graph", [
+        k_family(4, negative_path=3),  # found by the full search
+        new_signed_graph("abc", [("e1", "a", "b", "-"), ("e2", "b", "c", "+"),
+                                 ("e3", "c", "a", "+")]),  # by the fast pass
+    ])
+    def test_one_circle_on_an_inconsistent_line_graph(self, graph, built_circles):
+        consistent, witness = is_consistent_oracle(line_graph(graph))
+        assert not consistent and built_circles == [witness]
