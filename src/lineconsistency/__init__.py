@@ -31,7 +31,6 @@ from .core import (
     Sign,
     SignedEdge,
     SignedGraph,
-    Walk,
     new_marked_graph,
     new_signed_graph,
     sign_product,
@@ -62,7 +61,7 @@ from .io import (
     write_marked_graph,
     write_signed_graph,
 )
-from .linegraph import circle_image, line_edge_id, line_graph, vertex_triangles
+from .linegraph import circle_image, line_edge_id, line_graph
 
 __version__ = "0.1.0"
 
@@ -83,7 +82,6 @@ __all__ = [
     "SignedGraph",
     "StructureReport",
     "Verdict",
-    "Walk",
     "blocks",
     "check_condition_i",
     "check_condition_ii",
@@ -113,7 +111,6 @@ __all__ = [
     "sign_product",
     "structure_report_to_dict",
     "validate_circle",
-    "vertex_triangles",
     "write_marked_graph",
     "write_signed_graph",
 ]

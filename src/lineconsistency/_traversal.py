@@ -1,7 +1,7 @@
 """One iterative depth-first search yielding bridges, blocks, components and
 switching balance.
 
-The search reads a graph's integer edge columns (``core._Multigraph``):
+``Traversal(graph)`` reads the integer columns off a ``core._Multigraph``:
 vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
 id order, joining ``tail[k]`` and ``tail[k] ^ ends[k]``, with ``negative[k]``
 its sign bit and ``incidence[i]`` the edges at vertex ``i`` in id order.
@@ -16,17 +16,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from operator import eq
-from typing import NamedTuple
-
-
-class Edges(NamedTuple):
-    """A multigraph's edges as columns, in edge-id order."""
-
-    ids: tuple
-    tail: list
-    ends: list
-    negative: list
-    incidence: list
 
 
 def incidence(n: int, tail, ends) -> list:
@@ -49,10 +38,12 @@ class Traversal:
     switching parities of its endpoints, or -1 when the graph is balanced.
     """
 
-    def __init__(self, vertex_ids, edges: Edges):
-        """Search the graph on ``vertex_ids`` (sorted) with these ``edges``."""
-        adj, ends, odd = edges.incidence, edges.ends, edges.negative
-        n = len(vertex_ids)
+    def __init__(self, graph):
+        """Search ``graph``, a ``core._Multigraph``, on its columns.  Only the
+        columns are kept: the graph caches its traversal, so keeping the graph
+        would make a reference cycle that only the collector frees."""
+        adj, ends, odd = graph.incidence, graph.ends, graph.negative
+        n = len(graph.vertex_ids)
         disc = [-1] * n
         low = [0] * n
         parent = [-1] * n
@@ -93,8 +84,8 @@ class Traversal:
                         p = ends[entering] ^ v
                         if low[v] < low[p]:
                             low[p] = low[v]
-        self.vertex_ids, self.edge_ids = vertex_ids, edges.ids
-        self.tail, self.ends, self.order = edges.tail, ends, order
+        self.vertex_ids, self.edge_ids = graph.vertex_ids, graph.edge_ids
+        self.tail, self.ends, self.order = graph.tail, ends, order
         self.disc, self.low, self.parent, self.conflict = disc, low, parent, conflict
 
     @property
@@ -152,21 +143,26 @@ class Traversal:
         return label, sizes
 
     @cached_property
-    def blocks(self) -> list:
-        """Blocks as (frozenset of vertex ids, frozenset of edge ids), sorted
-        by (least vertex, least edge id); isolated vertices are blocks with no
-        edges, and parallel edges share a block."""
+    def block_members(self) -> list:
+        """``block_members[b]``: the numbers of block b's edges, ascending."""
         label, sizes = self.block_labels
         members = [[] for _ in sizes]
         for k, b in enumerate(label):
             members[b].append(k)
+        return members
+
+    @cached_property
+    def blocks(self) -> list:
+        """Blocks as (frozenset of vertex ids, frozenset of edge ids), sorted
+        by (least vertex, least edge id); isolated vertices are blocks with no
+        edges, and parallel edges share a block."""
         ids, edge_ids, tail, ends = self.vertex_ids, self.edge_ids, self.tail, self.ends
         found = [
             (
                 frozenset(ids[x] for k in edges for x in (tail[k], tail[k] ^ ends[k])),
                 frozenset(edge_ids[k] for k in edges),
             )
-            for edges in members
+            for edges in self.block_members
         ]
         found.extend(
             (frozenset((ids[run[0]],)), frozenset())

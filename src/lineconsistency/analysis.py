@@ -16,7 +16,7 @@ Witnesses are derived from the failing clause of condition ii in linear time;
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import xor
 from typing import Optional
@@ -62,9 +62,6 @@ class Verdict:
     def __post_init__(self):
         if not self.line_consistent and self.failed_clause is None:
             raise GraphError("negative verdict requires a failed clause")
-
-    def with_witness(self, witness: Circle) -> "Verdict":
-        return replace(self, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
         return None
     if find_isthmi(graph):
         return None
-    if any(graph.degree(v) == 2 for v in graph.vertices):
+    if 2 in map(len, graph.incidence):
         return None
     return not any(graph.negative)
 

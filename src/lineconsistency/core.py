@@ -1,4 +1,4 @@
-"""Immutable data model: signed multigraphs, marked multigraphs, circles, walks.
+"""Immutable data model: signed multigraphs, marked multigraphs and circles.
 
 Edges carry explicit string identifiers so parallel edges stay distinguishable.
 A graph is stored as integer columns (``_Multigraph``): its sorted vertex
@@ -25,13 +25,13 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat, starmap
 from operator import eq, xor
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import _traversal
 
 
 class GraphError(ValueError):
-    """Invalid graph construction, lookup, or circle/walk validation."""
+    """Invalid graph construction, lookup, or circle validation."""
 
 
 class Sign(enum.Enum):
@@ -90,16 +90,6 @@ class Edge:
             u, v = self.v, self.u
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
-
-    def touches(self, vertex: str) -> bool:
-        return vertex in (self.u, self.v)
-
-    def other_endpoint(self, vertex: str) -> str:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise GraphError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
 
     @property
     def endpoints(self) -> frozenset:
@@ -197,9 +187,7 @@ class _Multigraph:
     def traversal(self) -> _traversal.Traversal:
         """The graph's one depth-first search: bridges, blocks, components
         and switching balance (an unsigned edge counts as positive)."""
-        return _traversal.Traversal(self.vertex_ids, _traversal.Edges(
-            self.edge_ids, self.tail, self.ends, self.negative, self.incidence
-        ))
+        return _traversal.Traversal(self)
 
     def _vertex(self, vertex: str) -> int:
         i = _find(self.vertex_ids, vertex)
@@ -304,19 +292,9 @@ class SignedGraph(_Multigraph):
     def _key(self) -> tuple:
         return (self.vertices, self.edge_ids, self.tail, self.ends, self.negative)
 
-    def is_totally_positive(self, vertex: str) -> bool:
-        return all(e.sign.is_positive for e in self.incident_edges(vertex))
-
-    def is_totally_negative(self, vertex: str) -> bool:
-        return all(e.sign.is_negative for e in self.incident_edges(vertex))
-
     @property
     def negative_edges(self) -> tuple:
         return tuple(e for e in self.edges if e.sign.is_negative)
-
-    @property
-    def positive_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e.sign.is_positive)
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
@@ -334,13 +312,10 @@ class SignedGraph(_Multigraph):
     def is_simple(self) -> bool:
         return len(set(zip(self.tail, self.ends))) == len(self.tail)
 
-    def sign_of_walk(self, walk: Union["Walk", "Circle"]) -> Sign:
-        """Product of edge signs along a walk or circle of this graph."""
-        if isinstance(walk, Circle):
-            odd = sum(map(self.negative.__getitem__, validate_circle(self, walk))) & 1
-            return Sign.NEGATIVE if odd else Sign.POSITIVE
-        _validate_walk(self, walk)
-        return sign_product(self.edge(eid).sign for eid in walk.edges)
+    def sign_of_walk(self, circle: Circle) -> Sign:
+        """Product of edge signs around a circle of this graph."""
+        odd = sum(map(self.negative.__getitem__, validate_circle(self, circle))) & 1
+        return Sign.NEGATIVE if odd else Sign.POSITIVE
 
 
 @dataclass(frozen=True)
@@ -443,37 +418,6 @@ class Circle:
         # the same circle traversed backwards from the least edge
         backwards = (edges[:1] + edges[:0:-1], vertices[1::-1] + vertices[:1:-1])
         return Circle(*min((edges, vertices), backwards))
-
-
-@dataclass(frozen=True)
-class Walk:
-    """An edge sequence where consecutive edges share an endpoint."""
-
-    edges: tuple = ()
-    closed: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-
-
-def _validate_walk(graph, walk: Walk) -> None:
-    if not walk.edges:
-        return
-    # Thread (start, current) vertex pairs through the edge sequence; a walk is
-    # valid iff some threading survives, and closes iff one returns to start.
-    first = graph.edge(walk.edges[0])
-    states = {(first.u, first.v), (first.v, first.u)}
-    for eid in walk.edges[1:]:
-        e = graph.edge(eid)
-        states = {
-            (start, e.other_endpoint(current))
-            for start, current in states
-            if e.touches(current)
-        }
-        if not states:
-            raise GraphError(f"walk breaks at edge {eid!r}: not incident")
-    if walk.closed and not any(start == current for start, current in states):
-        raise GraphError("closed walk does not return to its start vertex")
 
 
 def validate_circle(graph, circle: Circle) -> list:

@@ -96,13 +96,12 @@ def _cycles_through(graph, targets):
     count): first the digons touching a target, by endpoint pair; then, block
     by block by sorted vertex list, the longer cycles through each target of
     the block avoiding its lesser targets, over every choice of parallel edge.
-    Only the blocks holding a target are read."""
+    Only the blocks holding a target are read, from the traversal's grouping
+    of edges by block, which is made once per graph."""
     label, sizes = graph.traversal.block_labels
+    members = graph.traversal.block_members
     touched = {label[k] for v in targets for k in graph.incidence[v] if sizes[label[k]] > 1}
-    members = {}
-    for k in compress(range(len(label)), map(touched.__contains__, label)):
-        members.setdefault(label[k], []).append(k)
-    blocks = sorted((_adjacency(graph, edges) for edges in members.values()), key=sorted)
+    blocks = sorted((_adjacency(graph, members[b]) for b in touched), key=sorted)
     digons = [((a, b), group) for adj in blocks for a, nbrs in adj.items()
               for b, group in nbrs.items() if a < b and len(group) > 1]
     for pair, group in sorted(digons):

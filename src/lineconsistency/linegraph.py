@@ -4,9 +4,9 @@ The line graph has one vertex per edge of the input, marked with that edge's
 sign, and one edge per unordered pair of distinct input edges *per shared
 endpoint*, so a parallel pair in the input becomes a double edge here.
 ``line_graph`` fills its columns from the input's columns and builds no edge
-or vertex value.  Line-graph circles read off the base graph (circle images,
-vertex triangles, witnesses) are built by ``line_circle`` and checked against
-the base graph by ``verify_witness``; neither builds the line graph.
+or vertex value.  Line-graph circles read off the base graph (circle images and
+witnesses) are built by ``line_circle`` and checked against the base graph by
+``verify_witness``; neither builds the line graph.
 """
 
 from __future__ import annotations
@@ -76,17 +76,3 @@ def circle_image(circle: Circle) -> Circle:
     edge-sign product.
     """
     return line_circle(circle.edges, circle.vertices[1:] + circle.vertices[:1])
-
-
-def vertex_triangles(graph: SignedGraph) -> list:
-    """Triangles of the line graph from three edges meeting at one vertex.
-
-    One triangle per 3-subset of the incident edges of each vertex of degree
-    at least 3; its vertex-sign product equals the product of the three edge
-    signs.
-    """
-    return [
-        line_circle(triple, (v, v, v))
-        for v in graph.vertices
-        for triple in itertools.combinations([e.id for e in graph.incident_edges(v)], 3)
-    ]

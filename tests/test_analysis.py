@@ -243,6 +243,22 @@ class TestConditionIII:
         )
 
 
+def hung_squares(count):
+    """``count`` negative squares, each hung by a positive isthmus at its
+    vertex vi from hi on a positive path h0 - h1 - ...: vi is a degree-3
+    vertex whose two negative edges lie on its one circle."""
+    vertices, edges = [], []
+    for i in range(count):
+        h, v, a, b, c = (f"{x}{i}" for x in "hvabc")
+        vertices += [h, v, a, b, c]
+        edges += [(f"i{i}", h, v, "+"), (f"n{i}1", v, a, "-"),
+                  (f"n{i}2", a, b, "-"), (f"n{i}3", b, c, "-"),
+                  (f"n{i}4", c, v, "-")]
+        if i:
+            edges.append((f"p{i}", f"h{i - 1}", h, "+"))
+    return new_signed_graph(vertices, edges)
+
+
 class TestTheorem1:
     def test_star3_vacuous(self):
         assert check_theorem1_simple(star("+--")).line_consistent
@@ -296,19 +312,23 @@ class TestTheorem1:
             return adjacency(graph, edges)
 
         monkeypatch.setattr(cycles, "_adjacency", counted)
-        # 20 negative squares, each hung by a positive isthmus at its vertex
-        # vi from hi on a positive path h0 - h1 - ... - h19
-        vertices, edges = [], []
-        for i in range(20):
-            h, v, a, b, c = (f"{x}{i}" for x in "hvabc")
-            vertices += [h, v, a, b, c]
-            edges += [(f"i{i}", h, v, "+"), (f"n{i}1", v, a, "-"),
-                      (f"n{i}2", a, b, "-"), (f"n{i}3", b, c, "-"),
-                      (f"n{i}4", c, v, "-")]
-            if i:
-                edges.append((f"p{i}", f"h{i - 1}", h, "+"))
-        assert check_theorem1_simple(new_signed_graph(vertices, edges)).line_consistent
+        assert check_theorem1_simple(hung_squares(20)).line_consistent
         assert len(searched) == 20  # one square per tested vertex, not 20 each
+
+    def test_groups_the_block_labels_once_for_all_tested_vertices(self):
+        class CountedList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountedList.iterations += 1
+                return super().__iter__()
+
+        graph = hung_squares(20)
+        label, sizes = graph.traversal.block_labels
+        graph.traversal.__dict__["block_labels"] = (CountedList(label), sizes)
+        assert check_theorem1_simple(graph).line_consistent
+        # one grouping pass over the edges' block labels, not one per square
+        assert CountedList.iterations == 1
 
     def test_agrees_with_condition_ii_on_simple_graphs(self):
         for g in exhaustive_signed_graphs(4, 5):
@@ -581,14 +601,6 @@ class TestVerdict:
 
         with pytest.raises(GraphError):
             Verdict(False)
-
-    def test_with_witness(self):
-        g = star("---")
-        verdict = check_condition_ii(g)
-        witness = find_witness(g, verdict)
-        attached = verdict.with_witness(witness)
-        assert attached.witness == witness
-        assert attached.failed_clause == verdict.failed_clause
 
 
 def test_degenerate_inputs():

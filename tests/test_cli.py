@@ -123,9 +123,9 @@ class TestCheck:
         searched = []
 
         class Counted(_traversal.Traversal):
-            def __init__(self, vertex_ids, edges):
-                searched.append(vertex_ids)
-                super().__init__(vertex_ids, edges)
+            def __init__(self, graph):
+                searched.append(graph.vertex_ids)
+                super().__init__(graph)
 
         monkeypatch.setattr(_traversal, "Traversal", Counted)
         # no local clause fails; the triangle with one negative edge is

@@ -12,7 +12,6 @@ from lineconsistency import (
     Sign,
     SignedEdge,
     SignedGraph,
-    Walk,
     check_condition_ii,
     classify_structure,
     new_marked_graph,
@@ -134,13 +133,6 @@ class TestAccessors:
         with pytest.raises(GraphError, match="unknown vertex"):
             triangle().degree("z")
 
-    def test_totally_positive(self):
-        assert triangle().is_totally_positive("a")
-        assert not star3("+--").is_totally_positive("c")
-        isolated = new_signed_graph("a", [])
-        assert isolated.is_totally_positive("a")
-        assert isolated.is_totally_negative("a")
-
     def test_negative_subgraph(self):
         assert triangle().negative_subgraph().edges == ()
         c4 = new_signed_graph(
@@ -201,57 +193,6 @@ class TestWalks:
         monkeypatch.setattr(SignedGraph, "_edge_number", counted)
         assert graph.sign_of_walk(circle) is Sign.NEGATIVE
         assert calls == list(circle.edges)
-
-    def test_walk_validation(self):
-        g = triangle()
-        assert g.sign_of_walk(Walk(("e1", "e2"))) is Sign.POSITIVE
-        with pytest.raises(GraphError, match="unknown edge"):
-            g.sign_of_walk(Walk(("e1", "zz")))
-        path = new_signed_graph(
-            "abcd", [("e1", "a", "b", "+"), ("e2", "c", "d", "+")]
-        )
-        with pytest.raises(GraphError, match="not incident"):
-            path.sign_of_walk(Walk(("e1", "e2")))
-
-    def test_closed_walk_must_return(self):
-        g = new_signed_graph(
-            "abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "+")]
-        )
-        with pytest.raises(GraphError, match="return"):
-            g.sign_of_walk(Walk(("e1", "e2"), closed=True))
-        assert triangle().sign_of_walk(
-            Walk(("e1", "e2", "e3"), closed=True)
-        ) is Sign.POSITIVE
-
-    @staticmethod
-    def _random_walk(g, seed, length):
-        import random
-
-        rng = random.Random(seed)
-        if not g.edges:
-            return None
-        e = rng.choice(g.edges)
-        edges = [e.id]
-        current = rng.choice((e.u, e.v))
-        for _ in range(length):
-            incident = g.incident_edges(current)
-            e = rng.choice(incident)
-            edges.append(e.id)
-            current = e.other_endpoint(current)
-        return Walk(tuple(edges))
-
-    @given(st.integers(0, 500), st.integers(2, 6), st.integers(1, 8),
-           st.integers(1, 10), st.integers(1, 9))
-    def test_concatenation_multiplies_signs(self, seed, n, m, length, cut):
-        g = random_signed_graph(n, min(m, n * (n - 1)), 0.5, seed)
-        walk = self._random_walk(g, seed, length)
-        if walk is None:
-            return
-        cut = min(cut, len(walk.edges) - 1)
-        head, tail = Walk(walk.edges[:cut]), Walk(walk.edges[cut:])
-        assert g.sign_of_walk(walk) is (
-            g.sign_of_walk(head) * g.sign_of_walk(tail)
-        )
 
     @given(st.integers(0, 500), st.integers(1, 7), st.integers(0, 12))
     def test_degree_sum(self, seed, n, m):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -17,9 +18,9 @@ from lineconsistency import (
     line_graph,
     new_signed_graph,
     validate_circle,
-    vertex_triangles,
     write_marked_graph,
 )
+from lineconsistency.linegraph import line_circle
 
 
 def star(k, signs=None):
@@ -125,19 +126,18 @@ class TestCircleImage:
 
 
 class TestVertexTriangles:
-    def test_counts(self):
-        assert len(vertex_triangles(star(3))) == 1
-        assert len(vertex_triangles(star(4))) == 4
-        triangle = new_signed_graph(
-            "abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "+"),
-                    ("e3", "c", "a", "+")]
-        )
-        assert vertex_triangles(triangle) == []
-
     def test_triangles_are_line_graph_circles(self):
+        # three edges at one vertex give a line-graph triangle, built as the
+        # condition-ii witnesses build theirs
         g = star(4, "+--+")
         m = line_graph(g)
-        for t in vertex_triangles(g):
+        triangles = [
+            line_circle(triple, (v, v, v))
+            for v in g.vertices
+            for triple in itertools.combinations([e.id for e in g.incident_edges(v)], 3)
+        ]
+        assert len(triangles) == 4
+        for t in triangles:
             validate_circle(m, t)
             signs = [m.mark(v) for v in t.vertices]
             product = Sign.POSITIVE

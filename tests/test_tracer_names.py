@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps functions at the names their callers look
-them up under; every such name must stay bound where the tracer reads it."""
+them up under; every such name must stay bound where the tracer reads it,
+and an import no module reads is allowed only when the tracer wraps it."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -23,3 +25,31 @@ def test_every_traced_name_is_bound_on_its_owner():
         f"{owner.__name__}.{attr}" for owner, attr in names if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def unused_imports(path):
+    """The names ``path``'s imports bind that the module never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a binding the tracer wraps may be imported only so that it can be wrapped
+    traced = {(owner.__name__, attr) for owner, attr, _, _ in load_tracer().SPANS}
+    traced.add((analysis.__name__, "circle_vertex_sign"))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(Path(analysis.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in sorted(unused_imports(path))
+        if (f"lineconsistency.{path.stem}", name) not in traced
+    ]
+    assert not unused
