@@ -7,13 +7,13 @@ vertex ids, and a negative bit per edge.  The depth-first search, condition
 ii, circle checks and witnesses read the columns and find an id by bisecting
 the sorted ids, so checking a circle of length L costs O(L log m).  A marked
 graph has the same columns plus a negative bit per vertex.  Edge and vertex
-values (``SignedEdge``, ``Edge``, ``MarkedVertex``) are built only when a
-caller asks for ``edges``, a marked graph's ``vertices``, ``edge()`` or
-``incident_edges()``; a graph built from values keeps them.  The graph
-constructors are the one place the graph invariants are checked: unique
-vertex ids, unique edge ids, no loops, and both endpoints among the
-vertices; a violation names its position in the given order (``vertices[i]``
-or ``edges[i]``).  All values are frozen and every transform returns a new
+values (``SignedEdge``, ``Edge``, ``MarkedVertex``) are derived from the
+columns when a caller asks for ``edges``, a marked graph's ``vertices``,
+``edge()`` or ``incident_edges()``.  Every graph is filled from columns, and
+that is the one place the graph invariants are checked: unique vertex ids,
+unique edge ids, no loops, and both endpoints among the vertices; a
+violation names its position in the given order (``vertices[i]`` or
+``edges[i]``).  All values are frozen and every transform returns a new
 value, so everything here is safe to share between threads.
 """
 
@@ -164,9 +164,9 @@ class _Multigraph:
     derived from these columns.
     """
 
-    def _store_columns(self, vertex_ids, edge_ids, us, vs, negative) -> list:
+    def _store_columns(self, vertex_ids, edge_ids, us, vs, negative) -> None:
         """Check the invariants on the given order, then store the columns
-        in id order; return that order as positions in the given one."""
+        in id order."""
         vertices, order, ids, a, b = _check(vertex_ids, edge_ids, us, vs)
         a, b = list(map(a.__getitem__, order)), list(map(b.__getitem__, order))
         self.__dict__.update(
@@ -176,7 +176,6 @@ class _Multigraph:
             ends=list(map(xor, a, b)),
             negative=list(map(negative.__getitem__, order)),
         )
-        return order
 
     @cached_property
     def incidence(self) -> list:
@@ -215,9 +214,6 @@ class _Multigraph:
     def edge(self, edge_id: str) -> Edge:
         return self.edges[self._edge_number(edge_id)]
 
-    def has_edge(self, edge_id: str) -> bool:
-        return _find(self.edge_ids, edge_id) >= 0
-
     def incident_edges(self, vertex: str) -> tuple:
         edges = self.edges
         return tuple(edges[k] for k in self.incidence[self._vertex(vertex)])
@@ -252,15 +248,8 @@ class SignedGraph(_Multigraph):
     """
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable = ()):
-        edges, negative = tuple(edges), Sign.NEGATIVE
-        self.__post_init__(
-            tuple(vertices),
-            [e.id for e in edges],
-            [e.u for e in edges],
-            [e.v for e in edges],
-            [e.sign is negative for e in edges],
-            edges,
-        )
+        rows = [(e.id, e.u, e.v, e.sign is Sign.NEGATIVE) for e in edges]
+        self.__post_init__(tuple(vertices), *_columns(rows, 4))
 
     @classmethod
     def _from_columns(cls, vertex_ids, edge_ids, us, vs, negative) -> "SignedGraph":
@@ -271,13 +260,11 @@ class SignedGraph(_Multigraph):
         graph.__post_init__(vertex_ids, edge_ids, us, vs, negative)
         return graph
 
-    def __post_init__(self, vertex_ids, edge_ids, us, vs, negative, edges=None):
+    def __post_init__(self, vertex_ids, edge_ids, us, vs, negative):
         # every construction runs through this one method, under this name:
         # bench/tracer.py counts the graphs built by wrapping it
-        order = self._store_columns(vertex_ids, edge_ids, us, vs, negative)
+        self._store_columns(vertex_ids, edge_ids, us, vs, negative)
         self.__dict__["vertices"] = self.vertex_ids
-        if edges is not None:
-            self.__dict__["edges"] = tuple(map(edges.__getitem__, order))
 
     @cached_property
     def edges(self) -> tuple:
@@ -294,19 +281,24 @@ class SignedGraph(_Multigraph):
 
     @property
     def negative_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e.sign.is_negative)
+        return tuple(compress(self.edges, self.negative))
+
+    def _keeping(self, keep) -> "SignedGraph":
+        """The spanning subgraph keeping edge k when ``keep[k]``."""
+        ids, kept = self.vertex_ids, list(compress(zip(self.tail, self.ends), keep))
+        return SignedGraph._from_columns(
+            ids, list(compress(self.edge_ids, keep)), [ids[a] for a, _ in kept],
+            [ids[a ^ e] for a, e in kept], list(compress(self.negative, keep)))
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
-        return SignedGraph(self.vertices, self.negative_edges)
+        return self._keeping(self.negative)
 
     def without_edges(self, edge_ids: Iterable[str]) -> "SignedGraph":
-        drop = set(edge_ids)
-        for edge_id in drop:
-            self.edge(edge_id)
-        return SignedGraph(
-            self.vertices, tuple(e for e in self.edges if e.id not in drop)
-        )
+        keep = [True] * len(self.edge_ids)
+        for edge_id in edge_ids:
+            keep[self._edge_number(edge_id)] = False
+        return self._keeping(keep)
 
     @property
     def is_simple(self) -> bool:
@@ -333,15 +325,11 @@ class MarkedVertex:
 class MarkedGraph(_Multigraph):
     """A loopless multigraph with signed vertices (a marked graph): the
     columns of ``SignedGraph`` with all-false ``negative``, plus ``marks[i]``,
-    true when vertex i is negative.  A graph built from values keeps them."""
+    true when vertex i is negative."""
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
-        vertices, edges = tuple(vertices), tuple(edges)
-        order = self._store([mv.id for mv in vertices],
-                            [mv.sign is Sign.NEGATIVE for mv in vertices],
-                            [e.id for e in edges], [e.u for e in edges], [e.v for e in edges])
-        self.__dict__.update(vertices=tuple(sorted(vertices, key=lambda mv: mv.id)),
-                             edges=tuple(map(edges.__getitem__, order)))
+        self._store(*_columns([(mv.id, mv.sign is Sign.NEGATIVE) for mv in vertices], 2),
+                    *_columns([(e.id, e.u, e.v) for e in edges], 3))
 
     @classmethod
     def _from_columns(cls, vertex_ids, marks, edge_ids, us, vs) -> "MarkedGraph":
@@ -352,12 +340,11 @@ class MarkedGraph(_Multigraph):
         graph._store(vertex_ids, marks, edge_ids, us, vs)
         return graph
 
-    def _store(self, vertex_ids, marks, edge_ids, us, vs) -> list:
-        order = self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us))
+    def _store(self, vertex_ids, marks, edge_ids, us, vs) -> None:
+        self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us))
         if self.vertex_ids != tuple(vertex_ids):  # put the marks in id order
             marks = map(dict(zip(vertex_ids, marks)).__getitem__, self.vertex_ids)
         self.__dict__["marks"] = list(marks)
-        return order
 
     @cached_property
     def vertices(self) -> tuple:
@@ -434,6 +421,11 @@ def validate_circle(graph, circle: Circle) -> list:
     return numbers
 
 
+def _columns(rows: list, width: int):
+    """The columns of equal-length rows; ``width`` empty ones for no rows."""
+    return zip(*rows) if rows else ((),) * width
+
+
 def new_signed_graph(vertices: Iterable[str], edges: Iterable) -> SignedGraph:
     """Build a validated SignedGraph.
 
@@ -450,22 +442,27 @@ def new_signed_graph(vertices: Iterable[str], edges: Iterable) -> SignedGraph:
         if not isinstance(sign, Sign):
             sign = Sign.from_symbol(sign)
         rows.append((str(eid), str(u), str(v), sign is Sign.NEGATIVE))
-    columns = zip(*rows) if rows else ((),) * 4
-    return SignedGraph._from_columns(tuple(str(v) for v in vertices), *columns)
+    return SignedGraph._from_columns(tuple(str(v) for v in vertices), *_columns(rows, 4))
 
 
 def new_marked_graph(vertices: Iterable, edges: Iterable) -> MarkedGraph:
-    """Build a validated MarkedGraph from (id, sign) and (id, u, v) items."""
+    """Build a validated MarkedGraph from MarkedVertex values or (id, sign)
+    tuples and from Edge values or (id, u, v) tuples, as ``new_signed_graph``
+    does: the items go straight into the columns; no value is built."""
     marked = []
     for item in vertices:
-        if not isinstance(item, MarkedVertex):
-            vid, sign = item
-            item = MarkedVertex(str(vid), sign)
-        marked.append(item)
-    built = []
+        if isinstance(item, MarkedVertex):
+            marked.append((item.id, item.sign is Sign.NEGATIVE))
+            continue
+        vid, sign = item
+        if not isinstance(sign, Sign):
+            sign = Sign.from_symbol(sign)
+        marked.append((str(vid), sign is Sign.NEGATIVE))
+    rows = []
     for item in edges:
-        if not isinstance(item, Edge):
-            eid, u, v = item
-            item = Edge(str(eid), str(u), str(v))
-        built.append(item)
-    return MarkedGraph(marked, built)
+        if isinstance(item, Edge):
+            rows.append((item.id, item.u, item.v))
+            continue
+        eid, u, v = item
+        rows.append((str(eid), str(u), str(v)))
+    return MarkedGraph._from_columns(*_columns(marked, 2), *_columns(rows, 3))

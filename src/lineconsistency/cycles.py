@@ -14,7 +14,7 @@ from math import comb, prod
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .core import Circle, GraphError, Sign, SignedGraph, sign_product
+from .core import Circle, GraphError, Sign, SignedGraph, sign_product, validate_circle
 
 DEFAULT_CIRCLE_CAP = 1_000_000
 
@@ -181,8 +181,6 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
 
 def circle_vertex_sign(marked, circle: Circle) -> Sign:
     """Product of the vertex marks around a circle of a marked graph."""
-    from .core import validate_circle
-
     validate_circle(marked, circle)
     return sign_product(marked.mark(v) for v in circle.vertices)
 

@@ -13,11 +13,9 @@ import bisect
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .core import GraphError, Sign, SignedEdge, SignedGraph
-
-_SIGNS = (Sign.POSITIVE, Sign.NEGATIVE)
+from .core import GraphError, SignedGraph
 
 
 def _multiplicity_vectors(num_pairs, budget):
@@ -52,12 +50,10 @@ def exhaustive_signed_graphs(max_vertices: int, max_edges: int):
                 for pair, count in zip(pairs, multiplicities)
                 for _ in range(count)
             ]
-            for signs in itertools.product(_SIGNS, repeat=len(slots)):
-                edges = tuple(
-                    SignedEdge(f"e{j}", u, v, sign)
-                    for j, ((u, v), sign) in enumerate(zip(slots, signs))
-                )
-                yield SignedGraph(vertices, edges)
+            ids = [f"e{j}" for j in range(len(slots))]
+            us, vs = [u for u, _ in slots], [v for _, v in slots]
+            for negative in itertools.product((False, True), repeat=len(slots)):
+                yield SignedGraph._from_columns(vertices, ids, us, vs, negative)
 
 
 def _pairs_at(vertices: tuple, ranks: list) -> list:
@@ -178,42 +174,6 @@ class Recipe:
                 )
         if self.pendant_positives < 0 or self.scaffold_tree < 0:
             raise GraphError("unsatisfiable recipe: negative count")
-
-    def to_dict(self) -> dict:
-        return {
-            "negative_circles": list(self.negative_circles),
-            "closing_paths": list(self.closing_paths),
-            "induced_paths": list(self.induced_paths),
-            "isthmus_paths": list(self.isthmus_paths),
-            "pendant_positives": self.pendant_positives,
-            "scaffold_tree": self.scaffold_tree,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Recipe":
-        if not isinstance(data, dict):
-            raise GraphError("recipe must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise GraphError(f"unknown recipe keys: {sorted(unknown)}")
-        kwargs = {}
-        for key in ("negative_circles", "closing_paths",
-                    "induced_paths", "isthmus_paths"):
-            if key in data:
-                values = data[key]
-                if not isinstance(values, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in values
-                ):
-                    raise GraphError(f"recipe key {key!r} must be a list of integers")
-                kwargs[key] = tuple(values)
-        for key in ("pendant_positives", "scaffold_tree"):
-            if key in data:
-                value = data[key]
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise GraphError(f"recipe key {key!r} must be an integer")
-                kwargs[key] = value
-        return cls(**kwargs)
 
 
 class _Builder:

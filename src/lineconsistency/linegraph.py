@@ -16,6 +16,11 @@ import itertools
 from .core import Circle, GraphError, MarkedGraph, SignedGraph
 
 
+def _line_edge_ids(triples) -> list:
+    """``a~b@s`` for each (a, b, s): the one place the id format is written."""
+    return [f"{a}~{b}@{s}" for a, b, s in triples]
+
+
 def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
     """Identifier of the line-graph edge joining two edges at a common vertex.
 
@@ -24,7 +29,7 @@ def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
     caught by MarkedGraph's duplicate-id check.
     """
     a, b = sorted((edge_a, edge_b))
-    return f"{a}~{b}@{shared_vertex}"
+    return _line_edge_ids([(a, b, shared_vertex)])[0]
 
 
 def line_graph(graph: SignedGraph) -> MarkedGraph:
@@ -39,7 +44,7 @@ def line_graph(graph: SignedGraph) -> MarkedGraph:
     pairs = [(ids[a], ids[b], v) for v, incident in zip(graph.vertex_ids, graph.incidence)
              for a, b in itertools.combinations(incident, 2)]
     return MarkedGraph._from_columns(
-        ids, graph.negative, [f"{a}~{b}@{v}" for a, b, v in pairs],  # line_edge_id
+        ids, graph.negative, _line_edge_ids(pairs),
         [p[0] for p in pairs], [p[1] for p in pairs])
 
 

@@ -161,6 +161,24 @@ class TestAccessors:
         assert len(g.edges) == 3 and len(trimmed.edges) == 2
         assert g.negative_subgraph() is not g
 
+    def test_without_unknown_edge_rejected(self):
+        with pytest.raises(GraphError) as raised:
+            star3().without_edges(["e2", "nope"])
+        assert str(raised.value) == "unknown edge 'nope'"
+
+    def test_transforms_build_no_values(self, built_edge_values):
+        g = new_signed_graph("abcd", [("e3", "d", "a", "-"), ("e1", "a", "b", "+"),
+                                      ("e2", "c", "b", "-")])
+        neg, trimmed = g.negative_subgraph(), g.without_edges(["e3"])
+        assert built_edge_values == []
+        assert neg == new_signed_graph("abcd", [("e2", "b", "c", "-"),
+                                                ("e3", "a", "d", "-")])
+        assert trimmed == new_signed_graph("abcd", [("e1", "a", "b", "+"),
+                                                    ("e2", "b", "c", "-")])
+        assert g.without_edges([]) == g and g.without_edges(g.edge_ids).edges == ()
+        assert built_edge_values == []
+        assert g.negative_edges == neg.edges
+
 
 class TestWalks:
     def test_sign_of_circle(self):
@@ -286,13 +304,11 @@ class TestLookups:
             with pytest.raises(GraphError) as raised:
                 call()
             assert str(raised.value) == message
-        assert not graph.has_edge(edge)
 
     @pytest.mark.parametrize("kind", ["json", "tuples", "marked"])
     def test_first_and_last_ids_found(self, kind):
         graph = lookup_graphs()[kind]
         assert [graph.edge(e).id for e in ("e2", "e4", "e6")] == ["e2", "e4", "e6"]
-        assert all(graph.has_edge(e) for e in ("e2", "e4", "e6"))
         assert [graph.degree(v) for v in "bdf"] == [2, 2, 2]
         assert [e.id for e in graph.incident_edges("f")] == ["e4", "e6"]
         validate_circle(graph, Circle(("e2", "e4", "e6"), "bdf"))
@@ -312,6 +328,15 @@ class TestMarkedGraph:
     def test_loop_rejected(self):
         with pytest.raises(GraphError, match="loop"):
             new_marked_graph([("x", "+")], [("d1", "x", "x")])
+
+    def test_built_from_items_builds_no_values(self, built_edge_values):
+        m = new_marked_graph([("y", "-"), (1, Sign.POSITIVE)], [(7, 1, "y")])
+        assert built_edge_values == []
+        assert (m.vertex_ids, m.marks, m.edge_triples()) == (
+            ("1", "y"), [False, True], (("7", "1", "y"),))
+        with pytest.raises(GraphError) as raised:
+            new_marked_graph([("y", True)], [])
+        assert str(raised.value) == "invalid sign True: expected '+' or '-'"
 
     @staticmethod
     def unsorted():

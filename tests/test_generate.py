@@ -7,6 +7,9 @@ from oracles import generate_line_consistent_by_edges, random_signed_graph_by_sl
 from lineconsistency import (
     GraphError,
     Recipe,
+    Sign,
+    SignedEdge,
+    SignedGraph,
     check_condition_ii,
     exhaustive_signed_graphs,
     generate_line_consistent,
@@ -60,6 +63,30 @@ class TestExhaustive:
     def test_bounds_enforced(self):
         with pytest.raises(GraphError, match="bounds"):
             list(exhaustive_signed_graphs(8, 3))
+
+    def test_equals_a_stream_of_edge_values(self):
+        """Every vertex count, multiplicity vector and signing, positive
+        first, with edge e{j} on the j-th slot, as SignedEdge values."""
+        reference = []
+        for n in range(1, 4):
+            vertices = tuple(f"v{i}" for i in range(n))
+            pairs = list(itertools.combinations(vertices, 2))
+            for counts in itertools.product(range(3), repeat=len(pairs)):
+                if sum(counts) > 3:
+                    continue
+                slots = [p for p, c in zip(pairs, counts) for _ in range(c)]
+                for signs in itertools.product((Sign.POSITIVE, Sign.NEGATIVE),
+                                               repeat=len(slots)):
+                    reference.append(SignedGraph(vertices, [
+                        SignedEdge(f"e{j}", u, v, s)
+                        for j, ((u, v), s) in enumerate(zip(slots, signs))]))
+        graphs = list(exhaustive_signed_graphs(3, 3))
+        assert graphs == reference
+        assert [g.edges for g in graphs] == [g.edges for g in reference]
+
+    def test_builds_no_edge_values(self, built_edge_values):
+        assert sum(1 for _ in exhaustive_signed_graphs(4, 4)) > 1000
+        assert built_edge_values == []
 
 
 class TestRandom:
@@ -190,16 +217,6 @@ class TestRecipe:
             g = generate_line_consistent(recipe, seed)
             reference = generate_line_consistent_by_edges(recipe, seed)
             assert g == reference and g.edges == reference.edges, seed
-
-    def test_json_round_trip(self):
-        recipe = random_recipe(23)
-        assert Recipe.from_dict(recipe.to_dict()) == recipe
-
-    def test_from_dict_validates(self):
-        with pytest.raises(GraphError, match="unknown recipe"):
-            Recipe.from_dict({"bogus": 1})
-        with pytest.raises(GraphError, match="integer"):
-            Recipe.from_dict({"pendant_positives": True})
 
     def test_sampled_recipes_are_sound(self):
         for seed in range(150):
