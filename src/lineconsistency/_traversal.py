@@ -1,5 +1,6 @@
 """One iterative depth-first search yielding bridges, blocks, components and
-switching balance.
+switching balance, and a parity union-find yielding balance, components and
+which chosen edges are bridges without incidence lists.
 
 ``Traversal(graph)`` reads the integer columns off a ``core._Multigraph``:
 vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
@@ -14,8 +15,79 @@ numbers, low-links (Tarjan 1972), tree parent edges and switching parities
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, filterfalse
 from operator import eq
+
+
+class Forest:
+    """A parity union-find over a multigraph's columns: balance, components
+    and which of some chosen edges close a circle, without incidence lists.
+
+    Every edge is merged once, the edges numbered in ``last`` (distinct)
+    after all the others.  ``up[v]`` is v's parent in the forest, v itself
+    at a root; union by size keeps every find chain within log2(n) + 1
+    vertices (Tarjan 1975, JACM 22(2)), and nothing recurses.  Each vertex
+    also holds its switching parity relative to its parent (Harary 1953).
+    An edge whose endpoints already share a root closes a circle; its sign
+    is checked against their parities, so ``balanced`` does not depend on
+    edge order and ``conflicts`` lists every edge that contradicts them.
+    ``closed`` lists the ``last`` edges that closed a circle, in merge
+    order: the other edges are merged first, and contracting them keeps
+    exactly which ``last`` edges are bridges, so none closes a circle
+    exactly when all of them are bridges.
+    """
+
+    def __init__(self, graph, last=()):
+        tail, ends, negative = graph.tail, graph.ends, graph.negative
+        n, m = len(graph.vertex_ids), len(tail)
+        up, odd, size = list(range(n)), [0] * n, [1] * n
+        conflicts, closing = [], []
+        skip = set(last)
+        edges = chain(filterfalse(skip.__contains__, range(m)), last) if skip else range(m)
+        for k in edges:
+            a = tail[k]
+            b = a ^ ends[k]
+            x = negative[k]  # becomes parity(a) ^ parity(b) ^ sign
+            while up[a] != a:
+                x ^= odd[a]
+                a = up[a]
+            while up[b] != b:
+                x ^= odd[b]
+                b = up[b]
+            if a == b:
+                if x:
+                    conflicts.append(k)
+                closing.append(k)
+            elif size[a] < size[b]:
+                up[a], odd[a] = b, x
+                size[b] += size[a]
+            else:
+                up[b], odd[b] = a, x
+                size[a] += size[b]
+        self.tail, self.up, self.conflicts = tail, up, conflicts
+        self.closed = list(filter(skip.__contains__, closing))
+
+    @property
+    def balanced(self) -> bool:
+        return not self.conflicts
+
+    def root(self, v: int) -> int:
+        up = self.up
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    def unbalanced_component(self):
+        """(vertex numbers, edge numbers), both ascending, of the unbalanced
+        component holding the least vertex, or None when balanced."""
+        if not self.conflicts:
+            return None
+        roots = list(map(self.root, range(len(self.up))))
+        unbalanced = {roots[self.tail[k]] for k in self.conflicts}
+        r = next(filter(unbalanced.__contains__, roots))
+        inside = map(r.__eq__, map(roots.__getitem__, self.tail))
+        return (list(compress(range(len(roots)), map(r.__eq__, roots))),
+                list(compress(range(len(self.tail)), inside)))
 
 
 def incidence(n: int, tail, ends) -> list:

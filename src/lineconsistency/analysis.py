@@ -5,22 +5,25 @@ a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
 second condition is the production checker; the others are cross-validation
-routes.  Isthmi, blocks, components and balance are all read from one
-iterative depth-first search per graph (``SignedGraph.traversal``, linear
-and cached); condition ii starts it only when a positive edge at a
-negative-degree-2 vertex needs testing or every local clause has passed.
-Witnesses are derived from the failing clause of condition ii in linear time;
-``linegraph`` builds them as line-graph circles and checks them.
+routes.  The cross-validation routes read isthmi, blocks, components and
+balance from one iterative depth-first search per graph
+(``SignedGraph.traversal``, linear and cached).  Condition ii reads balance,
+and whether its tested edges are isthmi, from one parity union-find
+(``_traversal.Forest``), and starts the search only to name a tested edge
+that is not an isthmus.  Witnesses are derived from the failing clause of
+condition ii in linear time; ``linegraph`` builds them as line-graph circles
+and checks them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import xor
 from typing import Optional
 
+from ._traversal import Forest
 from .core import Circle, GraphError, SignedGraph
 # line_graph, is_consistent_oracle, circle_vertex_sign and enumerate_circles are
 # not used here but stay importable from this module: bench/tracer.py wraps them.
@@ -169,36 +172,65 @@ def check_condition_i(graph: SignedGraph) -> Verdict:
             or _balance_verdict(graph))
 
 
+def _local_clauses(graph: SignedGraph) -> tuple:
+    """The local clauses of condition ii, read in vertex order over the
+    vertices with a negative edge, up to the first that fails: (tested,
+    failed).  ``tested`` maps each positive edge met at a vertex with two
+    negative edges and one positive edge to the first such vertex, once
+    even when both ends test it; ``failed`` is the failed verdict, or None.
+    The degrees are counted in one pass over the columns."""
+    tail, ends, negative = graph.tail, graph.ends, graph.negative
+    n = len(graph.vertex_ids)
+    # degrees, negative degrees and, at each vertex, the last positive edge
+    # met: its only one when it has one
+    degree, negative_degree, positive_at = [0] * n, [0] * n, [-1] * n
+    for k, (a, e, odd) in enumerate(zip(tail, ends, negative)):
+        b = a ^ e
+        degree[a] += 1
+        degree[b] += 1
+        if odd:
+            negative_degree[a] += 1
+            negative_degree[b] += 1
+        else:
+            positive_at[a] = positive_at[b] = k
+    tested = {}
+    for i in compress(range(n), negative_degree):
+        count = negative_degree[i]
+        others = degree[i] - count
+        if count > 2:
+            return tested, Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
+        if others > 1:
+            return tested, Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
+        if count == 2 and others == 1:
+            tested.setdefault(positive_at[i], i)
+    return tested, None
+
+
 def check_condition_ii(graph: SignedGraph) -> Verdict:
     """Balanced; the negative subgraph is a disjoint union of paths and
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The clauses are read from the graph's columns, visiting only the
-    vertices with a negative edge.  The graph's one traversal, which gives
-    both isthmi and balance, starts only once a positive edge at a
-    negative-degree-2 vertex needs testing or every local clause has
-    passed."""
-    tail, negative, incidence = graph.tail, graph.negative, graph.incidence
-    # each negative edge counts once at each end
-    negative_tails = list(compress(tail, negative))
-    negative_degree = Counter(negative_tails)
-    negative_degree.update(map(xor, negative_tails, compress(graph.ends, negative)))
-    isthmi = None
-    for i in sorted(negative_degree):
-        count, incident = negative_degree[i], incidence[i]
-        if count > 2:
-            return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
-        if len(incident) - count > 1:
-            return Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
-        if count == 2 and len(incident) == 3:
-            edge = next(graph.edge_ids[k] for k in incident if not negative[k])
-            if isthmi is None:
-                isthmi = find_isthmi(graph)
-            if edge not in isthmi:
+    The local clauses are read from the graph's columns (``_local_clauses``,
+    whose degree lists are freed before the forest is built).  The positive
+    edges they test are merged last into one parity union-find
+    (``_traversal.Forest``): when none of them closes a circle, all are
+    isthmi and the forest's balance answers the last clause; when one does,
+    the graph's depth-first search names the first in vertex order that is
+    not an isthmus.  A local clause that fails before any edge is tested
+    needs neither."""
+    tested, failed = _local_clauses(graph)
+    if failed and not tested:
+        return failed
+    forest = Forest(graph, list(tested))
+    if forest.closed:
+        isthmi = find_isthmi(graph)
+        for k, i in tested.items():
+            if graph.edge_ids[k] not in isthmi:
                 return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
-                               vertex=graph.vertices[i], edge=edge)
-    return _balance_verdict(graph)
+                               vertex=graph.vertices[i], edge=graph.edge_ids[k])
+        raise GraphError("a tested edge closed a circle, yet every one is an isthmus")
+    return failed or (Verdict(True) if forest.balanced else Verdict(False, UNBALANCED))
 
 
 def check_condition_iii(graph: SignedGraph) -> Verdict:
@@ -449,8 +481,12 @@ def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     v, clause = failed.vertex, failed.failed_clause
     if clause == UNBALANCED:
         return circle_image(find_negative_circle(graph))
-    ids, is_negative = graph.edge_ids, graph.negative
-    incident = graph.incidence[graph._vertex(v)]
+    ids, is_negative, tail = graph.edge_ids, graph.negative, graph.tail
+    # v's edges in id order, read from the columns in one scan, not from the
+    # incidence lists, which a graph failing a local clause has no other use for
+    i, numbers = graph._vertex(v), range(len(tail))
+    incident = sorted(chain(compress(numbers, map(i.__eq__, tail)),
+                            compress(numbers, map(i.__eq__, map(xor, tail, graph.ends)))))
     positive = [ids[k] for k in incident if not is_negative[k]]
     negative = [ids[k] for k in incident if is_negative[k]]
     if clause == NEGATIVE_DEGREE_ABOVE_2:

@@ -14,6 +14,7 @@ from math import comb, prod
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
+from ._traversal import Forest
 from .core import Circle, GraphError, Sign, SignedGraph, sign_product, validate_circle
 
 DEFAULT_CIRCLE_CAP = 1_000_000
@@ -166,13 +167,27 @@ def is_balanced_fast(graph: SignedGraph) -> bool:
 def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
-    The witness is the fundamental circle of the first conflicting edge found
-    by the graph's depth-first search: the tree path between its endpoints
-    plus the edge.  Its sign is checked on the graph's columns.
+    A parity union-find (``_traversal.Forest``) finds the unbalanced
+    component with the least vertex, and only that component is searched,
+    as a graph of its own.  The witness is the fundamental circle of the
+    first conflicting edge its depth-first search finds: the tree path
+    between its endpoints plus the edge.  That is the circle a search of the
+    whole graph finds, since the whole search takes roots in vertex order,
+    meets no conflict in a balanced component and runs on a component as on
+    that component alone.  Its sign is checked on the graph's columns.
     """
-    cycle = graph.traversal.negative_cycle()
-    if cycle is None:
+    component = Forest(graph).unbalanced_component()
+    if component is None:
         return None
+    vertices, edges = component
+    ids, tail, ends = graph.vertex_ids, graph.tail, graph.ends
+    part = SignedGraph._from_columns(
+        tuple(map(ids.__getitem__, vertices)),
+        list(map(graph.edge_ids.__getitem__, edges)),
+        [ids[tail[k]] for k in edges],
+        [ids[tail[k] ^ ends[k]] for k in edges],
+        list(map(graph.negative.__getitem__, edges)))
+    cycle = part.traversal.negative_cycle()
     circle = Circle(*cycle).canonical()
     if graph.sign_of_walk(circle).is_positive:
         raise GraphError(f"the search's circle {circle} is not negative")

@@ -6,7 +6,9 @@ for tiny graphs only.  The slot-list sampler, the edge-value recipe builder
 and the document writers are the references for the seeded generators and
 the JSON writers; the edge-value line graph, structural classifier and DOT
 writer are the references for the column-built ones; the string-dict
-circle search is the reference for the one on the integer columns.
+circle search is the reference for the one on the integer columns; condition
+ii and the negative circle read from the whole graph's depth-first search are
+the references for the ones read from the parity union-find.
 """
 
 import itertools
@@ -15,8 +17,14 @@ import random
 from collections import Counter, defaultdict
 
 from lineconsistency.analysis import (
+    NEGATIVE_DEGREE_ABOVE_2,
+    POSITIVE_EDGE_NOT_ISTHMUS,
+    TWO_POSITIVE_EDGES,
+    UNBALANCED,
     ComponentReport,
     StructureReport,
+    Verdict,
+    _circle_through_edge,
     blocks,
     find_isthmi,
     is_balanced_fast,
@@ -44,7 +52,7 @@ from lineconsistency.generate import (
     random_recipe,
     random_signed_graph,
 )
-from lineconsistency.linegraph import line_edge_id
+from lineconsistency.linegraph import circle_image, line_circle, line_edge_id
 
 
 def circle_edge_sets(graph):
@@ -411,6 +419,49 @@ def random_marked_multigraph(seed):
         [(v, "-" if rng.random() < share else "+") for v in vertices], edges)
 
 
+def _disjoint_circles(seed):
+    """1-6 disjoint circles of 2-7 vertices, each with one or more negative
+    edges and up to two positive chords, under shuffled vertex and edge ids:
+    several components are unbalanced, in no particular id order."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 7) for _ in range(rng.randint(1, 6))]
+    names = [f"v{x}" for x in rng.sample(range(10 * sum(sizes)), sum(sizes))]
+    edges = []
+    for i, size in enumerate(sizes):
+        ring = names[sum(sizes[:i]):sum(sizes[:i + 1])]
+        negative = [rng.random() < 0.4 for _ in ring]
+        negative[rng.randrange(size)] = True
+        edges += [(u, w, "-" if odd else "+")
+                  for u, w, odd in zip(ring, ring[1:] + ring[:1], negative)]
+        if size > 2:
+            edges += [(*rng.sample(ring, 2), "+") for _ in range(rng.randint(0, 2))]
+    ids = rng.sample(range(10 * len(edges)), len(edges))
+    return new_signed_graph(names, [(f"e{k}", *edge) for k, edge in zip(ids, edges)])
+
+
+def _tested_edges():
+    """Hand-made graphs where condition ii tests positive edges."""
+    return [
+        # the positive isthmus p tested from both of its ends: consistent
+        new_signed_graph("abcdef", [
+            ("p", "a", "b", "+"), ("n1", "a", "c", "-"), ("n2", "a", "d", "-"),
+            ("n3", "b", "e", "-"), ("n4", "b", "f", "-")]),
+        # the tested p is parallel to the negative n1: not an isthmus, though
+        # the digon it closes is negative too
+        new_signed_graph("abc", [
+            ("p", "a", "b", "+"), ("n1", "a", "b", "-"), ("n2", "a", "c", "-")]),
+        # the isthmus p is tested at a before z fails a local clause
+        new_signed_graph("abcdzxyw", [
+            ("p", "a", "b", "+"), ("n1", "a", "c", "-"), ("n2", "a", "d", "-"),
+            ("m1", "z", "x", "-"), ("m2", "z", "y", "-"), ("m3", "z", "w", "-")]),
+        # the non-isthmus p is tested at a before z fails a local clause
+        new_signed_graph("abcdzxyw", [
+            ("p", "a", "b", "+"), ("q", "b", "c", "+"), ("n1", "a", "c", "-"),
+            ("n2", "a", "d", "-"), ("m1", "z", "x", "-"), ("m2", "z", "y", "-"),
+            ("m3", "z", "w", "-")]),
+    ]
+
+
 def differential_corpus(family):
     """The graphs column-built code is compared with its reference on."""
     if family == "exhaustive":
@@ -435,7 +486,65 @@ def differential_corpus(family):
             new_signed_graph(["x@y", "y", "c", "d"], [
                 ("1", "x@y", "y", "+"), ("2", "x@y", "c", "-"), ("2@x", "y", "d", "+")]),
         ] + [_tilde_graph(s) for s in range(300)]
+    if family == "circles":
+        return (_disjoint_circles(s) for s in range(400))
+    if family == "tested-edges":
+        return _tested_edges()
     raise ValueError(family)
+
+
+def check_condition_ii_by_search(graph):
+    """The condition ii the parity union-find replaced: degrees from the
+    incidence lists, isthmi and balance from the graph's depth-first search."""
+    negative, incidence = graph.negative, graph.incidence
+    negative_degree = Counter()
+    for k, (a, e) in enumerate(zip(graph.tail, graph.ends)):
+        if negative[k]:
+            negative_degree.update((a, a ^ e))
+    for i in sorted(negative_degree):
+        count, incident = negative_degree[i], incidence[i]
+        if count > 2:
+            return Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
+        if len(incident) - count > 1:
+            return Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
+        if count == 2 and len(incident) == 3:
+            edge = next(graph.edge_ids[k] for k in incident if not negative[k])
+            if edge not in graph.traversal.bridges:
+                return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
+                               vertex=graph.vertices[i], edge=edge)
+    return Verdict(True) if graph.traversal.balanced else Verdict(False, UNBALANCED)
+
+
+def find_negative_circle_by_search(graph):
+    """The fundamental circle of the first conflict of the whole graph's
+    depth-first search, canonical, or None when balanced."""
+    cycle = graph.traversal.negative_cycle()
+    return None if cycle is None else Circle(*cycle).canonical()
+
+
+def clause_witness_by_search(graph, failed):
+    """The witness of a failed clause of condition ii, with the edges at the
+    vertex read from the incidence lists and the negative circle from
+    ``find_negative_circle_by_search``."""
+    v, clause = failed.vertex, failed.failed_clause
+    if clause == UNBALANCED:
+        return circle_image(find_negative_circle_by_search(graph))
+    incident = graph.incidence[graph._vertex(v)]
+    positive = [graph.edge_ids[k] for k in incident if not graph.negative[k]]
+    negative = [graph.edge_ids[k] for k in incident if graph.negative[k]]
+    if clause == NEGATIVE_DEGREE_ABOVE_2:
+        return line_circle(tuple(negative[:3]), (v, v, v))
+    if clause == TWO_POSITIVE_EDGES:
+        return line_circle((negative[0], positive[0], positive[1]), (v, v, v))
+    circle = _circle_through_edge(graph, graph._edge_number(failed.edge))
+    if graph.sign_of_walk(circle).is_negative:
+        return circle_image(circle)
+    spare = next(eid for eid in negative if eid not in circle.edges)
+    j = circle.vertices.index(v)
+    return line_circle(
+        circle.edges[j:] + circle.edges[:j] + (spare,),
+        circle.vertices[j + 1:] + circle.vertices[:j + 1] + (v,),
+    )
 
 
 def _parallel_groups(edge_triples):

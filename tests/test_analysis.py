@@ -1,5 +1,11 @@
 import pytest
-from oracles import classify_structure_by_values, differential_corpus
+from oracles import (
+    check_condition_ii_by_search,
+    classify_structure_by_values,
+    clause_witness_by_search,
+    differential_corpus,
+    find_negative_circle_by_search,
+)
 
 from lineconsistency import (
     GraphError,
@@ -17,6 +23,7 @@ from lineconsistency import (
     enumerate_circles,
     exhaustive_signed_graphs,
     find_isthmi,
+    find_negative_circle,
     find_witness,
     is_consistent_oracle,
     line_edge_id,
@@ -620,3 +627,18 @@ def test_classifier_matches_the_edge_value_classifier(family):
     the one it replaced, which read edge values, is kept in ``oracles``."""
     for graph in differential_corpus(family):
         assert classify_structure(graph) == classify_structure_by_values(graph)
+
+
+@pytest.mark.parametrize("family", [
+    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges"])
+def test_condition_ii_matches_the_search(family):
+    """Condition ii and the negative circle read from the parity union-find
+    give the verdicts, named vertices and edges, witnesses and circles that
+    the whole graph's depth-first search gave; the references are kept in
+    ``oracles``."""
+    for graph in differential_corpus(family):
+        verdict, expected = check_condition_ii(graph), check_condition_ii_by_search(graph)
+        assert verdict == expected, graph
+        assert find_negative_circle(graph) == find_negative_circle_by_search(graph), graph
+        if not verdict.line_consistent:
+            assert find_witness(graph, verdict) == clause_witness_by_search(graph, expected)

@@ -22,6 +22,15 @@ def write_graph(tmp_path, name, vertices, edges):
     return str(path)
 
 
+def write_padded(tmp_path, edges):
+    """The graph of ``edges`` beside a positive path of 1,000 edges."""
+    vertices = sorted({x for e in edges for x in e[1:3]})
+    vertices += [f"p{i:04d}" for i in range(1001)]
+    edges = edges + [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "+")
+                     for i in range(1000)]
+    return write_graph(tmp_path, "padded.json", vertices, edges)
+
+
 @pytest.fixture
 def neg_star(tmp_path):
     return write_graph(
@@ -45,6 +54,39 @@ def parallel_pair(tmp_path):
         tmp_path, "pp.json", "ab",
         [("e1", "a", "b", "-"), ("e2", "a", "b", "-")],
     )
+
+
+# the graphs of each clause of condition ii, and the output of check
+# --method ii --witness on each beside a positive path of 1,000 edges
+PADDED_CASES = [
+    # a negative circle block with a positive chord path and pendants:
+    # every local clause runs, two positive edges are tested, balance is read
+    ([("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "d", "-"),
+      ("e4", "d", "a", "-"), ("e5", "a", "e", "+"), ("e6", "e", "f", "+"),
+      ("e7", "c", "g", "+")], None, None),
+    ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "-")],
+     "negative-subgraph degree exceeds 2",
+     '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
+    ([("e1", "a", "b", "-"), ("e2", "a", "c", "+"), ("e3", "a", "d", "+")],
+     "negative-edge endpoint with two positive edges",
+     '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
+    # the shortest circle through e3 is negative: its image
+    ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
+      ("e4", "d", "b", "+")],
+     "negative-degree-2 positive edge not an isthmus",
+     '{"edges": ["e1~e3@a", "e1~e4@b", "e3~e4@d"], "vertices": ["e3", "e1", "e4"]}'),
+    # the shortest circle through e3 is positive: the spare e2 interposed
+    ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
+      ("e4", "d", "b", "-")],
+     "negative-degree-2 positive edge not an isthmus",
+     '{"edges": ["e1~e2@a", "e1~e4@b", "e3~e4@d", "e2~e3@a"], '
+     '"vertices": ["e2", "e1", "e4", "e3"]}'),
+    ([("e1", "a", "b", "-"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")],
+     "unbalanced",
+     '{"edges": ["e1~e2@b", "e1~e3@a", "e2~e3@c"], "vertices": ["e2", "e1", "e3"]}'),
+]
+PADDED_IDS = ["consistent", "degree-above-2", "two-positive-edges",
+              "not-isthmus-negative-circle", "not-isthmus-spare-edge", "unbalanced"]
 
 
 class TestCheck:
@@ -141,44 +183,34 @@ class TestCheck:
         assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
         assert len(searched) == 1
 
-    @pytest.mark.parametrize("edges, clause, witness", [
-        # a negative circle block with a positive chord path and pendants:
-        # every local clause, the bridge pass and the balance pass run
-        ([("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "d", "-"),
-          ("e4", "d", "a", "-"), ("e5", "a", "e", "+"), ("e6", "e", "f", "+"),
-          ("e7", "c", "g", "+")], None, None),
-        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "-")],
-         "negative-subgraph degree exceeds 2",
-         '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
-        ([("e1", "a", "b", "-"), ("e2", "a", "c", "+"), ("e3", "a", "d", "+")],
-         "negative-edge endpoint with two positive edges",
-         '{"edges": ["e1~e2@a", "e1~e3@a", "e2~e3@a"], "vertices": ["e2", "e1", "e3"]}'),
-        # the shortest circle through e3 is negative: its image
-        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
-          ("e4", "d", "b", "+")],
-         "negative-degree-2 positive edge not an isthmus",
-         '{"edges": ["e1~e3@a", "e1~e4@b", "e3~e4@d"], "vertices": ["e3", "e1", "e4"]}'),
-        # the shortest circle through e3 is positive: the spare e2 interposed
-        ([("e1", "a", "b", "-"), ("e2", "a", "c", "-"), ("e3", "a", "d", "+"),
-          ("e4", "d", "b", "-")],
-         "negative-degree-2 positive edge not an isthmus",
-         '{"edges": ["e1~e2@a", "e1~e4@b", "e3~e4@d", "e2~e3@a"], '
-         '"vertices": ["e2", "e1", "e4", "e3"]}'),
-        ([("e1", "a", "b", "-"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")],
-         "unbalanced",
-         '{"edges": ["e1~e2@b", "e1~e3@a", "e2~e3@c"], "vertices": ["e2", "e1", "e3"]}'),
-    ], ids=["consistent", "degree-above-2", "two-positive-edges",
-            "not-isthmus-negative-circle", "not-isthmus-spare-edge", "unbalanced"])
+    def test_unbalanced_witness_searches_only_its_component(self, tmp_path, monkeypatch,
+                                                            capsys):
+        from lineconsistency import _traversal
+
+        searched = []
+
+        class Counted(_traversal.Traversal):
+            def __init__(self, graph):
+                searched.append(graph.vertex_ids)
+                super().__init__(graph)
+
+        monkeypatch.setattr(_traversal, "Traversal", Counted)
+        # a balanced path of 1,000 edges, then the unbalanced triangle, whose
+        # vertex and edge ids sort after the path's
+        edges = [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "-" if i % 3 else "+")
+                 for i in range(1000)]
+        edges += [("t1", "x", "y", "-"), ("t2", "y", "z", "+"), ("t3", "z", "x", "+")]
+        path = write_graph(tmp_path, "beside.json",
+                           [f"p{i:04d}" for i in range(1001)] + ["x", "y", "z"], edges)
+        assert main(["check", path, "--method", "ii", "--witness"]) == 1
+        assert "(clause: unbalanced)" in capsys.readouterr().out
+        assert searched == [("x", "y", "z")]
+
+    @pytest.mark.parametrize("edges, clause, witness", PADDED_CASES, ids=PADDED_IDS)
     def test_check_builds_no_edge_values(self, tmp_path, capsys, built_edge_values,
                                          edges, clause, witness):
-        # a positive path of 1,000 edges beside the clause's graph: building
-        # the edge values would show as over 1,000 ids
-        vertices = sorted({x for e in edges for x in e[1:3]})
-        vertices += [f"p{i:04d}" for i in range(1001)]
-        edges = edges + [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "+")
-                         for i in range(1000)]
-        path = write_graph(tmp_path, "padded.json", vertices, edges)
-        code = main(["check", path, "--method", "ii", "--witness"])
+        # building the edge values would show as over 1,000 ids
+        code = main(["check", write_padded(tmp_path, edges), "--method", "ii", "--witness"])
         if clause is None:
             assert (code, capsys.readouterr().out) == (0, "ii: line consistent\n")
         else:
@@ -187,6 +219,34 @@ class TestCheck:
                 f"ii: witness {witness}\n"
             ))
         assert built_edge_values == []
+
+    @pytest.mark.parametrize("edges, clause, witness", PADDED_CASES[:3],
+                             ids=PADDED_IDS[:3])
+    def test_check_builds_no_incidence_and_no_search(self, tmp_path, monkeypatch, capsys,
+                                                     edges, clause, witness):
+        """Condition ii and the local clauses' witnesses read the columns:
+        the padded graphs above build no incidence list and run no search."""
+        from lineconsistency import _traversal
+
+        calls = Counter()
+        incidence = _traversal.incidence
+
+        def counted_incidence(*args):
+            calls["incidence"] += 1
+            return incidence(*args)
+
+        class Counted(_traversal.Traversal):
+            def __init__(self, graph):
+                calls["Traversal"] += 1
+                super().__init__(graph)
+
+        monkeypatch.setattr(_traversal, "incidence", counted_incidence)
+        monkeypatch.setattr(_traversal, "Traversal", Counted)
+        code = main(["check", write_padded(tmp_path, edges), "--method", "ii", "--witness"])
+        out = capsys.readouterr().out
+        assert code == (0 if clause is None else 1)
+        assert clause is None or f"ii: witness {witness}" in out
+        assert calls == Counter()
 
     def test_all_methods_build_no_edge_values(self, tmp_path, capsys, built_edge_values):
         """``check --witness`` with every method (the classifier, the line

@@ -195,11 +195,13 @@ class TestBalance:
 
         monkeypatch.setattr(Traversal, "negative_cycle",
                             lambda self: (("e1", "e2", "e3"), ("a", "b", "c")))
-        triangle = new_signed_graph(
-            "abc", [("e1", "a", "b", "+"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+")]
+        # the positive triangle beside a negative one, so that a search runs
+        triangles = new_signed_graph(
+            "abcxyz", [("e1", "a", "b", "+"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+"),
+                       ("f1", "x", "y", "-"), ("f2", "y", "z", "+"), ("f3", "z", "x", "+")]
         )
         with pytest.raises(GraphError, match="is not negative"):
-            find_negative_circle(triangle)
+            find_negative_circle(triangles)
 
 
 class TestConsistencyOracle:

@@ -1,4 +1,5 @@
-"""The depth-first search against networkx, on graphs up to 10^4 vertices.
+"""The depth-first search against networkx, on graphs up to 10^4 vertices,
+and the parity union-find against the search.
 
 networkx is a test-only dependency; the checks compare bridges, blocks,
 components and balance with independent implementations.  networkx works on
@@ -7,6 +8,7 @@ pair carrying two edges is never a bridge, and all of a pair's edges share
 its block.
 """
 
+import math
 import random
 from collections import defaultdict
 
@@ -23,6 +25,7 @@ from lineconsistency import (
     random_recipe,
     random_signed_graph,
 )
+from lineconsistency._traversal import Forest
 
 nx = pytest.importorskip("networkx")
 
@@ -150,3 +153,77 @@ def test_block_labels_give_blocks_and_bridges(name, graph):
     # an edge is a bridge exactly when it is alone in its block
     assert {graph.edge_ids[k] for k, b in enumerate(label) if sizes[b] == 1} \
         == find_isthmi(graph)
+
+
+def find_chains(forest):
+    """The number of vertices on each vertex's find chain up ``forest.up``."""
+    up, lengths = forest.up, []
+    for v in range(len(up)):
+        length = 1
+        while up[v] != v:
+            v = up[v]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+@pytest.mark.parametrize("name, graph", GRAPHS, ids=IDS)
+def test_forest_matches_the_search(name, graph):
+    bridges = sorted(map(graph._edge_number, find_isthmi(graph)))
+    others = sorted(set(range(len(graph.edge_ids))) - set(bridges))
+    forest = Forest(graph)
+    assert forest.balanced == is_balanced_fast(graph)
+    assert max(find_chains(forest)) <= math.log2(max(len(graph.vertices), 1)) + 1
+    members = defaultdict(set)
+    for v, x in enumerate(graph.vertex_ids):
+        members[forest.root(v)].add(x)
+    assert sorted(members.values(), key=min) == graph.traversal.components
+    # merged last, bridges close no circle, and a non-bridge after them does;
+    # balance does not depend on the order of merging
+    assert Forest(graph, bridges).closed == []
+    for k in others[:1] + others[-1:]:
+        last = Forest(graph, bridges + [k])
+        assert (last.closed, last.balanced) == ([k], forest.balanced)
+    assert Forest(graph, others[::-1]).balanced == forest.balanced
+
+
+def test_forest_unbalanced_component_holds_the_least_unbalanced_vertex():
+    # three triangles, the first balanced, the other two not; the last
+    # triangle's conflict comes first in edge order
+    graph = new_signed_graph("abcdefghi", [
+        ("e1", "a", "b", "-"), ("e2", "b", "c", "-"), ("e3", "c", "a", "+"),
+        ("e7", "d", "e", "-"), ("e8", "e", "f", "+"), ("e9", "f", "d", "+"),
+        ("e4", "g", "h", "-"), ("e5", "h", "i", "+"), ("e6", "i", "g", "+")])
+    forest = Forest(graph)
+    assert not forest.balanced
+    assert forest.unbalanced_component() == ([3, 4, 5], [6, 7, 8])
+    assert Forest(new_signed_graph("ab", [("e", "a", "b", "-")])).unbalanced_component() \
+        is None
+
+
+def path_graph(edges, descending):
+    """A positive path of ``edges`` edges whose edge ids ascend along it, or
+    descend, so that the union-find merges it from one end or the other."""
+    ids = [f"e{k:06d}" for k in range(edges)]
+    if descending:
+        ids.reverse()
+    vertices = [f"p{i:06d}" for i in range(edges + 1)]
+    return new_signed_graph(vertices, [
+        (eid, vertices[i], vertices[i + 1], "+") for i, eid in enumerate(ids)])
+
+
+@pytest.mark.parametrize("shape", ["path-ascending", "path-descending", "star", "recipe"])
+def test_forest_find_chains_stay_logarithmic(shape):
+    """Union by size keeps every find chain within log2(n) + 1 vertices, so
+    the union-find has no quadratic cliff on long paths merged from either
+    end or on stars, counted instead of timed."""
+    edges = 2 ** 15
+    if shape.startswith("path"):
+        graph = path_graph(edges, shape == "path-descending")
+    elif shape == "star":
+        graph = new_signed_graph(["c"] + [f"l{i:06d}" for i in range(edges)], [
+            (f"e{i:06d}", "c", f"l{i:06d}", "+") for i in range(edges)])
+    else:
+        graph = generate_line_consistent(large_recipe(1_000, 3), 3)
+    lengths = find_chains(Forest(graph))
+    assert max(lengths) <= math.log2(len(graph.vertices)) + 1
