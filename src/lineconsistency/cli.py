@@ -22,6 +22,7 @@ from . import analysis, generate
 from .core import GraphError, SignedGraph
 from .cycles import CircleLimitError, circle_vertex_sign, is_consistent_oracle
 from .io import (
+    GraphFormatError,
     export_dot,
     read_signed_graph,
     structure_report_to_dict,
@@ -40,10 +41,14 @@ _METHODS = ("i", "ii", "iii", "thm1", "structure", "oracle")
 
 
 def _load(path: str) -> SignedGraph:
-    if path == "-":
-        return read_signed_graph(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_signed_graph(handle.read())
+    # the text goes straight into the reader, which frees it once decoded
+    try:
+        if path == "-":
+            return read_signed_graph(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return read_signed_graph(handle.read())
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot decode input: {exc}") from None
 
 
 def _methods_for(graph: SignedGraph) -> list:

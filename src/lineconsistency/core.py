@@ -23,8 +23,8 @@ import enum
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
-from itertools import compress, repeat, starmap
-from operator import eq, xor
+from itertools import compress, islice, repeat, starmap
+from operator import eq, lt, xor
 from typing import Iterable
 
 from . import _traversal
@@ -108,23 +108,36 @@ class SignedEdge(Edge):
             object.__setattr__(self, "sign", Sign.from_symbol(self.sign))
 
 
+def _ascending(ids) -> bool:
+    """Whether ``ids`` are strictly ascending, hence also distinct: one
+    C-level pass over neighbouring pairs, with no copy."""
+    return all(map(lt, ids, islice(ids, 1, None)))
+
+
 def _check(vertex_ids, edge_ids, us, vs) -> tuple:
     """The graph invariants, on vertex ids and edge columns in their given
     order: raise GraphError naming, by its position, the first duplicate
     vertex id, duplicate edge id, loop or endpoint that is not a vertex.
 
-    Return the sorted vertex ids, the edge positions in id order, the edge
-    ids in that order, and, in the given order, each edge's endpoints as
-    indices into the sorted vertex ids.  The checks run on whole columns;
+    Return the sorted vertex ids, the edge positions in id order (None when
+    the edges already arrive in id order), the edge ids in id order, and,
+    in the given order, each edge's endpoints as indices into the sorted
+    vertex ids.  Ids that arrive strictly ascending, as every document the
+    JSON writer emits has them, are neither sorted nor copied in a new
+    order; any other order is sorted.  The checks run on whole columns;
     only a graph that fails one is walked in its given order, to name the
     first offender."""
-    vertices = tuple(sorted(vertex_ids))
+    vertices = tuple(vertex_ids if _ascending(vertex_ids) else sorted(vertex_ids))
     index = dict(zip(vertices, range(len(vertices))))
-    order = sorted(range(len(edge_ids)), key=edge_ids.__getitem__)
-    ids = tuple(map(edge_ids.__getitem__, order))
+    if _ascending(edge_ids):
+        order, distinct, ids = None, True, tuple(edge_ids)
+    else:
+        order = sorted(range(len(edge_ids)), key=edge_ids.__getitem__)
+        ids = tuple(map(edge_ids.__getitem__, order))
+        distinct = not any(map(eq, ids, islice(ids, 1, None)))
     a = list(map(index.get, us, repeat(-1)))
     b = list(map(index.get, vs, repeat(-1)))
-    if (len(index) == len(vertices) and not any(map(eq, ids, ids[1:]))
+    if (len(index) == len(vertices) and distinct
             and -1 not in a and -1 not in b and not any(map(eq, a, b))):
         return vertices, order, ids, a, b
     seen = set()
@@ -166,15 +179,21 @@ class _Multigraph:
 
     def _store_columns(self, vertex_ids, edge_ids, us, vs, negative) -> None:
         """Check the invariants on the given order, then store the columns
-        in id order."""
+        in id order.  Columns given in id order are permuted by nothing, and
+        a given list of negative bits is kept, not copied: the caller hands
+        it over."""
         vertices, order, ids, a, b = _check(vertex_ids, edge_ids, us, vs)
-        a, b = list(map(a.__getitem__, order)), list(map(b.__getitem__, order))
+        if order is not None:
+            a, b = list(map(a.__getitem__, order)), list(map(b.__getitem__, order))
+            negative = list(map(negative.__getitem__, order))
+        elif negative.__class__ is not list:
+            negative = list(negative)
         self.__dict__.update(
             vertex_ids=vertices,
             edge_ids=ids,
             tail=[x if x < y else y for x, y in zip(a, b)],
             ends=list(map(xor, a, b)),
-            negative=list(map(negative.__getitem__, order)),
+            negative=negative,
         )
 
     @cached_property

@@ -8,6 +8,12 @@ graph's columns (ids, endpoints, negative bits) without building edge values;
 the graph invariants (unique ids, no loops, endpoints among the vertices) are
 checked once, by the graph constructor, and its error is re-raised as
 GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  The
+read's peak is the text plus the decoded document: the reader drops the
+text once decoded and the document once its columns are taken, so neither
+is alive while the graph is built.  The text is freed then only when the
+caller holds no other reference to it; the CLI's loader holds none (on
+CPython 3.11, a call's arguments belong to the callee's frame).  Ids
+that arrive in id order, as the writers emit them, are not sorted.  The
 writers emit the canonical text of ``json.dumps(document, indent=2,
 sort_keys=True)`` straight from the columns, each id quoted by json's own C
 string encoder: writes are byte-deterministic, reads of writes round-trip
@@ -20,6 +26,7 @@ import json
 from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .analysis import StructureReport
 # new_signed_graph is not used here but stays importable from this module:
@@ -28,6 +35,7 @@ from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
 
 _STRING = frozenset((str,))
 _SIGN_SYMBOLS = frozenset(("+", "-"))
+_SIGN = itemgetter("sign")
 
 
 class GraphFormatError(GraphError):
@@ -61,10 +69,9 @@ def _edge_columns(items: list) -> tuple:
         ids = [item["id"] for item in items]
         us = [item["u"] for item in items]
         vs = [item["v"] for item in items]
-        signs = [item["sign"] for item in items]
         if (_STRING.issuperset(map(type, chain(ids, us, vs)))
-                and _SIGN_SYMBOLS.issuperset(signs)):
-            return ids, us, vs, list(map("-".__eq__, signs))
+                and _SIGN_SYMBOLS.issuperset(map(_SIGN, items))):
+            return ids, us, vs, list(map("-".__eq__, map(_SIGN, items)))
     except (TypeError, KeyError):
         pass
     ids, us, vs, negative = [], [], [], []
@@ -86,11 +93,15 @@ def _edge_columns(items: list) -> tuple:
 
 
 def read_signed_graph(text: str) -> SignedGraph:
-    """Parse a JSON document into a validated SignedGraph."""
+    """Parse a JSON document into a validated SignedGraph, dropping the text
+    once decoded and the document once its columns are taken."""
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal too long to convert, or
+        # arrays or objects nested deeper than the recursion limit
         raise GraphFormatError(f"invalid JSON: {exc}") from None
+    del text
     if not isinstance(document, dict):
         raise GraphFormatError("top level must be an object")
     for key in ("vertices", "edges"):
@@ -100,6 +111,7 @@ def read_signed_graph(text: str) -> SignedGraph:
             raise GraphFormatError(f"{key!r} must be an array")
     vertices = _vertex_ids(document["vertices"])
     columns = _edge_columns(document["edges"])
+    del document
     try:
         return SignedGraph._from_columns(vertices, *columns)
     except GraphError as exc:

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -133,6 +134,35 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text("{broken")
         assert main(["check", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", [["check"], ["decompose"], ["line-graph", "-"]],
+                             ids=["check", "decompose", "line-graph"])
+    @pytest.mark.parametrize("content, message", [
+        (b'{"vertices": [' + b"1" * 5000 + b'], "edges": []}',
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+        (b"[" * 100_000 + b"]" * 100_000,
+         "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"),
+        ('{"vertices": ["\xe9"], "edges": []}'.encode("latin-1"),
+         "cannot decode input: 'utf-8' codec can't decode byte 0xe9 in position 15"),
+    ], ids=["long-integer", "deep-nesting", "not-utf-8"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_check_peaks_at_the_text_and_document(self, tmp_path, capsys, large_document,
+                                                  traced_peak):
+        # the reader frees the text once decoded and the document once its
+        # columns are taken; condition ii then allocates less than either
+        path = tmp_path / "large.json"
+        path.write_text(large_document)
+        document = traced_peak(lambda: json.loads(large_document))
+        floor = sys.getsizeof(large_document) + document
+        peak = traced_peak(lambda: main(["check", "--method", "ii", str(path)]))
+        assert capsys.readouterr().out == "ii: line consistent\n"
+        assert peak <= 1.10 * floor
 
     def test_byte_identical_reports(self, neg_star, capsys):
         main(["check", neg_star, "--witness"])

@@ -95,6 +95,11 @@ class TestConstruction:
          "edges[1]: endpoint 'q' is not a vertex"),
         ([("e1", "a", "b", "+"), ("e3", "a", "b", "+"), ("e1", "a", "b", "-")],
          "edges[2]: duplicate edge id 'e1'"),
+        # in id order but for an adjacent duplicate: not strictly ascending
+        ([("e1", "a", "b", "+"), ("e2", "a", "b", "+"), ("e2", "a", "b", "-")],
+         "edges[2]: duplicate edge id 'e2'"),
+        ([(9, "a", "b", "+"), (10, "a", "b", "+"), ("10", "a", "b", "-")],
+         "edges[2]: duplicate edge id '10'"),
     ])
     def test_edge_faults_located_at_given_position(self, edges, message):
         # sorted by id, the offending edge would sit at another index
@@ -413,6 +418,8 @@ class TestMarkedGraph:
          "edges[2]: duplicate edge id 'd2'"),
         ([("x", "+"), ("y", "-")], [("d1", "x", "y"), ("d2", "x", "w")],
          "edges[1]: endpoint 'w' is not a vertex"),
+        ([("x", "+"), ("y", "-")], [("d1", "x", "y"), ("d1", "y", "x")],
+         "edges[1]: duplicate edge id 'd1'"),
     ])
     def test_errors_name_the_given_position(self, vertices, edges, message):
         with pytest.raises(GraphError) as raised:
@@ -435,3 +442,21 @@ def test_structural_equality_is_order_independent():
     b = new_signed_graph("ab", [("e1", "a", "b", "+"), ("e2", "a", "b", "-")])
     assert a == b
     assert isinstance(a, SignedGraph)
+    # integer ids, stringified: "10" sorts before "9", so numeric order is
+    # not id order; edges in id order are stored as given, any other sorted
+    edges = [(i, f"v{i % 4}", f"v{(i + 1) % 4}", "-" if i % 3 else "+")
+             for i in range(1, 13)]
+    in_id_order = sorted(edges, key=lambda e: str(e[0]))
+    shuffled = edges[:]
+    random.Random(3).shuffle(shuffled)
+    orders = [in_id_order, in_id_order[::-1], edges, edges[::-1], shuffled]
+    vertices = [f"v{i}" for i in range(4)]
+    signed = [new_signed_graph(vertices[::-1], order) for order in orders]
+    marked = [new_marked_graph([(v, "+") for v in vertices], [e[:3] for e in order])
+              for order in orders]
+    for graphs in (signed, marked):
+        keys = [graph._key() for graph in graphs]
+        assert all(key == keys[0] for key in keys)
+        assert all(graph == graphs[0] for graph in graphs)
+    assert signed[0].edge_ids == tuple(sorted(map(str, range(1, 13))))
+    assert signed[0].vertex_ids == ("v0", "v1", "v2", "v3")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from lineconsistency import (
     write_marked_graph,
     write_signed_graph,
 )
+from lineconsistency import core
 
 
 class TestRead:
@@ -124,9 +126,20 @@ class TestRead:
          '{"id":"e2","u":"a","v":"b","sign":"+"},'
          '{"id":1.5,"u":"a","v":"b","sign":"+"}]}',
          "edges[1].id: identifier must be a string or an integer"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":"e1","u":"a","v":"b","sign":"+"},'
+         '{"id":"e2","u":"a","v":"b","sign":"+"},'
+         '{"id":"e2","u":"a","v":"b","sign":"-"}]}',
+         "edges[2]: duplicate edge id 'e2'"),
+        ('{"vertices":["a","b"],"edges":['
+         '{"id":9,"u":"a","v":"b","sign":"+"},'
+         '{"id":10,"u":"a","v":"b","sign":"+"},'
+         '{"id":"10","u":"a","v":"b","sign":"-"}]}',
+         "edges[2]: duplicate edge id '10'"),
     ], ids=["duplicate-vertex", "duplicate-edge", "loop", "unknown-endpoint",
             "bad-sign", "top-level-not-object", "vertices-not-array",
-            "edge-not-object", "missing-sign", "float-id"])
+            "edge-not-object", "missing-sign", "float-id",
+            "adjacent-duplicate-edge", "stringified-duplicate-edge"])
     def test_single_fault_located(self, document, message):
         # sorted, each offender would sit at another index: positions are as given
         with pytest.raises(GraphFormatError) as caught:
@@ -139,6 +152,20 @@ class TestRead:
         )
         assert g.vertices == ("1", "2")
         assert g.edges[0].id == "7"
+        # "10" sorts before "9": read in any order, the same columns result
+        edges = [{"id": i, "u": i % 4, "v": (i + 1) % 4, "sign": "+-"[i % 3 > 0]}
+                 for i in range(1, 13)]
+        in_id_order = sorted(edges, key=lambda e: str(e["id"]))
+        shuffled = edges[:]
+        random.Random(3).shuffle(shuffled)
+        keys = [
+            read_signed_graph(json.dumps({"vertices": vertices, "edges": order}))._key()
+            for order in (in_id_order, in_id_order[::-1], edges, edges[::-1], shuffled)
+            for vertices in ([0, 1, 2, 3], [3, 2, 1, 0])
+        ]
+        assert all(key == keys[0] for key in keys)
+        assert keys[0][0] == ("0", "1", "2", "3")
+        assert keys[0][1] == tuple(sorted(map(str, range(1, 13))))
 
     def test_boolean_identifier_rejected(self):
         with pytest.raises(GraphFormatError, match="boolean"):
@@ -147,6 +174,13 @@ class TestRead:
     def test_missing_keys(self):
         with pytest.raises(GraphFormatError, match="missing key"):
             read_signed_graph('{"vertices":[]}')
+
+    def test_read_peaks_at_the_decoded_document(self, large_document, traced_peak):
+        # the text and the document are dropped before the graph is built
+        assert large_document.count('"id"') == 19_969
+        document = traced_peak(lambda: json.loads(large_document))
+        read = traced_peak(lambda: read_signed_graph(large_document))
+        assert read <= 1.10 * document
 
 
 def built_graphs():
@@ -233,6 +267,33 @@ class TestWrite:
     def test_byte_determinism(self):
         g = random_signed_graph(5, 7, 0.5, 3)
         assert write_signed_graph(g) == write_signed_graph(g)
+
+    @pytest.mark.parametrize("graph", [
+        random_signed_graph(12, 20, 0.5, 2),
+        generate_line_consistent(Recipe(negative_circles=(4,), isthmus_paths=(3, 3),
+                                        scaffold_tree=2), 1),
+    ], ids=["random", "recipe"])
+    def test_written_ids_are_read_without_a_sort(self, graph, monkeypatch):
+        # ids cross a digit boundary, where string order is not numeric order
+        assert {"e9", "e10"} <= set(graph.edge_ids)
+        assert {"9", "10"} <= {v[1:] for v in graph.vertex_ids}
+        text = write_signed_graph(graph)
+        document = json.loads(text)
+        ids = [e["id"] for e in document["edges"]]
+        vertices = document["vertices"]
+        assert all(map(str.__lt__, ids, ids[1:]))
+        assert all(map(str.__lt__, vertices, vertices[1:]))
+        sorts = []
+
+        def counted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(core, "sorted", counted, raising=False)
+        assert read_signed_graph(text) == graph and sorts == []
+        document["edges"].reverse()
+        document["vertices"].reverse()
+        assert read_signed_graph(json.dumps(document)) == graph and len(sorts) == 2
 
     @given(st.integers(0, 2000), st.integers(1, 7), st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
