@@ -34,7 +34,9 @@ class Forest:
     ``closed`` lists the ``last`` edges that closed a circle, in merge
     order: the other edges are merged first, and contracting them keeps
     exactly which ``last`` edges are bridges, so none closes a circle
-    exactly when all of them are bridges.
+    exactly when all of them are bridges.  With ``last`` reversed from some
+    order, ``closed[-1]`` is the first in that order that is not a bridge:
+    the others on a circle through it come later, so are merged before it.
     """
 
     def __init__(self, graph, last=()):

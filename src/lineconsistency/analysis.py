@@ -8,11 +8,10 @@ second condition is the production checker; the others are cross-validation
 routes.  The cross-validation routes read isthmi, blocks, components and
 balance from one iterative depth-first search per graph
 (``SignedGraph.traversal``, linear and cached).  Condition ii reads balance,
-and whether its tested edges are isthmi, from one parity union-find
-(``_traversal.Forest``), and starts the search only to name a tested edge
-that is not an isthmus.  Witnesses are derived from the failing clause of
-condition ii in linear time; ``linegraph`` builds them as line-graph circles
-and checks them.
+whether its tested edges are isthmi and which one is not, from one parity
+union-find (``_traversal.Forest``), and runs no search.  Witnesses are
+derived from the failing clause of condition ii in linear time;
+``linegraph`` builds them as line-graph circles and checks them.
 """
 
 from __future__ import annotations
@@ -213,23 +212,19 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
 
     The local clauses are read from the graph's columns (``_local_clauses``,
     whose degree lists are freed before the forest is built).  The positive
-    edges they test are merged last into one parity union-find
-    (``_traversal.Forest``): when none of them closes a circle, all are
-    isthmi and the forest's balance answers the last clause; when one does,
-    the graph's depth-first search names the first in vertex order that is
-    not an isthmus.  A local clause that fails before any edge is tested
-    needs neither."""
+    edges they test are merged last, in reverse vertex order, into one parity
+    union-find (``_traversal.Forest``): when none closes a circle, all are
+    isthmi and the forest's balance answers the last clause; else the last to
+    close one is the first in vertex order that is not an isthmus.  A local
+    clause that fails before any edge is tested needs no forest."""
     tested, failed = _local_clauses(graph)
     if failed and not tested:
         return failed
-    forest = Forest(graph, list(tested))
+    forest = Forest(graph, list(reversed(tested)))
     if forest.closed:
-        isthmi = find_isthmi(graph)
-        for k, i in tested.items():
-            if graph.edge_ids[k] not in isthmi:
-                return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
-                               vertex=graph.vertices[i], edge=graph.edge_ids[k])
-        raise GraphError("a tested edge closed a circle, yet every one is an isthmus")
+        k = forest.closed[-1]
+        return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
+                       vertex=graph.vertices[tested[k]], edge=graph.edge_ids[k])
     return failed or (Verdict(True) if forest.balanced else Verdict(False, UNBALANCED))
 
 

@@ -148,7 +148,7 @@ def _agreement_failures(graph: SignedGraph) -> tuple:
         failures.append(
             f"corollary says {corollary}, oracle says {oracle.consistent}"
         )
-    if not oracle.consistent:
+    if not oracle.consistent and not verdicts["ii"].line_consistent:
         witness = analysis.find_witness(graph, verdicts["ii"])
         if not circle_vertex_sign(marked, witness).is_negative:
             failures.append("witness circle is not negative")
@@ -158,8 +158,10 @@ def _agreement_failures(graph: SignedGraph) -> tuple:
 def cmd_fuzz(args) -> int:
     if args.max_n < 1:
         raise GraphError("bounds exceeded: --max-n must be at least 1")
-    if args.max_m < 0:
-        raise GraphError("bounds exceeded: --max-m must be nonnegative")
+    for flag, value in (("--max-m", args.max_m), ("--count", args.count),
+                        ("--recipes", args.recipes)):
+        if value < 0:
+            raise GraphError(f"bounds exceeded: {flag} must be nonnegative")
 
     graphs = []
     if args.exhaustive:

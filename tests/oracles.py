@@ -439,6 +439,26 @@ def _disjoint_circles(seed):
     return new_signed_graph(names, [(f"e{k}", *edge) for k, edge in zip(ids, edges)])
 
 
+def _negative_paths(seed):
+    """3-40 shuffled vertices, runs of them joined by negative paths of 1-4
+    edges, and up to n random extra edges, about one in ten negative: many
+    vertices of negative degree 2 have their positive edge tested, often
+    several in one graph, with bridges and non-bridges among them in any
+    vertex order."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 40)
+    names = [f"v{x}" for x in rng.sample(range(10 * n), n)]
+    edges, start = [], 0
+    while start < n - 1:
+        end = min(start + rng.randint(1, 4), n - 1)
+        edges += [(names[i], names[i + 1], "-") for i in range(start, end)]
+        start = end + 1
+    edges += [(*rng.sample(names, 2), "-" if rng.random() < 0.1 else "+")
+              for _ in range(rng.randint(0, n))]
+    ids = rng.sample(range(10 * len(edges)), len(edges))
+    return new_signed_graph(names, [(f"e{k}", *edge) for k, edge in zip(ids, edges)])
+
+
 def _tested_edges():
     """Hand-made graphs where condition ii tests positive edges."""
     return [
@@ -490,6 +510,8 @@ def differential_corpus(family):
         return (_disjoint_circles(s) for s in range(400))
     if family == "tested-edges":
         return _tested_edges()
+    if family == "negative-paths":
+        return (_negative_paths(s) for s in range(2000))
     raise ValueError(family)
 
 

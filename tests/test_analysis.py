@@ -630,14 +630,26 @@ def test_classifier_matches_the_edge_value_classifier(family):
 
 
 @pytest.mark.parametrize("family", [
-    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges"])
-def test_condition_ii_matches_the_search(family):
+    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
+    "negative-paths"])
+def test_condition_ii_matches_the_search(family, monkeypatch):
     """Condition ii and the negative circle read from the parity union-find
     give the verdicts, named vertices and edges, witnesses and circles that
     the whole graph's depth-first search gave; the references are kept in
-    ``oracles``."""
+    ``oracles``.  Condition ii itself builds no search and no incidence
+    list."""
+    searches = []
+    monkeypatch.setattr(_traversal, "incidence",
+                        lambda *args, built=_traversal.incidence:
+                        searches.append("incidence") or built(*args))
+    monkeypatch.setattr(_traversal, "Traversal",
+                        lambda graph, built=_traversal.Traversal:
+                        searches.append("Traversal") or built(graph))
     for graph in differential_corpus(family):
-        verdict, expected = check_condition_ii(graph), check_condition_ii_by_search(graph)
+        searches.clear()
+        verdict = check_condition_ii(graph)
+        assert searches == [], graph
+        expected = check_condition_ii_by_search(graph)
         assert verdict == expected, graph
         assert find_negative_circle(graph) == find_negative_circle_by_search(graph), graph
         if not verdict.line_consistent:

@@ -250,12 +250,13 @@ class TestCheck:
             ))
         assert built_edge_values == []
 
-    @pytest.mark.parametrize("edges, clause, witness", PADDED_CASES[:3],
-                             ids=PADDED_IDS[:3])
+    @pytest.mark.parametrize("edges, clause, witness", PADDED_CASES[:5],
+                             ids=PADDED_IDS[:5])
     def test_check_builds_no_incidence_and_no_search(self, tmp_path, monkeypatch, capsys,
                                                      edges, clause, witness):
         """Condition ii and the local clauses' witnesses read the columns:
-        the padded graphs above build no incidence list and run no search."""
+        the padded graphs above run no search, and build no incidence list
+        but for the breadth-first search of a not-isthmus witness."""
         from lineconsistency import _traversal
 
         calls = Counter()
@@ -276,7 +277,8 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == (0 if clause is None else 1)
         assert clause is None or f"ii: witness {witness}" in out
-        assert calls == Counter()
+        not_isthmus = clause == "negative-degree-2 positive edge not an isthmus"
+        assert calls == (Counter(incidence=1) if not_isthmus else Counter())
 
     def test_all_methods_build_no_edge_values(self, tmp_path, capsys, built_edge_values):
         """``check --witness`` with every method (the classifier, the line
@@ -451,6 +453,33 @@ class TestFuzz:
             graph = read_signed_graph(document + "}")
             assert not check_condition_ii(graph).line_consistent
 
+    def test_production_disagreement_prints_each_counterexample(self, monkeypatch,
+                                                                capsys):
+        """A wrong positive verdict of condition ii, which the witness is
+        built from, is reported like any other method's."""
+        from lineconsistency import analysis, check_condition_i, read_signed_graph
+
+        monkeypatch.setattr(analysis, "check_condition_ii",
+                            lambda graph: analysis.Verdict(True))
+        code = main(["fuzz", "--exhaustive", "--max-n", "3", "--max-m", "3"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "line consistent: 47" in out
+        assert "disagreements: 48" in out
+        blocks = out.split("counterexample:\n")[1:]
+        assert len(blocks) == 48
+        for block in blocks:
+            document, failure = block.rsplit("}\n", 1)
+            assert failure == "  method ii says True, oracle says False\n"
+            graph = read_signed_graph(document + "}")
+            assert not check_condition_i(graph).line_consistent
+
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["fuzz", "--max-n", "0"]) == 2
         assert main(["fuzz", "--exhaustive", "--max-n", "9"]) == 2
+        assert main(["fuzz", "--count", "-5"]) == 2
+        assert main(["fuzz", "--count", "0", "--recipes", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: bounds exceeded: ") == 4
+        assert "--count must be nonnegative" in err
+        assert "--recipes must be nonnegative" in err

@@ -227,3 +227,26 @@ def test_forest_find_chains_stay_logarithmic(shape):
         graph = generate_line_consistent(large_recipe(1_000, 3), 3)
     lengths = find_chains(Forest(graph))
     assert max(lengths) <= math.log2(len(graph.vertices)) + 1
+
+
+def test_forest_closes_the_first_non_bridge_last_in_reverse_order():
+    """Merged last in the reverse of their order, the last of some chosen
+    edges to close a circle is the first of them that is not a bridge, and
+    none closes one when all are bridges: condition ii names the tested edge
+    that is not an isthmus so.  The chosen edges are a random sample in
+    random order, and every positive edge in edge order."""
+    rng = random.Random(18)
+    graphs = [random_signed_graph(n, min(s % 31, n * (n - 1)), s % 5 / 4, s)
+              for s in range(80) for n in [2 + s % 12]]
+    graphs += [generate_line_consistent(random_recipe(s), s) for s in range(30)]
+    named = 0
+    for graph in graphs:
+        m = len(graph.edge_ids)
+        bridges = set(map(graph._edge_number, graph.traversal.bridges))
+        positive = [k for k in range(m) if not graph.negative[k]]
+        for chosen in (rng.sample(range(m), rng.randint(0, m)), positive):
+            first = next((k for k in chosen if k not in bridges), None)
+            closed = Forest(graph, chosen[::-1]).closed
+            assert closed[-1:] == ([] if first is None else [first]), (graph, chosen)
+            named += first is not None and len(closed) > 1
+    assert named > 50
