@@ -5,9 +5,10 @@ a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
 second condition is the production checker; the others are cross-validation
-routes.  The cross-validation routes read isthmi, blocks, components and
-balance from one iterative depth-first search per graph
-(``SignedGraph.traversal``, linear and cached).  Condition ii reads balance,
+routes.  Every route counts degrees and negative degrees in one pass over the
+columns (``_degrees``, not cached).  The cross-validation routes read isthmi,
+blocks, components and balance from one iterative depth-first search per
+graph (``SignedGraph.traversal``, linear and cached).  Condition ii reads balance,
 whether its tested edges are isthmi and which one is not, from one parity
 union-find (``_traversal.Forest``), and runs no search.  Witnesses are
 derived from the failing clause of condition ii in linear time;
@@ -133,57 +134,13 @@ def _balance_verdict(graph: SignedGraph) -> Verdict:
     return Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED)
 
 
-def _degree_sign_clause(graph: SignedGraph, degree3_clause: str,
-                        at_mixed=lambda v, positive, negative: None):
-    """The local clause of conditions i and iii and the simple-graph
-    criterion: degree > 3 totally positive; degree 3 totally positive or
-    exactly one positive edge (else ``degree3_clause`` fails), and
-    ``at_mixed``, called with the edge ids split by sign at each degree-3
-    vertex with one positive edge, returns no failed verdict.  The first
-    failure in vertex order, or None."""
-    ids, is_negative = graph.edge_ids, graph.negative
-    for v, incident in zip(graph.vertices, graph.incidence):
-        negative = [ids[k] for k in incident if is_negative[k]]
-        if not negative or len(incident) < 3:
-            continue
-        if len(incident) > 3:
-            return Verdict(False, "degree>3 not totally positive", vertex=v)
-        positive = [ids[k] for k in incident if not is_negative[k]]
-        if len(positive) != 1:
-            return Verdict(False, degree3_clause, vertex=v)
-        failed = at_mixed(v, positive[0], negative)
-        if failed:
-            return failed
-    return None
-
-
-def check_condition_i(graph: SignedGraph) -> Verdict:
-    """Balanced; degree > 3 totally positive; degree 3 totally positive or
-    exactly one positive edge, which is an isthmus."""
-    isthmi = find_isthmi(graph)
-
-    def isthmus(v, positive, _):
-        if positive not in isthmi:
-            return Verdict(False, "degree-3 positive edge not an isthmus",
-                           vertex=v, edge=positive)
-
-    return (_degree_sign_clause(graph, "degree-3 vertex signs invalid", isthmus)
-            or _balance_verdict(graph))
-
-
-def _local_clauses(graph: SignedGraph) -> tuple:
-    """The local clauses of condition ii, read in vertex order over the
-    vertices with a negative edge, up to the first that fails: (tested,
-    failed).  ``tested`` maps each positive edge met at a vertex with two
-    negative edges and one positive edge to the first such vertex, once
-    even when both ends test it; ``failed`` is the failed verdict, or None.
-    The degrees are counted in one pass over the columns."""
-    tail, ends, negative = graph.tail, graph.ends, graph.negative
+def _degrees(graph: SignedGraph) -> tuple:
+    """(degree, negative_degree, positive_at), one pass over the columns:
+    each vertex's degree and negative degree, and the last positive edge at
+    it in id order, its only one when it has one (-1 when it has none)."""
     n = len(graph.vertex_ids)
-    # degrees, negative degrees and, at each vertex, the last positive edge
-    # met: its only one when it has one
     degree, negative_degree, positive_at = [0] * n, [0] * n, [-1] * n
-    for k, (a, e, odd) in enumerate(zip(tail, ends, negative)):
+    for k, (a, e, odd) in enumerate(zip(graph.tail, graph.ends, graph.negative)):
         b = a ^ e
         degree[a] += 1
         degree[b] += 1
@@ -192,8 +149,49 @@ def _local_clauses(graph: SignedGraph) -> tuple:
             negative_degree[b] += 1
         else:
             positive_at[a] = positive_at[b] = k
+    return degree, negative_degree, positive_at
+
+
+def _degree_sign_clause(graph: SignedGraph, degree3_clause: str) -> tuple:
+    """The local clause of conditions i and iii and the simple-graph
+    criterion (degree > 3 totally positive; degree 3 totally positive or
+    exactly one positive edge, else ``degree3_clause`` fails), read in vertex
+    order up to the first failure: (mixed, failed).  ``mixed`` maps each
+    degree-3 vertex with one positive edge before it to that edge; a route
+    testing them first keeps the first failure in vertex order."""
+    degree, negative_degree, positive_at = _degrees(graph)
+    mixed = {}
+    for i in compress(range(len(degree)), negative_degree):
+        if degree[i] == 3 and negative_degree[i] == 2:
+            mixed[i] = positive_at[i]
+        elif degree[i] >= 3:
+            clause = degree3_clause if degree[i] == 3 else "degree>3 not totally positive"
+            return mixed, Verdict(False, clause, vertex=graph.vertices[i])
+    return mixed, None
+
+
+def check_condition_i(graph: SignedGraph) -> Verdict:
+    """Balanced; degree > 3 totally positive; degree 3 totally positive or
+    exactly one positive edge, which is an isthmus."""
+    mixed, failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
+    isthmi = find_isthmi(graph)
+    for i, k in mixed.items():
+        if graph.edge_ids[k] not in isthmi:
+            return Verdict(False, "degree-3 positive edge not an isthmus",
+                           vertex=graph.vertices[i], edge=graph.edge_ids[k])
+    return failed or _balance_verdict(graph)
+
+
+def _local_clauses(graph: SignedGraph) -> tuple:
+    """The local clauses of condition ii, read in vertex order over the
+    vertices with a negative edge, up to the first that fails: (tested,
+    failed).  ``tested`` maps each positive edge met at a vertex with two
+    negative edges and one positive edge to the first such vertex, once
+    even when both ends test it; ``failed`` is the failed verdict, or None.
+    The counts come from ``_degrees`` and are freed on return."""
+    degree, negative_degree, positive_at = _degrees(graph)
     tested = {}
-    for i in compress(range(n), negative_degree):
+    for i in compress(range(len(degree)), negative_degree):
         count = negative_degree[i]
         others = degree[i] - count
         if count > 2:
@@ -236,13 +234,13 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
     No second graph is built: isthmi lie on no circle, so deleting them
     leaves balance as it is, and each degree drops by the positive isthmi
     at the vertex."""
-    failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
+    _, failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
     if failed:
         return failed
     isthmi = find_isthmi(graph)
     if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    degree = list(map(len, graph.incidence))
+    degree = _degrees(graph)[0]
     edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
     for eid, a, e, negative in edges:
         if not negative and eid in isthmi:
@@ -269,20 +267,16 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     alone, enumerated only once such a vertex is reached)."""
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
-
-    def pair_on_every_circle(v, _, negative):
-        pair = set(negative)
+    mixed, failed = _degree_sign_clause(
+        graph, "degree-3 vertex without exactly two negative edges")
+    off_circle = "degree-3 negative pair not on all circles through the vertex"
+    for i in mixed:
+        v = graph.vertices[i]
+        pair = {graph.edge_ids[k] for k in graph.incidence[i] if graph.negative[k]}
         circles = circles_through(graph, (v,), DEFAULT_CIRCLE_CAP)
         if any(not pair <= set(c.edges) for c in circles):
-            return Verdict(
-                False,
-                "degree-3 negative pair not on all circles through the vertex",
-                vertex=v,
-            )
-
-    return _degree_sign_clause(
-        graph, "degree-3 vertex without exactly two negative edges", pair_on_every_circle
-    ) or _balance_verdict(graph)
+            return Verdict(False, off_circle, vertex=v)
+    return failed or _balance_verdict(graph)
 
 
 def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
@@ -294,7 +288,7 @@ def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
         return None
     if find_isthmi(graph):
         return None
-    if 2 in map(len, graph.incidence):
+    if 2 in _degrees(graph)[0]:
         return None
     return not any(graph.negative)
 
@@ -320,13 +314,14 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     block-free endpoints (b).  Divalent-endpoint and endpoint-attachment facts
     are consequences of the form; they are reported, not enforced.
 
-    Read from the columns and the traversal's per-edge block labels.  Every
+    Read from the columns, ``_degrees`` and the traversal's per-edge block
+    labels, where an isthmus is an edge whose block has one edge.  Every
     negative edge at a vertex lies in its component, so a component's extra
     edges at a vertex are the vertex's positive edges.
     """
     ids, edge_ids, tail, ends = graph.vertex_ids, graph.edge_ids, graph.tail, graph.ends
     negative, incidence = graph.negative, graph.incidence
-    isthmi = find_isthmi(graph)
+    degree, negative_degree, positive_at = _degrees(graph)
     label, sizes = graph.traversal.block_labels
     # the negative subgraph's components, by least vertex, from a search along
     # the negative edges; runs[i] lists component i's vertices in order
@@ -353,7 +348,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
             inside_edges[i].append(k)
 
     def isthmus(k):
-        return edge_ids[k] in isthmi
+        return sizes[label[k]] == 1
 
     def whole_block(edges):  # whether edges are exactly one block's edges
         b = label[edges[0]]
@@ -361,7 +356,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
 
     reports = []
     for run, comp_edges, inside in zip(runs, negative_edges, inside_edges):
-        degrees = [sum(map(negative.__getitem__, incidence[v])) for v in run]
+        degrees = [negative_degree[v] for v in run]
         kind = _classify_kind(degrees)
         endpoints = []
         violations = []
@@ -370,11 +365,11 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
         def check_extras(word, inner):
             """At most one extra edge at each inner vertex, a positive isthmus."""
             for v in inner:
-                extras = [k for k in incidence[v] if not negative[k]]
-                if len(extras) > 1:
+                extras = degree[v] - negative_degree[v]
+                if extras > 1:
                     violations.append(
                         f"more than one extra edge at {word} vertex {ids[v]!r}")
-                elif extras and not isthmus(extras[0]):
+                elif extras and not isthmus(positive_at[v]):
                     violations.append(
                         f"extra edge at {word} vertex {ids[v]!r} is not a positive isthmus"
                     )
@@ -391,7 +386,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
         elif kind == "nontrivial-path":
             endpoints = [v for v, d in zip(run, degrees) if d == 1]
             for v in endpoints:
-                if len(incidence[v]) > 2:
+                if degree[v] > 2:
                     violations.append(f"path endpoint {ids[v]!r} is not at most divalent")
             check_extras("path", (v for v in run if v not in endpoints))
             if not inside:
@@ -407,7 +402,7 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
             b = label[comp_edges[0]]
             if sizes[b] > 1 and all(label[k] == b for k in comp_edges):
                 case = "a"
-                endpoints_divalent = all(len(incidence[v]) == 2 for v in endpoints)
+                endpoints_divalent = all(degree[v] == 2 for v in endpoints)
             elif all(map(isthmus, comp_edges)) and all(  # no endpoint in a nontrivial block
                 isthmus(k) for v in endpoints for k in incidence[v]
             ):

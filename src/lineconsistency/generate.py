@@ -105,6 +105,8 @@ def random_signed_graph(
     them is cheaper.  O(n log n + m log n) either way."""
     if n < 0:
         raise GraphError("impossible parameters: negative vertex count")
+    if m < 0:
+        raise GraphError("impossible parameters: negative edge count")
     if m > 0 and n < 2:
         raise GraphError("impossible parameters: edges need at least 2 vertices")
     if not 0.0 <= negative_probability <= 1.0:

@@ -64,6 +64,19 @@ def star(signs):
               *[(f"e{i}", "c", f"l{i}", s) for i, s in enumerate(signs, 1)])
 
 
+def mixed_then_failing(mixed, failing, isthmus):
+    """A degree-3 vertex ``mixed`` with negative edges n1, n2 and positive
+    edge p, beside a star centre ``failing`` of degree 4 with a negative
+    edge.  p is an isthmus, or lies on the balanced triangle p, q, n1, which
+    misses n2."""
+    edges = [("n1", mixed, "x1", "-"), ("n2", mixed, "x2", "-"), ("p", mixed, "c", "+"),
+             ("f1", failing, "l1", "-"), ("f2", failing, "l2", "+"),
+             ("f3", failing, "l3", "+"), ("f4", failing, "l4", "+")]
+    if not isthmus:
+        edges.append(("q", "c", "x1", "-"))
+    return sg([mixed, failing, "c", "x1", "x2", "l1", "l2", "l3", "l4"], *edges)
+
+
 def forbidden(*args, **kwargs):
     raise AssertionError("must not be called")
 
@@ -170,6 +183,21 @@ class TestConditionI:
         witness = find_witness(g, v)
         assert len(witness) == 5
         assert set(witness.vertices) == {"vu", "vw", "xv", "yx", "uy"}
+
+    def test_a_not_isthmus_edge_before_a_local_failure_is_named_first(self):
+        # the degree-3 vertex a comes first in vertex order
+        v = check_condition_i(mixed_then_failing("a", "b", isthmus=False))
+        assert v == Verdict(False, "degree-3 positive edge not an isthmus",
+                            vertex="a", edge="p")
+        # the failing vertex a comes first
+        v = check_condition_i(mixed_then_failing("b", "a", isthmus=False))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="a")
+
+    def test_an_isthmus_before_a_local_failure_passes_to_it(self):
+        v = check_condition_i(mixed_then_failing("a", "b", isthmus=True))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="b")
+        v = check_condition_i(mixed_then_failing("b", "a", isthmus=True))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="a")
 
 
 class TestConditionII:
@@ -294,6 +322,19 @@ class TestTheorem1:
         # the patched name is the one the criterion enumerates through
         with pytest.raises(AssertionError, match="must not be called"):
             check_theorem1_simple(star("+--"))
+
+    def test_a_pair_off_a_circle_before_a_local_failure_is_named_first(self):
+        clause = "degree-3 negative pair not on all circles through the vertex"
+        v = check_theorem1_simple(mixed_then_failing("a", "b", isthmus=False))
+        assert v == Verdict(False, clause, vertex="a")
+        v = check_theorem1_simple(mixed_then_failing("b", "a", isthmus=False))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="a")
+
+    def test_a_pair_on_every_circle_before_a_local_failure_passes_to_it(self):
+        v = check_theorem1_simple(mixed_then_failing("a", "b", isthmus=True))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="b")
+        v = check_theorem1_simple(mixed_then_failing("b", "a", isthmus=True))
+        assert v == Verdict(False, "degree>3 not totally positive", vertex="a")
 
     def test_counts_only_circles_through_the_vertex_against_the_cap(self):
         # K11 has 5,488,059 circles, more than the default cap of 10^6; the

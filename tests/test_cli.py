@@ -1,11 +1,21 @@
+import hashlib
 import json
 import sys
 from collections import Counter
+from io import StringIO
 
 import pytest
+from oracles import differential_corpus
 
 from lineconsistency import (
     CircleLimitError,
+    GraphError,
+    check_condition_i,
+    check_condition_ii,
+    check_condition_iii,
+    check_corollary_3,
+    check_theorem1_simple,
+    classify_structure,
     generate_line_consistent,
     line_edge_id,
     new_signed_graph,
@@ -483,3 +493,34 @@ class TestFuzz:
         assert err.count("error: bounds exceeded: ") == 4
         assert "--count must be nonnegative" in err
         assert "--recipes must be nonnegative" in err
+
+
+# The SHA-256 of every verdict, report and check output over the golden
+# corpus (see test_outputs_match_the_golden_digest).
+GOLDEN_DIGEST = "ae72938cdad1d44d5ba0c6e9b615d9f01c55d8ede2722da4b5858f040f81472f"
+GOLDEN_FAMILIES = ("crossval", "collisions", "circles", "tested-edges")
+
+
+def test_outputs_match_the_golden_digest(monkeypatch, capsys):
+    """Pins outputs byte for byte on the 1,186 graphs of four corpus
+    families: the repr of each route's verdict or report (or of the error
+    the simple-graph criterion raises), then the exit code, stdout and stderr
+    of check --witness with the graph's document on stdin."""
+    digest = hashlib.sha256()
+    for family in GOLDEN_FAMILIES:
+        for graph in differential_corpus(family):
+            try:
+                simple = check_theorem1_simple(graph)
+            except GraphError as error:
+                simple = error
+            for result in (check_condition_i(graph), check_condition_ii(graph),
+                           check_condition_iii(graph), simple,
+                           check_corollary_3(graph), classify_structure(graph)):
+                digest.update(f"{result!r}\n".encode())
+            monkeypatch.setattr(sys, "stdin", StringIO(write_signed_graph(graph)))
+            code = main(["check", "--witness", "-"])
+            out, err = capsys.readouterr()
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST, (
+        "outputs changed; an intended change must re-pin GOLDEN_DIGEST and "
+        "record the new digest in CHANGES.md")

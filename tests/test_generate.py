@@ -112,6 +112,10 @@ class TestRandom:
             random_signed_graph(1, 3, 0.5, 0)
         with pytest.raises(GraphError, match="impossible"):
             random_signed_graph(3, 7, 0.5, 0)  # 2*C(3,2) = 6 < 7
+        with pytest.raises(GraphError, match="impossible"):
+            random_signed_graph(5, -1, 0.5, 1)
+        with pytest.raises(GraphError, match="impossible"):
+            random_signed_graph(0, -1, 0.5, 1)
 
     def test_no_loops_and_capped_multiplicity(self):
         for seed in range(50):
