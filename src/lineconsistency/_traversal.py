@@ -1,6 +1,8 @@
-"""One iterative depth-first search yielding bridges, blocks, components and
+"""One iterative depth-first search yielding block labels, components and
 switching balance, and a parity union-find yielding balance, components and
-which chosen edges are bridges without incidence lists.
+which chosen edges are bridges without incidence lists.  Both answer in vertex
+and edge numbers, which their callers turn into ids; an isthmus (bridge) is
+an edge alone in its block.
 
 ``Traversal(graph)`` reads the integer columns off a ``core._Multigraph``:
 vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress, filterfalse
-from operator import eq
 
 
 class Forest:
@@ -158,7 +159,6 @@ class Traversal:
                         p = ends[entering] ^ v
                         if low[v] < low[p]:
                             low[p] = low[v]
-        self.vertex_ids, self.edge_ids = graph.vertex_ids, graph.edge_ids
         self.tail, self.ends, self.order = graph.tail, ends, order
         self.disc, self.low, self.parent, self.conflict = disc, low, parent, conflict
 
@@ -167,23 +167,12 @@ class Traversal:
         return self.conflict < 0
 
     @cached_property
-    def bridges(self) -> frozenset:
-        """Ids of the edges on no circle: tree edges into a vertex whose
-        subtree no other edge leaves (low equals disc; at a root, which no
-        edge enters, the parent is -1)."""
-        entering = compress(self.parent, map(eq, self.low, self.disc))
-        return frozenset(map(self.edge_ids.__getitem__, filter((-1).__ne__, entering)))
-
-    def _runs(self):
-        """The components as slices of ``order``."""
+    def components(self) -> list:
+        """Each component's vertex numbers in discovery order, the
+        components by least vertex (their roots): the runs of ``order``."""
         order, parent = self.order, self.parent
         bounds = [i for i, v in enumerate(order) if parent[v] < 0] + [len(order)]
         return [order[start:end] for start, end in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def components(self) -> list:
-        """Vertex-id sets of the connected components, by least vertex."""
-        return [{self.vertex_ids[v] for v in run} for run in self._runs()]
 
     @cached_property
     def block_labels(self) -> tuple:
@@ -225,29 +214,9 @@ class Traversal:
             members[b].append(k)
         return members
 
-    @cached_property
-    def blocks(self) -> list:
-        """Blocks as (frozenset of vertex ids, frozenset of edge ids), sorted
-        by (least vertex, least edge id); isolated vertices are blocks with no
-        edges, and parallel edges share a block."""
-        ids, edge_ids, tail, ends = self.vertex_ids, self.edge_ids, self.tail, self.ends
-        found = [
-            (
-                frozenset(ids[x] for k in edges for x in (tail[k], tail[k] ^ ends[k])),
-                frozenset(edge_ids[k] for k in edges),
-            )
-            for edges in self.block_members
-        ]
-        found.extend(
-            (frozenset((ids[run[0]],)), frozenset())
-            for run in self._runs() if len(run) == 1
-        )
-        found.sort(key=lambda b: (sorted(b[0]), sorted(b[1])))
-        return found
-
     def negative_cycle(self):
-        """(edge ids, vertex ids) of the conflicting edge's fundamental
-        circle, which is negative, or None when balanced.
+        """(edge numbers, vertex numbers) of the conflicting edge's
+        fundamental circle, which is negative, or None when balanced.
 
         A non-tree edge of a depth-first search joins a vertex to one of its
         ancestors, so the circle is the tree path up from the deeper
@@ -264,8 +233,5 @@ class Traversal:
             v ^= self.ends[edges[-1]]
             vertices.append(v)
         edges.append(k)
-        return (
-            tuple(self.edge_ids[e] for e in edges),
-            tuple(self.vertex_ids[x] for x in vertices),
-        )
+        return edges, vertices
 

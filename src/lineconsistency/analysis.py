@@ -5,12 +5,13 @@ a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
 second condition is the production checker; the others are cross-validation
-routes.  Every route counts degrees and negative degrees in one pass over the
-columns (``_degrees``, not cached).  The cross-validation routes read isthmi,
-blocks, components and balance from one iterative depth-first search per
-graph (``SignedGraph.traversal``, linear and cached).  Condition ii reads balance,
-whether its tested edges are isthmi and which one is not, from one parity
-union-find (``_traversal.Forest``), and runs no search.  Witnesses are
+routes.  Every route counts degrees and negative degrees once, in one pass
+over the columns (``_degrees``, not cached).  The cross-validation routes read
+block labels, components and balance, in vertex and edge numbers, from one
+iterative depth-first search per graph (``SignedGraph.traversal``, linear and
+cached); an isthmus is an edge alone in its block.  Condition ii reads
+balance, whether its tested edges are isthmi and which one is not, from one
+parity union-find (``_traversal.Forest``), and runs no search.  Witnesses are
 derived from the failing clause of condition ii in linear time;
 ``linegraph`` builds them as line-graph circles and checks them.
 """
@@ -114,20 +115,26 @@ class StructureReport:
 
 
 def find_isthmi(graph: SignedGraph) -> frozenset:
-    """Edges lying on no circle (deletion raises the component count)."""
-    return graph.traversal.bridges
+    """Ids of the edges alone in their block: those on no circle."""
+    label, sizes = graph.traversal.block_labels
+    return frozenset(compress(graph.edge_ids, [sizes[b] == 1 for b in label]))
 
 
 def blocks(graph: SignedGraph) -> list:
-    """Maximal biconnected edge-subgraphs plus isolated vertices.
-
-    A block is nontrivial iff it contains a circle, i.e. has at least two
-    edges; trivial blocks are exactly isthmi and isolated vertices.
-    """
-    return [
-        Block(vertices, edges, nontrivial=len(edges) >= 2)
-        for vertices, edges in graph.traversal.blocks
+    """Maximal biconnected edge-subgraphs plus isolated vertices, sorted by
+    (sorted vertices, sorted edges).  A block is nontrivial iff it contains a
+    circle, i.e. has at least two edges; trivial blocks are exactly isthmi
+    and isolated vertices."""
+    ids, edge_ids, tail, ends = graph.vertex_ids, graph.edge_ids, graph.tail, graph.ends
+    found = [
+        Block(frozenset(ids[x] for k in edges for x in (tail[k], tail[k] ^ ends[k])),
+              frozenset(map(edge_ids.__getitem__, edges)), nontrivial=len(edges) >= 2)
+        for edges in graph.traversal.block_members
     ]
+    found.extend(Block(frozenset((ids[run[0]],)), frozenset(), nontrivial=False)
+                 for run in graph.traversal.components if len(run) == 1)
+    found.sort(key=lambda b: (sorted(b.vertices), sorted(b.edges)))
+    return found
 
 
 def _balance_verdict(graph: SignedGraph) -> Verdict:
@@ -152,14 +159,15 @@ def _degrees(graph: SignedGraph) -> tuple:
     return degree, negative_degree, positive_at
 
 
-def _degree_sign_clause(graph: SignedGraph, degree3_clause: str) -> tuple:
+def _degree_sign_clause(graph: SignedGraph, degrees: tuple, degree3_clause: str) -> tuple:
     """The local clause of conditions i and iii and the simple-graph
     criterion (degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, else ``degree3_clause`` fails), read in vertex
-    order up to the first failure: (mixed, failed).  ``mixed`` maps each
-    degree-3 vertex with one positive edge before it to that edge; a route
-    testing them first keeps the first failure in vertex order."""
-    degree, negative_degree, positive_at = _degrees(graph)
+    order from ``degrees`` (``_degrees(graph)``) up to the first failure:
+    (mixed, failed).  ``mixed`` maps each degree-3 vertex with one positive
+    edge before it to that edge; a route testing them first keeps the first
+    failure in vertex order."""
+    degree, negative_degree, positive_at = degrees
     mixed = {}
     for i in compress(range(len(degree)), negative_degree):
         if degree[i] == 3 and negative_degree[i] == 2:
@@ -173,7 +181,7 @@ def _degree_sign_clause(graph: SignedGraph, degree3_clause: str) -> tuple:
 def check_condition_i(graph: SignedGraph) -> Verdict:
     """Balanced; degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, which is an isthmus."""
-    mixed, failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
+    mixed, failed = _degree_sign_clause(graph, _degrees(graph), "degree-3 vertex signs invalid")
     isthmi = find_isthmi(graph)
     for i, k in mixed.items():
         if graph.edge_ids[k] not in isthmi:
@@ -234,13 +242,14 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
     No second graph is built: isthmi lie on no circle, so deleting them
     leaves balance as it is, and each degree drops by the positive isthmi
     at the vertex."""
-    _, failed = _degree_sign_clause(graph, "degree-3 vertex signs invalid")
+    degrees = _degrees(graph)
+    _, failed = _degree_sign_clause(graph, degrees, "degree-3 vertex signs invalid")
     if failed:
         return failed
     isthmi = find_isthmi(graph)
     if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    degree = _degrees(graph)[0]
+    degree = degrees[0]
     edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
     for eid, a, e, negative in edges:
         if not negative and eid in isthmi:
@@ -268,7 +277,7 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
     mixed, failed = _degree_sign_clause(
-        graph, "degree-3 vertex without exactly two negative edges")
+        graph, _degrees(graph), "degree-3 vertex without exactly two negative edges")
     off_circle = "degree-3 negative pair not on all circles through the vertex"
     for i in mixed:
         v = graph.vertices[i]

@@ -203,8 +203,8 @@ class _Multigraph:
 
     @cached_property
     def traversal(self) -> _traversal.Traversal:
-        """The graph's one depth-first search: bridges, blocks, components
-        and switching balance (an unsigned edge counts as positive)."""
+        """The graph's one depth-first search, in vertex and edge numbers:
+        block labels, components and balance (an unsigned edge is positive)."""
         return _traversal.Traversal(self)
 
     def _vertex(self, vertex: str) -> int:

@@ -187,8 +187,8 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
         [ids[tail[k]] for k in edges],
         [ids[tail[k] ^ ends[k]] for k in edges],
         list(map(graph.negative.__getitem__, edges)))
-    cycle = part.traversal.negative_cycle()
-    circle = Circle(*cycle).canonical()
+    circle_edges, circle_vertices = part.traversal.negative_cycle()
+    circle = _circle(part, circle_vertices, circle_edges)
     if graph.sign_of_walk(circle).is_positive:
         raise GraphError(f"the search's circle {circle} is not negative")
     return circle

@@ -14,6 +14,7 @@ import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from .core import GraphError, SignedGraph
 
@@ -103,6 +104,10 @@ def random_signed_graph(
     twice, drawn by ``random.sample`` as indices and sorted; ``_pairs_at``
     turns the indices into pairs, unless there are so few pairs that listing
     them is cheaper.  O(n log n + m log n) either way."""
+    if not isinstance(n, Integral) or not isinstance(m, Integral):
+        raise GraphError("impossible parameters: vertex and edge counts must be integers")
+    if not isinstance(negative_probability, Real):
+        raise GraphError("impossible parameters: negative_probability must be a real number")
     if n < 0:
         raise GraphError("impossible parameters: negative vertex count")
     if m < 0:

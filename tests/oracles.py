@@ -531,7 +531,7 @@ def check_condition_ii_by_search(graph):
             return Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
         if count == 2 and len(incident) == 3:
             edge = next(graph.edge_ids[k] for k in incident if not negative[k])
-            if edge not in graph.traversal.bridges:
+            if edge not in find_isthmi(graph):
                 return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
                                vertex=graph.vertices[i], edge=edge)
     return Verdict(True) if graph.traversal.balanced else Verdict(False, UNBALANCED)
@@ -541,7 +541,11 @@ def find_negative_circle_by_search(graph):
     """The fundamental circle of the first conflict of the whole graph's
     depth-first search, canonical, or None when balanced."""
     cycle = graph.traversal.negative_cycle()
-    return None if cycle is None else Circle(*cycle).canonical()
+    if cycle is None:
+        return None
+    edges, vertices = cycle
+    return Circle(tuple(map(graph.edge_ids.__getitem__, edges)),
+                  tuple(map(graph.vertex_ids.__getitem__, vertices))).canonical()
 
 
 def clause_witness_by_search(graph, failed):
@@ -622,9 +626,10 @@ def circles_through_by_ids(graph, targets, max_circles):
         return circle
 
     target_set = set(graph.vertex_ids if targets is None else targets)
-    blocks = [b for b in graph.traversal.blocks if not b[0].isdisjoint(target_set)]
+    touched = [(b.vertices, b.edges) for b in blocks(graph)
+               if not b.vertices.isdisjoint(target_set)]
     by_id = {eid: (eid, *graph._endpoints(graph._edge_number(eid)))
-             for b in blocks for eid in b[1]}
+             for _, block_edges in touched for eid in block_edges}
     for (u, v), eids in _parallel_groups(by_id.values()).items():
         if len(eids) < 2:
             continue
@@ -633,7 +638,7 @@ def circles_through_by_ids(graph, targets, max_circles):
         for a, b in itertools.combinations(eids, 2):
             yield emit(Circle((a, b), (u, v)).canonical())
 
-    for block_vertices, block_edges in blocks:
+    for block_vertices, block_edges in touched:
         if len(block_edges) < 3:
             continue
         block_targets = sorted(block_vertices & target_set)

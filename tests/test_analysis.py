@@ -277,6 +277,17 @@ class TestConditionIII:
             "c",
         )
 
+    def test_counts_the_degrees_once(self, monkeypatch):
+        # the local clause and the degrees after deleting isthmi share one count
+        calls = []
+        monkeypatch.setattr(analysis, "_degrees",
+                            lambda graph, counted=analysis._degrees:
+                            calls.append(graph) or counted(graph))
+        for g in (star("+--"), paw("+++", "+"), circle4("--++"), circle4("-+++")):
+            calls.clear()
+            check_condition_iii(g)
+            assert len(calls) == 1, g
+
 
 def hung_squares(count):
     """``count`` negative squares, each hung by a positive isthmus at its

@@ -193,12 +193,14 @@ class TestBalance:
         # a raised error, not an assert, so the check survives python -O
         from lineconsistency._traversal import Traversal
 
+        # the searched part is the unbalanced component, so the positive
+        # triangle x-p-q (edges 3-5 on vertices 2, 0, 1) shares x with the
+        # negative triangle x-y-z
         monkeypatch.setattr(Traversal, "negative_cycle",
-                            lambda self: (("e1", "e2", "e3"), ("a", "b", "c")))
-        # the positive triangle beside a negative one, so that a search runs
+                            lambda self: ([3, 4, 5], [2, 0, 1]))
         triangles = new_signed_graph(
-            "abcxyz", [("e1", "a", "b", "+"), ("e2", "b", "c", "+"), ("e3", "c", "a", "+"),
-                       ("f1", "x", "y", "-"), ("f2", "y", "z", "+"), ("f3", "z", "x", "+")]
+            "pqxyz", [("f1", "x", "y", "-"), ("f2", "y", "z", "+"), ("f3", "z", "x", "+"),
+                      ("g1", "x", "p", "+"), ("g2", "p", "q", "+"), ("g3", "q", "x", "+")]
         )
         with pytest.raises(GraphError, match="is not negative"):
             find_negative_circle(triangles)

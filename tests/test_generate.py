@@ -116,6 +116,10 @@ class TestRandom:
             random_signed_graph(5, -1, 0.5, 1)
         with pytest.raises(GraphError, match="impossible"):
             random_signed_graph(0, -1, 0.5, 1)
+        # counts that are not integers, a probability that is not a number
+        for args in ((3, 2.5, 0.5, 1), (3.0, 2, 0.5, 1), (3, 2, "0.5", 1)):
+            with pytest.raises(GraphError, match="impossible"):
+                random_signed_graph(*args)
 
     def test_no_loops_and_capped_multiplicity(self):
         for seed in range(50):

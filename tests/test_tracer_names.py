@@ -53,3 +53,36 @@ def test_no_module_imports_a_name_it_does_not_use():
         if (f"lineconsistency.{path.stem}", name) not in traced
     ]
     assert not unused
+
+
+def private_definitions(trees):
+    """The names of the functions, methods and classes in ``trees`` whose
+    names begin with a single underscore."""
+    return {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+
+
+def names_read(trees):
+    """Every name read as a variable or an attribute in ``trees``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_no_private_definition_is_left_unread():
+    """Every function, method or class named with a single leading
+    underscore is read somewhere in the package, by name or attribute."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(analysis.__file__).parent.glob("*.py"))]
+    private = private_definitions(trees)
+    assert len(private) > 30  # the guard reads the package's own definitions
+    assert not sorted(private - names_read(trees))
