@@ -9,7 +9,9 @@ routes.  Every route counts degrees and negative degrees once, in one pass
 over the columns (``_degrees``, not cached).  The cross-validation routes read
 block labels, components and balance, in vertex and edge numbers, from one
 iterative depth-first search per graph (``SignedGraph.traversal``, linear and
-cached); an isthmus is an edge alone in its block.  Condition ii reads
+cached).  An isthmus is an edge alone in its block, and these routes test it
+on the labels, ``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact
+as a set of ids, for callers outside them.  Condition ii reads
 balance, whether its tested edges are isthmi and which one is not, from one
 parity union-find (``_traversal.Forest``), and runs no search.  Witnesses are
 derived from the failing clause of condition ii in linear time;
@@ -115,7 +117,8 @@ class StructureReport:
 
 
 def find_isthmi(graph: SignedGraph) -> frozenset:
-    """Ids of the edges alone in their block: those on no circle."""
+    """Ids of the edges alone in their block: those on no circle.  The id
+    view of the block labels; the routes here test the labels themselves."""
     label, sizes = graph.traversal.block_labels
     return frozenset(compress(graph.edge_ids, [sizes[b] == 1 for b in label]))
 
@@ -182,9 +185,9 @@ def check_condition_i(graph: SignedGraph) -> Verdict:
     """Balanced; degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, which is an isthmus."""
     mixed, failed = _degree_sign_clause(graph, _degrees(graph), "degree-3 vertex signs invalid")
-    isthmi = find_isthmi(graph)
+    label, sizes = graph.traversal.block_labels
     for i, k in mixed.items():
-        if graph.edge_ids[k] not in isthmi:
+        if sizes[label[k]] > 1:
             return Verdict(False, "degree-3 positive edge not an isthmus",
                            vertex=graph.vertices[i], edge=graph.edge_ids[k])
     return failed or _balance_verdict(graph)
@@ -246,16 +249,16 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
     _, failed = _degree_sign_clause(graph, degrees, "degree-3 vertex signs invalid")
     if failed:
         return failed
-    isthmi = find_isthmi(graph)
+    label, sizes = graph.traversal.block_labels
     if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
     degree = degrees[0]
-    edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
-    for eid, a, e, negative in edges:
-        if not negative and eid in isthmi:
+    edges = list(zip(graph.tail, graph.ends, graph.negative))
+    for (a, e, negative), b in zip(edges, label):
+        if not negative and sizes[b] == 1:
             degree[a] -= 1
             degree[a ^ e] -= 1
-    for eid, a, e, negative in edges:
+    for a, e, negative in edges:
         if not negative:
             continue
         for x in (a, a ^ e):
@@ -290,12 +293,14 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
 
 def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
     """For connected bridgeless graphs of order >= 4 with no divalent vertex:
-    line consistent iff all positive.  None when the corollary does not apply."""
+    line consistent iff all positive.  None when the corollary does not apply.
+    Every block has an edge, so the graph has an isthmus exactly when some
+    block has one edge."""
     if len(graph.vertices) < 4:
         return None
     if len(graph.traversal.components) != 1:
         return None
-    if find_isthmi(graph):
+    if 1 in graph.traversal.block_labels[1]:
         return None
     if 2 in _degrees(graph)[0]:
         return None

@@ -302,22 +302,25 @@ class SignedGraph(_Multigraph):
     def negative_edges(self) -> tuple:
         return tuple(compress(self.edges, self.negative))
 
-    def _keeping(self, keep) -> "SignedGraph":
-        """The spanning subgraph keeping edge k when ``keep[k]``."""
-        ids, kept = self.vertex_ids, list(compress(zip(self.tail, self.ends), keep))
+    def _part(self, vertices, edges) -> "SignedGraph":
+        """The subgraph on the vertex numbers ``vertices`` and the edge
+        numbers ``edges``, both ascending, cut from the columns; every edge
+        must join two of the vertices."""
+        ids, tail, ends = self.vertex_ids, self.tail, self.ends
         return SignedGraph._from_columns(
-            ids, list(compress(self.edge_ids, keep)), [ids[a] for a, _ in kept],
-            [ids[a ^ e] for a, e in kept], list(compress(self.negative, keep)))
+            tuple(map(ids.__getitem__, vertices)), list(map(self.edge_ids.__getitem__, edges)),
+            [ids[tail[k]] for k in edges], [ids[tail[k] ^ ends[k]] for k in edges],
+            list(map(self.negative.__getitem__, edges)))
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
-        return self._keeping(self.negative)
+        return self._part(range(len(self.vertex_ids)),
+                          list(compress(range(len(self.tail)), self.negative)))
 
     def without_edges(self, edge_ids: Iterable[str]) -> "SignedGraph":
-        keep = [True] * len(self.edge_ids)
-        for edge_id in edge_ids:
-            keep[self._edge_number(edge_id)] = False
-        return self._keeping(keep)
+        drop = set(map(self._edge_number, edge_ids))
+        return self._part(range(len(self.vertex_ids)),
+                          [k for k in range(len(self.tail)) if k not in drop])
 
     @property
     def is_simple(self) -> bool:
@@ -381,10 +384,6 @@ class MarkedGraph(_Multigraph):
 
     def mark(self, vertex: str) -> Sign:
         return _SIGNS[self.marks[self._vertex(vertex)]]
-
-    @property
-    def negative_vertex_ids(self) -> tuple:
-        return tuple(compress(self.vertex_ids, self.marks))
 
 
 @dataclass(frozen=True)

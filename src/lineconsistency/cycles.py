@@ -73,16 +73,20 @@ def _extensions(adj, path, blocked) -> list:
     return moves
 
 
-def _vertex_cycles(adj, start, banned):
-    """Elementary vertex cycles (length >= 3) through ``start`` avoiding
-    ``banned``, in depth-first order, with the edges joining their pairs."""
-    path, blocked = [start], {start, *banned}
+def _vertex_cycles(adj, start, blocked):
+    """Elementary vertex cycles (length >= 3) through ``start`` avoiding the
+    other vertices of ``blocked``, in depth-first order, with the edges
+    joining their pairs.  ``blocked`` is the caller's set and holds
+    ``start``; the search adds its path to it and removes it again, so an
+    exhausted search leaves the set as it was given."""
+    path = [start]
     stack = [iter(_extensions(adj, path, blocked))]
     while stack:
         w = next(stack[-1], None)
         if w is None:
             stack.pop()
-            blocked.discard(path.pop())
+            if stack:
+                blocked.discard(path.pop())
         elif w == start:
             yield tuple(path), [adj[a][b] for a, b in zip(path, path[1:] + path[:1])]
         else:
@@ -109,9 +113,10 @@ def _cycles_through(graph, targets):
         if not targets.isdisjoint(pair):
             yield pair, combinations(group, 2), comb(len(group), 2)
     for adj in blocks:
-        block_targets = sorted(targets.intersection(adj))
-        for i, t in enumerate(block_targets):
-            for cycle, choices in _vertex_cycles(adj, t, block_targets[:i]):
+        blocked = set()  # the block's targets up to t
+        for t in sorted(targets.intersection(adj)):
+            blocked.add(t)
+            for cycle, choices in _vertex_cycles(adj, t, blocked):
                 yield cycle, product(*choices), prod(map(len, choices))
 
 
@@ -179,14 +184,7 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     component = Forest(graph).unbalanced_component()
     if component is None:
         return None
-    vertices, edges = component
-    ids, tail, ends = graph.vertex_ids, graph.tail, graph.ends
-    part = SignedGraph._from_columns(
-        tuple(map(ids.__getitem__, vertices)),
-        list(map(graph.edge_ids.__getitem__, edges)),
-        [ids[tail[k]] for k in edges],
-        [ids[tail[k] ^ ends[k]] for k in edges],
-        list(map(graph.negative.__getitem__, edges)))
+    part = graph._part(*component)
     circle_edges, circle_vertices = part.traversal.negative_cycle()
     circle = _circle(part, circle_vertices, circle_edges)
     if graph.sign_of_walk(circle).is_positive:
@@ -217,12 +215,11 @@ def is_consistent_oracle(marked, *,
     if not targets:
         return ConsistencyResult(True, None)
     adj = _adjacency(marked, range(len(marked.edge_ids)))
-    for t in sorted(targets.intersection(adj)):
-        others = targets - {t}
+    for t in sorted(targets.intersection(adj)):  # each search borrows targets as its blocked set
         for w, edges in adj[t].items():
-            if len(edges) > 1 and w not in others:
+            if len(edges) > 1 and w not in targets:
                 return ConsistencyResult(False, _circle(marked, (t, w), edges[:2]))
-        for cycle, choices in _vertex_cycles(adj, t, others):
+        for cycle, choices in _vertex_cycles(adj, t, targets):
             return ConsistencyResult(False, _circle(marked, cycle, [c[0] for c in choices]))
     count = 0
     for cycle, combos, circles in _cycles_through(marked, targets):

@@ -8,7 +8,9 @@ the JSON writers; the edge-value line graph, structural classifier and DOT
 writer are the references for the column-built ones; the string-dict
 circle search is the reference for the one on the integer columns; condition
 ii and the negative circle read from the whole graph's depth-first search are
-the references for the ones read from the parity union-find.
+the references for the ones read from the parity union-find; conditions i and
+iii and corollary 3 reading isthmi as a set of ids are the references for the
+ones reading the block labels.
 """
 
 import itertools
@@ -25,6 +27,8 @@ from lineconsistency.analysis import (
     StructureReport,
     Verdict,
     _circle_through_edge,
+    _degree_sign_clause,
+    _degrees,
     blocks,
     find_isthmi,
     is_balanced_fast,
@@ -537,6 +541,46 @@ def check_condition_ii_by_search(graph):
     return Verdict(True) if graph.traversal.balanced else Verdict(False, UNBALANCED)
 
 
+def check_condition_i_by_isthmi(graph):
+    mixed, failed = _degree_sign_clause(graph, _degrees(graph), "degree-3 vertex signs invalid")
+    isthmi = find_isthmi(graph)
+    for i, k in mixed.items():
+        if graph.edge_ids[k] not in isthmi:
+            return Verdict(False, "degree-3 positive edge not an isthmus",
+                           vertex=graph.vertices[i], edge=graph.edge_ids[k])
+    return failed or (Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED))
+
+
+def check_condition_iii_by_isthmi(graph):
+    degrees = _degrees(graph)
+    _, failed = _degree_sign_clause(graph, degrees, "degree-3 vertex signs invalid")
+    if failed:
+        return failed
+    isthmi = find_isthmi(graph)
+    if not is_balanced_fast(graph):
+        return Verdict(False, "unbalanced after deleting positive isthmi")
+    degree = degrees[0]
+    edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
+    for eid, a, e, negative in edges:
+        if not negative and eid in isthmi:
+            degree[a] -= 1
+            degree[a ^ e] -= 1
+    for eid, a, e, negative in edges:
+        for x in (a, a ^ e) if negative else ():
+            if degree[x] > 2:
+                return Verdict(False, "negative-edge endpoint degree exceeds 2 "
+                               "after deleting positive isthmi", vertex=graph.vertices[x])
+    return Verdict(True)
+
+
+def check_corollary_3_by_isthmi(graph):
+    if len(graph.vertices) < 4 or len(graph.traversal.components) != 1:
+        return None
+    if find_isthmi(graph) or 2 in _degrees(graph)[0]:
+        return None
+    return not any(graph.negative)
+
+
 def find_negative_circle_by_search(graph):
     """The fundamental circle of the first conflict of the whole graph's
     depth-first search, canonical, or None when balanced."""
@@ -667,7 +711,7 @@ def _first_circle_through(adj, pair_edges, target, banned):
 def is_consistent_oracle_by_ids(marked, *, max_circles=DEFAULT_CIRCLE_CAP):
     """The oracle ``cycles.is_consistent_oracle`` replaced: an unpruned fast
     pass, then ``circles_through_by_ids``, signing every emitted circle."""
-    targets = marked.negative_vertex_ids
+    targets = tuple(itertools.compress(marked.vertex_ids, marked.marks))
     if not targets:
         return ConsistencyResult(True, None)
     target_set = set(targets)

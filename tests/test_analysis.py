@@ -1,6 +1,9 @@
 import pytest
 from oracles import (
+    check_condition_i_by_isthmi,
     check_condition_ii_by_search,
+    check_condition_iii_by_isthmi,
+    check_corollary_3_by_isthmi,
     classify_structure_by_values,
     clause_witness_by_search,
     differential_corpus,
@@ -706,3 +709,22 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
         assert find_negative_circle(graph) == find_negative_circle_by_search(graph), graph
         if not verdict.line_consistent:
             assert find_witness(graph, verdict) == clause_witness_by_search(graph, expected)
+
+
+@pytest.mark.parametrize("family", [
+    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
+    "negative-paths"])
+def test_routes_read_isthmi_from_the_block_labels(family, monkeypatch):
+    """Conditions i and iii and corollary 3 test the block labels and never
+    build ``find_isthmi``'s id set; their answers are those of the routes
+    that read the id set, kept in ``oracles``."""
+    calls = []
+    monkeypatch.setattr(analysis, "find_isthmi",
+                        lambda graph, built=find_isthmi: calls.append(graph) or built(graph))
+    routes = ((check_condition_i, check_condition_i_by_isthmi),
+              (check_condition_iii, check_condition_iii_by_isthmi),
+              (check_corollary_3, check_corollary_3_by_isthmi))
+    for graph in differential_corpus(family):
+        for route, reference in routes:
+            assert route(graph) == reference(graph), (route.__name__, graph)
+    assert calls == []

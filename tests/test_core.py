@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -328,7 +329,7 @@ class TestMarkedGraph:
         assert m.mark("x") is Sign.POSITIVE
         assert m.mark("y") is Sign.NEGATIVE
         assert m.degree("x") == 2
-        assert m.negative_vertex_ids == ("y",)
+        assert tuple(compress(m.vertex_ids, m.marks)) == ("y",)
 
     def test_loop_rejected(self):
         with pytest.raises(GraphError, match="loop"):
@@ -364,7 +365,7 @@ class TestMarkedGraph:
             assert graph.vertices == expected_vertices
             assert graph.edges == expected_edges
             assert graph.vertex_ids == ("x", "y", "z")
-            assert graph.negative_vertex_ids == ("y",)
+            assert tuple(compress(graph.vertex_ids, graph.marks)) == ("y",)
             assert [graph.mark(v) for v in "xyz"] == [Sign.POSITIVE, Sign.NEGATIVE,
                                                       Sign.POSITIVE]
             assert graph.edge_triples() == (("d1", "x", "y"), ("d2", "x", "y"),
@@ -407,7 +408,8 @@ class TestMarkedGraph:
 
     def test_empty(self):
         empty = MarkedGraph()
-        assert (empty.vertices, empty.edges, empty.negative_vertex_ids) == ((), (), ())
+        negative = tuple(compress(empty.vertex_ids, empty.marks))
+        assert (empty.vertices, empty.edges, negative) == ((), (), ())
         assert empty == new_marked_graph([], []) == MarkedGraph((), ())
         assert hash(empty) == hash(MarkedGraph())
         assert repr(empty) == "MarkedGraph(vertices=(), edges=())"
@@ -432,7 +434,8 @@ class TestMarkedGraph:
 
     def test_vertex_sign_symbols(self):
         assert MarkedVertex("y", "-") == MarkedVertex("y", Sign.NEGATIVE)
-        assert MarkedGraph((MarkedVertex("y", "-"),)).negative_vertex_ids == ("y",)
+        marked = MarkedGraph((MarkedVertex("y", "-"),))
+        assert tuple(compress(marked.vertex_ids, marked.marks)) == ("y",)
         with pytest.raises(GraphError, match="invalid sign"):
             MarkedVertex("y", True)
 

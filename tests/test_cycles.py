@@ -12,6 +12,7 @@ from lineconsistency import (
     enumerate_circles,
     exhaustive_signed_graphs,
     find_negative_circle,
+    generate_line_consistent,
     is_balanced_fast,
     is_balanced_oracle,
     is_consistent_oracle,
@@ -21,6 +22,7 @@ from lineconsistency import (
     line_graph,
     new_marked_graph,
     new_signed_graph,
+    random_recipe,
     random_signed_graph,
     read_signed_graph,
     write_signed_graph,
@@ -370,7 +372,7 @@ class TestSearchMatchesReference:
         graphs = [] if family == "exhaustive" else list(_marked_corpus(family))
         if family == "marked":  # the oracle's search: through the negative vertices
             for graph in graphs:
-                negative = graph.negative_vertex_ids
+                negative = tuple(itertools.compress(graph.vertex_ids, graph.marks))
                 assert (_circle_list(cycles.circles_through, graph, negative, 50)
                         == _circle_list(circles_through_by_ids, graph, negative, 50)), graph
         else:
@@ -436,6 +438,40 @@ class TestSearchWork:
         # can close a circle; the full search's root then descends
         assert extensions[:negatives + 2] == [1] * (negatives + 1) + [2]
         assert len(extensions) <= self.budget(marked, 1001 if negatives == 2 else 1)
+
+
+class TestFastPassBlockedSet:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """[blocked set, whether the search ran to its end and left the set
+        as given] for each vertex-cycle search, in call order."""
+        calls = []
+        search = cycles._vertex_cycles
+
+        def recorded(adj, start, blocked):
+            given, call = set(blocked), [blocked, False]
+            calls.append(call)
+            yield from search(adj, start, blocked)
+            call[1] = blocked == given
+
+        monkeypatch.setattr(cycles, "_vertex_cycles", recorded)
+        return calls
+
+    @pytest.mark.parametrize("graph", [
+        k_family(4), k_family(5),
+        *(generate_line_consistent(random_recipe(s), s) for s in (0, 3)),
+    ])
+    def test_one_set_for_every_search_of_the_fast_pass(self, graph, searches):
+        marked = line_graph(graph)
+        targets = set(itertools.compress(range(len(marked.marks)), marked.marks))
+        assert is_consistent_oracle(marked).consistent
+        # a consistent line graph: the fast pass searches from every target
+        # on an edge, then the second pass searches, and each runs to its end
+        fast = [blocked for blocked, _ in searches[:sum(bool(marked.incidence[i])
+                                                         for i in targets)]]
+        assert len(fast) >= 2 and all(blocked is fast[0] for blocked in fast)
+        assert fast[0] == targets
+        assert all(done for _, done in searches)
 
 
 class TestOracleBuildsOnlyItsWitness:

@@ -1,14 +1,18 @@
 """The benchmark's tracer wraps functions at the names their callers look
 them up under; every such name must stay bound where the tracer reads it,
-and an import no module reads is allowed only when the tracer wraps it."""
+and an import no module reads is allowed only when the tracer wraps it.
+Every function, method and class of the package has a reader."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 from lineconsistency import analysis
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+PACKAGE = Path(analysis.__file__).parent
 
 
 def load_tracer():
@@ -55,15 +59,17 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert not unused
 
 
-def private_definitions(trees):
-    """The names of the functions, methods and classes in ``trees`` whose
-    names begin with a single underscore."""
+def parse(paths):
+    return [ast.parse(path.read_text()) for path in sorted(paths)]
+
+
+def definitions(trees):
+    """The names of the functions, methods and classes in ``trees``."""
     return {
         node.name
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
     }
 
 
@@ -81,8 +87,30 @@ def names_read(trees):
 def test_no_private_definition_is_left_unread():
     """Every function, method or class named with a single leading
     underscore is read somewhere in the package, by name or attribute."""
-    trees = [ast.parse(path.read_text())
-             for path in sorted(Path(analysis.__file__).parent.glob("*.py"))]
-    private = private_definitions(trees)
+    trees = parse(PACKAGE.glob("*.py"))
+    private = {name for name in definitions(trees)
+               if name.startswith("_") and not name.startswith("__")}
     assert len(private) > 30  # the guard reads the package's own definitions
     assert not sorted(private - names_read(trees))
+
+
+def readme_code_names():
+    """Every identifier in README.md's code spans and code blocks: the API
+    it documents."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
+def test_no_public_definition_is_left_unread():
+    """Every function, method or class named without a leading underscore
+    is read by the package, by the benchmark (counting the attributes the
+    tracer wraps), by README.md's code or by the acceptance suite."""
+    package = parse(PACKAGE.glob("*.py"))
+    public = {name for name in definitions(package) if not name.startswith("_")}
+    assert len(public) > 80  # the guard reads the package's own definitions
+    readers = (names_read(package)
+               | names_read(parse((ROOT / "bench").glob("*.py")))
+               | {attr for _, attr, _, _ in load_tracer().SPANS}
+               | readme_code_names()
+               | names_read(parse([ROOT / "tests" / "test_acceptance.py"])))
+    assert not sorted(public - readers)
