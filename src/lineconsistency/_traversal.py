@@ -38,6 +38,7 @@ class Forest:
     exactly when all of them are bridges.  With ``last`` reversed from some
     order, ``closed[-1]`` is the first in that order that is not a bridge:
     the others on a circle through it come later, so are merged before it.
+    Condition ii keeps its forest on an unbalanced graph for the witness.
     """
 
     def __init__(self, graph, last=()):
@@ -82,15 +83,21 @@ class Forest:
 
     def unbalanced_component(self):
         """(vertex numbers, edge numbers), both ascending, of the unbalanced
-        component holding the least vertex, or None when balanced."""
+        component holding the least vertex, or None when balanced.  No find
+        runs per vertex: up to log2(n) + 1 passes over ``up`` label the
+        unbalanced trees, and one over ``tail`` cuts the least one's edges."""
         if not self.conflicts:
             return None
-        roots = list(map(self.root, range(len(self.up))))
-        unbalanced = {roots[self.tail[k]] for k in self.conflicts}
-        r = next(filter(unbalanced.__contains__, roots))
-        inside = map(r.__eq__, map(roots.__getitem__, self.tail))
-        return (list(compress(range(len(roots)), map(r.__eq__, roots))),
-                list(compress(range(len(self.tail)), inside)))
+        roots = {self.root(self.tail[k]) for k in self.conflicts}
+        label = [0] * len(self.up)  # 1 + the root on those trees, else 0
+        for r in roots:
+            label[r] = r + 1
+        while (grown := list(map(label.__getitem__, self.up))) != label:
+            label = grown
+        if len(roots) > 1:  # the tree of the least labelled vertex alone
+            label = list(map(next(filter(None, label)).__eq__, label))
+        return (list(compress(range(len(label)), label)),
+                list(compress(range(len(self.tail)), map(label.__getitem__, self.tail))))
 
 
 def incidence(n: int, tail, ends) -> list:

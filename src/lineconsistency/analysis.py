@@ -219,17 +219,19 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The local clauses are read from the graph's columns (``_local_clauses``,
-    whose degree lists are freed before the forest is built).  The positive
-    edges they test are merged last, in reverse vertex order, into one parity
-    union-find (``_traversal.Forest``): when none closes a circle, all are
-    isthmi and the forest's balance answers the last clause; else the last to
+    The local clauses are read from the columns (``_local_clauses``).  The
+    positive edges they test are merged last, in reverse vertex order, into
+    one parity union-find (``_traversal.Forest``): when none closes a circle,
+    all are isthmi and its balance answers the last clause; else the last to
     close one is the first in vertex order that is not an isthmus.  A local
-    clause that fails before any edge is tested needs no forest."""
+    clause failing before any edge is tested needs no forest.  An unbalanced
+    graph keeps it, as ``traversal`` is kept, for ``find_negative_circle``."""
     tested, failed = _local_clauses(graph)
     if failed and not tested:
         return failed
     forest = Forest(graph, list(reversed(tested)))
+    if forest.conflicts:
+        graph.__dict__["_forest"] = forest
     if forest.closed:
         k = forest.closed[-1]
         return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
@@ -518,10 +520,11 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     vertex form a triangle (O(deg)); a shortest circle C through a
     non-isthmus positive edge gives C's image if C is negative, else that
     image with the spare negative edge interposed at the vertex (O(m)); an
-    unbalanced graph gives the image of a negative circle (O(m)).  Verdicts
-    of other methods are re-derived with condition ii, which agrees with
-    them.  No edge value is built: the witness is read from the graph's columns
-    and checked against ``graph`` in O(len log m) before it is returned.
+    unbalanced graph gives the image of a negative circle, cut in C-level
+    passes from the union-find condition ii kept.  Verdicts of other methods
+    are re-derived with condition ii, which agrees with them.  No edge value
+    is built: the witness is read from the graph's columns and checked
+    against ``graph`` in O(len log m) before it is returned.
     """
     if failed.line_consistent:
         raise GraphError("graph is line consistent; there is no witness")

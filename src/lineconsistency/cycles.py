@@ -172,16 +172,16 @@ def is_balanced_fast(graph: SignedGraph) -> bool:
 def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
-    A parity union-find (``_traversal.Forest``) finds the unbalanced
-    component with the least vertex, and only that component is searched,
-    as a graph of its own.  The witness is the fundamental circle of the
-    first conflicting edge its depth-first search finds: the tree path
-    between its endpoints plus the edge.  That is the circle a search of the
-    whole graph finds, since the whole search takes roots in vertex order,
+    The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
+    kept on an unbalanced graph, else a new one, finds the unbalanced
+    component with the least vertex in C-level passes, and only that
+    component is searched, as a graph of its own.  The witness is the
+    fundamental circle of its search's first conflicting edge, which a
+    search of the whole graph finds too: that takes roots in vertex order,
     meets no conflict in a balanced component and runs on a component as on
     that component alone.  Its sign is checked on the graph's columns.
     """
-    component = Forest(graph).unbalanced_component()
+    component = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
     if component is None:
         return None
     part = graph._part(*component)

@@ -34,7 +34,7 @@ from .analysis import StructureReport
 from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
 
 _STRING = frozenset((str,))
-_SIGN_SYMBOLS = frozenset(("+", "-"))
+_NEGATIVE = {"+": False, "-": True}  # a sign symbol's negative bit
 _SIGN = itemgetter("sign")
 
 
@@ -69,9 +69,9 @@ def _edge_columns(items: list) -> tuple:
         ids = [item["id"] for item in items]
         us = [item["u"] for item in items]
         vs = [item["v"] for item in items]
-        if (_STRING.issuperset(map(type, chain(ids, us, vs)))
-                and _SIGN_SYMBOLS.issuperset(map(_SIGN, items))):
-            return ids, us, vs, list(map("-".__eq__, map(_SIGN, items)))
+        if _STRING.issuperset(map(type, chain(ids, us, vs))):
+            # each sign is read once: any other symbol raises KeyError
+            return ids, us, vs, list(map(_NEGATIVE.__getitem__, map(_SIGN, items)))
     except (TypeError, KeyError):
         pass
     ids, us, vs, negative = [], [], [], []

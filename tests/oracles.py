@@ -51,6 +51,7 @@ from lineconsistency.cycles import (
     ConsistencyResult,
 )
 from lineconsistency.generate import (
+    Recipe,
     exhaustive_signed_graphs,
     generate_line_consistent,
     random_recipe,
@@ -486,6 +487,23 @@ def _tested_edges():
     ]
 
 
+def flipped_recipe(seed):
+    """A line-consistent recipe graph with one edge of an all-negative circle
+    made positive, as the benchmark's witness workload flips its inputs: the
+    circle turns negative, so the graph is unbalanced, and on most seeds no
+    local clause of condition ii fails."""
+    graph = generate_line_consistent(Recipe(
+        negative_circles=(4, 6, 8), closing_paths=(2, 4), induced_paths=(2, 4),
+        isthmus_paths=(1, 3), pendant_positives=4, scaffold_tree=8), seed)
+    negative = graph.negative_subgraph()
+    degree = _degrees(negative)[0]
+    circle = next(run for run in negative.traversal.components
+                  if len(run) > 2 and all(degree[v] == 2 for v in run))
+    flip = next(k for k, a in enumerate(graph.tail) if graph.negative[k] and a in circle)
+    return new_signed_graph(graph.vertices, [
+        (e.id, e.u, e.v, "+" if k == flip else e.sign.value) for k, e in enumerate(graph.edges)])
+
+
 def differential_corpus(family):
     """The graphs column-built code is compared with its reference on."""
     if family == "exhaustive":
@@ -516,6 +534,8 @@ def differential_corpus(family):
         return _tested_edges()
     if family == "negative-paths":
         return (_negative_paths(s) for s in range(2000))
+    if family == "flipped":
+        return (flipped_recipe(s) for s in range(40))
     raise ValueError(family)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from oracles import (
     check_condition_i_by_isthmi,
@@ -8,6 +11,7 @@ from oracles import (
     clause_witness_by_search,
     differential_corpus,
     find_negative_circle_by_search,
+    flipped_recipe,
 )
 
 from lineconsistency import (
@@ -35,6 +39,7 @@ from lineconsistency import (
     validate_circle,
 )
 from lineconsistency import _traversal
+from lineconsistency.core import SignedGraph
 
 ALL_CHECKS = (check_condition_i, check_condition_ii, check_condition_iii)
 
@@ -686,7 +691,7 @@ def test_classifier_matches_the_edge_value_classifier(family):
 
 @pytest.mark.parametrize("family", [
     "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
-    "negative-paths"])
+    "negative-paths", "flipped"])
 def test_condition_ii_matches_the_search(family, monkeypatch):
     """Condition ii and the negative circle read from the parity union-find
     give the verdicts, named vertices and edges, witnesses and circles that
@@ -709,6 +714,44 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
         assert find_negative_circle(graph) == find_negative_circle_by_search(graph), graph
         if not verdict.line_consistent:
             assert find_witness(graph, verdict) == clause_witness_by_search(graph, expected)
+
+
+@pytest.mark.parametrize("family", ["random", "circles", "negative-paths", "flipped"])
+def test_kept_forest_changes_no_circle_and_no_verdict(family):
+    """Condition ii keeps its union-find on an unbalanced graph for
+    ``find_negative_circle``.  On a fresh graph, the circle found before
+    condition ii ran is the one found after, and a circle found first never
+    changes condition ii's verdict."""
+    kept = 0
+    for graph in differential_corpus(family):
+        first, second = (SignedGraph(graph.vertices, graph.edges) for _ in range(2))
+        circle = find_negative_circle(first)
+        assert "_forest" not in first.__dict__  # only condition ii keeps one
+        assert check_condition_ii(first) == check_condition_ii(second), graph
+        if "_forest" in first.__dict__:  # kept only on an unbalanced graph
+            assert circle is not None, graph
+            kept += 1
+        assert find_negative_circle(first) == circle == find_negative_circle(second), graph
+    assert kept > 0
+
+
+def test_a_checked_and_witnessed_graph_dies_by_reference_counting():
+    """Nothing cached on a graph refers back to it (``Traversal``'s rule), so
+    with the cycle collector off a graph dies as soon as the last reference
+    goes, after condition ii, the witness and the search have all run."""
+    died = []
+    gc.disable()
+    try:
+        for seed in range(3):
+            graph = flipped_recipe(seed)
+            verdict = check_condition_ii(graph)
+            find_witness(graph, verdict)
+            assert "_forest" in graph.__dict__ and graph.traversal.components
+            weakref.finalize(graph, died.append, seed)
+            del graph
+            assert died[-1:] == [seed]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("family", [

@@ -5,7 +5,7 @@ from collections import Counter
 from io import StringIO
 
 import pytest
-from oracles import differential_corpus
+from oracles import check_condition_ii_by_search, differential_corpus
 
 from lineconsistency import (
     CircleLimitError,
@@ -23,6 +23,8 @@ from lineconsistency import (
     random_signed_graph,
     write_signed_graph,
 )
+from lineconsistency import _traversal
+from lineconsistency.analysis import UNBALANCED, _local_clauses
 from lineconsistency.cli import main
 
 
@@ -493,6 +495,41 @@ class TestFuzz:
         assert err.count("error: bounds exceeded: ") == 4
         assert "--count must be nonnegative" in err
         assert "--recipes must be nonnegative" in err
+
+
+@pytest.mark.parametrize("family", ["tested-edges", "random", "circles", "flipped"])
+def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
+    """check --method ii --witness builds one parity union-find per input, the
+    one condition ii decides with, and the witness of an unbalanced graph
+    reads it; a local clause that fails before any edge is tested needs
+    none.  The forests are counted at every module binding of the class."""
+    built = []
+
+    def counted(graph, *args, cls=_traversal.Forest):
+        built.append(graph)
+        return cls(graph, *args)
+
+    bindings = [name for name, module in sys.modules.items()
+                if name.startswith("lineconsistency")
+                and getattr(module, "Forest", None) is _traversal.Forest]
+    assert {"lineconsistency._traversal", "lineconsistency.analysis",
+            "lineconsistency.cycles"} <= set(bindings)
+    for name in bindings:
+        monkeypatch.setattr(sys.modules[name], "Forest", counted)
+    kinds = Counter()
+    for graph in differential_corpus(family):
+        built.clear()
+        monkeypatch.setattr(sys, "stdin", StringIO(write_signed_graph(graph)))
+        code = main(["check", "--method", "ii", "--witness", "-"])
+        capsys.readouterr()
+        forests = len(built)
+        verdict = check_condition_ii_by_search(graph)
+        tested, failed = _local_clauses(graph)
+        assert code == int(not verdict.line_consistent), graph
+        assert forests == (0 if failed and not tested else 1), graph
+        kinds[forests, verdict.failed_clause] += 1
+    if family != "tested-edges":  # there every graph tests an edge, none is unbalanced
+        assert kinds[1, UNBALANCED] and any(f == 0 for f, _ in kinds), kinds
 
 
 # The SHA-256 of every verdict, report and check output over the golden

@@ -1,5 +1,6 @@
 """The depth-first search against networkx, on graphs up to 10^4 vertices,
-and the parity union-find against the search.
+and the parity union-find against the search and, for the unbalanced
+component it names, against networkx components 2-coloured by parity.
 
 networkx is a test-only dependency; the checks compare bridges, blocks,
 components and balance with independent implementations.  networkx works on
@@ -10,9 +11,10 @@ its block.
 
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 
 import pytest
+from oracles import differential_corpus
 
 from lineconsistency import (
     Recipe,
@@ -26,6 +28,7 @@ from lineconsistency import (
     random_signed_graph,
 )
 from lineconsistency._traversal import Forest
+from lineconsistency.analysis import _local_clauses
 
 nx = pytest.importorskip("networkx")
 
@@ -204,6 +207,87 @@ def test_forest_unbalanced_component_holds_the_least_unbalanced_vertex():
     assert forest.unbalanced_component() == ([3, 4, 5], [6, 7, 8])
     assert Forest(new_signed_graph("ab", [("e", "a", "b", "-")])).unbalanced_component() \
         is None
+
+
+def unbalanced_component_by_networkx(graph):
+    """(vertex numbers, edge numbers), both ascending, of the unbalanced
+    component holding the least vertex, or None: networkx's components,
+    each 2-coloured by switching parity in a breadth-first search from its
+    least vertex, and unbalanced when an edge's sign contradicts the
+    colours of its ends."""
+    simple, _ = simple_graph(graph)
+    signed = defaultdict(list)
+    for e in graph.edges:
+        signed[e.u].append((e.v, e.sign.is_negative))
+        signed[e.v].append((e.u, e.sign.is_negative))
+    for component in sorted(nx.connected_components(simple), key=min):
+        start = min(component)
+        parity, queue = {start: 0}, deque([start])
+        while queue:
+            v = queue.popleft()
+            for w, odd in signed[v]:
+                if w not in parity:
+                    parity[w] = parity[v] ^ odd
+                    queue.append(w)
+        inside = [e for e in graph.edges if e.u in component]
+        if any(parity[e.u] ^ parity[e.v] != e.sign.is_negative for e in inside):
+            return (sorted(map(graph._vertex, component)),
+                    sorted(graph._edge_number(e.id) for e in inside))
+    return None
+
+
+def deep_root_graph():
+    """Three components by vertex order: a positive edge; b0..b7, a circle
+    with one negative edge and two pendant edges; and a triangle with one
+    negative edge.
+    Merged in edge-id order with union by size, ties going to the root of
+    the lesser endpoint, the circle's tree is rooted at b1, not at its least
+    vertex b0, and b7's find chain b7, b5, b3, b1 has height 3."""
+    return new_signed_graph(["a0", "a1"] + [f"b{i}" for i in range(8)] + ["c0", "c1", "c2"], [
+        ("d0", "a0", "a1", "+"),
+        ("e1", "b0", "b6", "+"), ("e2", "b1", "b2", "+"), ("e3", "b1", "b6", "+"),
+        ("e4", "b3", "b4", "+"), ("e5", "b5", "b7", "+"), ("e6", "b3", "b5", "+"),
+        ("e7", "b1", "b3", "+"), ("e8", "b0", "b7", "-"),
+        ("f1", "c0", "c1", "-"), ("f2", "c1", "c2", "+"), ("f3", "c2", "c0", "+")])
+
+
+def unbalanced_roots(graph, forest):
+    return {forest.root(graph.tail[k]) for k in forest.conflicts}
+
+
+def assert_unbalanced_component_matches_networkx(graph):
+    """Merged in edge order and in condition ii's order (its tested edges
+    last, in reverse vertex order), the forest names the unbalanced
+    component that an independent parity 2-colouring finds; the number of
+    unbalanced components is returned."""
+    expected = unbalanced_component_by_networkx(graph)
+    tested, _ = _local_clauses(graph)
+    for forest in (Forest(graph), Forest(graph, list(reversed(tested)))):
+        assert forest.unbalanced_component() == expected, graph
+    return len(unbalanced_roots(graph, forest))
+
+
+@pytest.mark.parametrize("name, graph", GRAPHS, ids=IDS)
+def test_unbalanced_component_matches_networkx(name, graph):
+    assert_unbalanced_component_matches_networkx(graph)
+
+
+def test_unbalanced_component_matches_networkx_on_disjoint_circles():
+    """1-6 disjoint circles under shuffled ids, often several of them
+    unbalanced, in no particular id order."""
+    counts = list(map(assert_unbalanced_component_matches_networkx,
+                      differential_corpus("circles")))
+    assert sum(count > 1 for count in counts) > 50
+
+
+def test_unbalanced_component_under_a_deep_root():
+    graph = deep_root_graph()
+    forest = Forest(graph)
+    assert max(find_chains(forest)) == 4
+    b0 = graph._vertex("b0")
+    assert graph.vertex_ids[forest.root(b0)] == "b1"
+    assert assert_unbalanced_component_matches_networkx(graph) == 2
+    assert forest.unbalanced_component()[0][0] == b0
 
 
 def path_graph(edges, descending):
