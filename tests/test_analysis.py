@@ -641,6 +641,14 @@ class TestFindWitness:
         with pytest.raises(GraphError, match="consistent"):
             find_witness(g, check_condition_ii(g))
 
+    def test_refuses_another_methods_wrong_verdict(self):
+        # a negative verdict of another method is re-derived with condition
+        # ii, which cannot agree with it on a line-consistent graph
+        g = circle4("----")
+        fabricated = Verdict(False, "negative circle in the line graph")
+        with pytest.raises(GraphError, match="^condition ii finds the graph line consistent$"):
+            find_witness(g, fabricated)
+
     def test_witnesses_verify_exhaustively(self):
         for g in exhaustive_signed_graphs(4, 4):
             marked = line_graph(g)
@@ -668,6 +676,12 @@ class TestVerdict:
 
         with pytest.raises(GraphError):
             Verdict(False)
+
+    def test_a_report_without_a_reason_has_no_verdict(self):
+        from lineconsistency import StructureReport
+
+        with pytest.raises(GraphError, match="^inconsistent structure report$"):
+            StructureReport(True, (), False).as_verdict()
 
 
 def test_degenerate_inputs():

@@ -486,6 +486,35 @@ class TestFuzz:
             graph = read_signed_graph(document + "}")
             assert not check_condition_i(graph).line_consistent
 
+    def test_corollary_disagreement_is_reported(self, monkeypatch, capsys):
+        from lineconsistency import analysis
+
+        # the corollary, patched to contradict condition ii, hence the oracle
+        monkeypatch.setattr(analysis, "check_corollary_3",
+                            lambda graph: not check_condition_ii(graph).line_consistent)
+        code = main(["fuzz", "--exhaustive", "--max-n", "3", "--max-m", "3"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "disagreements: 95" in out  # every graph
+        failures = Counter(block.rsplit("}\n", 1)[1]
+                           for block in out.split("counterexample:\n")[1:])
+        assert failures == {"  corollary says False, oracle says True\n": 47,
+                            "  corollary says True, oracle says False\n": 48}
+
+    def test_positive_witness_is_reported(self, monkeypatch, capsys):
+        from lineconsistency import Sign
+        from lineconsistency import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "circle_vertex_sign",
+                            lambda marked, circle: Sign.POSITIVE)
+        code = main(["fuzz", "--exhaustive", "--max-n", "3", "--max-m", "3"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "disagreements: 48" in out  # every graph the oracle rejects
+        failures = Counter(block.rsplit("}\n", 1)[1]
+                           for block in out.split("counterexample:\n")[1:])
+        assert failures == {"  witness circle is not negative\n": 48}
+
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["fuzz", "--max-n", "0"]) == 2
         assert main(["fuzz", "--exhaustive", "--max-n", "9"]) == 2

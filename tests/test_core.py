@@ -111,6 +111,79 @@ class TestConstruction:
         assert str(signed.value) == str(marked.value) == message
 
 
+class TestOneConstructorPerKind:
+    """Each graph kind has one constructor, which takes values, tuples or a
+    mix of them; ``_from_columns`` fills the same graph from columns."""
+
+    def test_the_new_names_are_the_classes(self):
+        assert new_signed_graph is SignedGraph
+        assert new_marked_graph is MarkedGraph
+
+    def test_signed_graph_from_values_tuples_a_mix_and_columns(self):
+        tuples = [("e2", "b", "a", "-"), ("e1", "a", "b", "+"), ("e3", "c", "b", Sign.NEGATIVE)]
+        values = [SignedEdge(*t) for t in tuples]
+        graphs = [
+            SignedGraph("abc", values),
+            SignedGraph("abc", tuples),
+            SignedGraph(["a", "b", "c"], [values[0], tuples[1], values[2]]),
+            SignedGraph._from_columns(("a", "b", "c"), ["e2", "e1", "e3"], ["b", "a", "c"],
+                                      ["a", "b", "b"], [True, False, True]),
+        ]
+        assert all(graph == graphs[0] for graph in graphs)
+        assert graphs[0].edges == (values[1], values[0], values[2])
+        # vertex ids and tuple fields are stringified; arguments may be omitted
+        assert SignedGraph([1, 2], [(7, 1, 2, "-")]) == SignedGraph("12", [("7", "1", "2", "-")])
+        assert SignedGraph() == SignedGraph((), ()) == SignedGraph._from_columns((), [], [], [], [])
+
+    def test_marked_graph_from_values_tuples_a_mix_and_columns(self):
+        vertices = [("y", "-"), ("x", Sign.POSITIVE)]
+        edges = [("d2", "y", "x"), ("d1", "x", "y")]
+        vertex_values = [MarkedVertex(*v) for v in vertices]
+        edge_values = [Edge(*e) for e in edges]
+        graphs = [
+            MarkedGraph(vertex_values, edge_values),
+            MarkedGraph(vertices, edges),
+            MarkedGraph([vertex_values[0], vertices[1]], [edges[0], edge_values[1]]),
+            MarkedGraph._from_columns(("y", "x"), [True, False], ["d2", "d1"],
+                                      ["y", "x"], ["x", "y"]),
+        ]
+        assert all(graph == graphs[0] for graph in graphs)
+        assert graphs[0].vertices == (vertex_values[1], vertex_values[0])
+        assert MarkedGraph([(1, "+"), (2, "-")], [(7, 1, 2)]) == MarkedGraph(
+            [("1", "+"), ("2", "-")], [("7", "1", "2")])
+        assert MarkedGraph() == MarkedGraph._from_columns((), [], [], [], [])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([("e1", "a", "b", "x")], "invalid sign 'x': expected '+' or '-'"),
+        ([("e1", "a", "a", "+")], "edges[0]: loop edge 'e1' at vertex 'a'"),
+        ([("e1", "a", "b", "+"), ("e1", "b", "a", "-")], "edges[1]: duplicate edge id 'e1'"),
+    ])
+    def test_signed_errors_keep_their_messages(self, edges, message):
+        with pytest.raises(GraphError) as from_tuples:
+            SignedGraph("ab", edges)
+        with pytest.raises(GraphError) as from_values:
+            SignedGraph("ab", [SignedEdge(*e) for e in edges])
+        assert str(from_tuples.value) == str(from_values.value) == message
+
+    def test_duplicate_vertex_ids_keep_their_message(self):
+        with pytest.raises(GraphError) as signed:
+            SignedGraph("aa")
+        with pytest.raises(GraphError) as marked:
+            MarkedGraph([MarkedVertex("a", "+"), ("a", "-")])
+        assert str(signed.value) == str(marked.value) == "vertices[1]: duplicate vertex id 'a'"
+
+    @pytest.mark.parametrize("build", [
+        lambda: SignedGraph("ab", [("e1", "a", "b")]),
+        lambda: SignedGraph("ab", [("e1", "a", "b", "+", "x")]),
+        lambda: MarkedGraph([("a",)]),
+        lambda: MarkedGraph([("a", "+"), ("b", "+")], [("d1", "a", "b", "+")]),
+    ])
+    def test_a_tuple_of_the_wrong_length_is_refused(self, build):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is ValueError  # the unpacking's, not a GraphError
+
+
 class TestSignedEdgeSign:
     def test_symbols_become_signs(self):
         # the negative 3-star from edge values with symbol signs

@@ -5,6 +5,7 @@ import pytest
 from oracles import generate_line_consistent_by_edges, random_signed_graph_by_slots
 
 from lineconsistency import (
+    Circle,
     GraphError,
     Recipe,
     Sign,
@@ -231,3 +232,19 @@ class TestRecipe:
             g = generate_line_consistent(random_recipe(seed), seed)
             assert check_condition_ii(g).line_consistent, seed
             assert is_consistent_oracle(line_graph(g)).consistent, seed
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: list(exhaustive_signed_graphs(2, -1)),
+     "bounds exceeded: max_edges must be nonnegative"),
+    (lambda: random_signed_graph(-1, 0, 0.5, 1), "impossible parameters: negative vertex count"),
+    (lambda: random_signed_graph(3, 1, 1.5, 1), "negative_probability must be within [0, 1]"),
+    (lambda: Recipe(isthmus_paths=(0,)),
+     "unsatisfiable recipe: isthmus path length must be >= 1"),
+    (lambda: Recipe(pendant_positives=-1), "unsatisfiable recipe: negative count"),
+    (lambda: Circle(("a", "b"), ("x",)), "circle edge and vertex sequences differ in length"),
+])
+def test_invalid_parameters_are_named(build, message):
+    with pytest.raises(GraphError) as raised:
+        build()
+    assert str(raised.value) == message

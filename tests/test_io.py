@@ -381,8 +381,9 @@ class TestCanonicalText:
         assert write_marked_graph(marked) == write_marked_graph_by_document(marked)
 
     def test_ids_must_be_strings(self):
-        # json.dumps wrote these as numbers, which read back as other ids
-        graph = SignedGraph((1, 2), (SignedEdge("e1", 1, 2),))
+        # json.dumps wrote these as numbers, which read back as other ids;
+        # the constructor stringifies vertex ids, so fill the columns
+        graph = SignedGraph._from_columns((1, 2), ["e1"], [1], [2], [False])
         with pytest.raises(TypeError):
             write_signed_graph(graph)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from oracles import (
@@ -9,6 +10,7 @@ from oracles import (
 )
 
 from lineconsistency import (
+    Circle,
     GraphError,
     Sign,
     circle_image,
@@ -20,7 +22,7 @@ from lineconsistency import (
     validate_circle,
     write_marked_graph,
 )
-from lineconsistency.linegraph import line_circle
+from lineconsistency.linegraph import line_circle, verify_witness
 
 
 def star(k, signs=None):
@@ -124,6 +126,29 @@ class TestCircleImage:
         image = circle_image(digon)
         validate_circle(m, image)
         assert circle_vertex_sign(m, image) is Sign.NEGATIVE
+
+
+class TestVerifyWitness:
+    def refused(self, graph, witness):
+        message = f"witness {witness} is not a negative line-graph circle"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            verify_witness(graph, witness)
+
+    def test_refuses_the_image_of_a_positive_circle(self):
+        image = circle_image(Circle(("e1", "e2", "e3"), ("a", "b", "c")))
+        for signs, negative in (("--+", False), ("---", True)):
+            g = new_signed_graph("abc", [("e1", "a", "b", signs[0]), ("e2", "b", "c", signs[1]),
+                                         ("e3", "c", "a", signs[2])])
+            if negative:
+                verify_witness(g, image)
+            else:
+                self.refused(g, image)
+
+    def test_refuses_a_line_edge_at_a_vertex_its_edges_do_not_share(self):
+        g = star(3, "---")
+        verify_witness(g, line_circle(("e0", "e1", "e2"), ("c", "c", "c")))
+        # e0 and e1 meet at c only, not at e0's leaf l0
+        self.refused(g, line_circle(("e0", "e1", "e2"), ("l0", "c", "c")))
 
 
 class TestVertexTriangles:
