@@ -1,0 +1,82 @@
+"""Time ``check --method ii --witness`` and read its peak memory at scale.
+
+    python3 scripts/scale_check.py [--src DIR] [--sizes 10000 100000 1000000]
+                                   [--inputs DIR] [--repeat N]
+
+For each size n, ``random_signed_graph(n // 2, n, 0.0, 1)`` (a line-consistent
+graph with no negative edge, so every pass of condition ii runs) is written
+with ``write_signed_graph`` to ``INPUTS/random-n.json``, unless that file is
+already there.  Each run is a fresh ``python3 -m lineconsistency.cli`` process
+on the sources in ``--src`` (default: this checkout's ``src``); its wall time
+and its own maximum resident set size (``ru_maxrss``, from ``os.wait4``) are
+printed as one JSON line per run.  Inputs are written by a child process too,
+so this process stays small.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WRITE = """
+import sys
+from lineconsistency import random_signed_graph, write_signed_graph
+n, path = int(sys.argv[1]), sys.argv[2]
+text = write_signed_graph(random_signed_graph(n // 2, n, 0.0, 1))
+with open(path, "w", encoding="utf-8") as handle:
+    handle.write(text)
+"""
+
+
+def child_env(src: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def write_input(src: Path, n: int, path: Path) -> None:
+    if not path.exists():
+        subprocess.run([sys.executable, "-c", WRITE, str(n), str(path)],
+                       env=child_env(src), check=True)
+
+
+def timed_check(src: Path, path: Path) -> dict:
+    """One CLI run on ``path``: exit code, wall seconds and maxrss in MB."""
+    argv = [sys.executable, "-m", "lineconsistency.cli", "check", "--method", "ii",
+            "--witness", str(path)]
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=child_env(src), stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    seconds = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return {"exit": child.returncode, "seconds": round(seconds, 3),
+            "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[10**4, 10**5, 10**6])
+    parser.add_argument("--inputs", type=Path, default=None)
+    parser.add_argument("--repeat", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        inputs = args.inputs or Path(scratch)
+        inputs.mkdir(parents=True, exist_ok=True)
+        for n in args.sizes:
+            path = inputs / f"random-{n}.json"
+            write_input(args.src, n, path)
+            for _ in range(args.repeat):
+                run = timed_check(args.src, path)
+                print(json.dumps({"edges": n, "src": str(args.src), **run}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,7 +41,9 @@ _METHODS = ("i", "ii", "iii", "thm1", "structure", "oracle")
 
 
 def _load(path: str) -> SignedGraph:
-    # the text goes straight into the reader, which frees it once decoded
+    # the text goes straight into the reader, which frees it before the graph
+    # is built; a writer-layout text's edges are decoded a chunk at a time, so
+    # the peak is the text, the columns and one chunk, else the whole document
     try:
         if path == "-":
             return read_signed_graph(sys.stdin.read())

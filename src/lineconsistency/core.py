@@ -13,8 +13,10 @@ columns when a caller asks for ``edges``, a marked graph's ``vertices``,
 that is the one place the graph invariants are checked: unique vertex ids,
 unique edge ids, no loops, and both endpoints among the vertices; a
 violation names its position in the given order (``vertices[i]`` or
-``edges[i]``).  All values are frozen and every transform returns a new
-value, so everything here is safe to share between threads.
+``edges[i]``).  The endpoints come as ids, or as numbers from a caller that
+already holds them (the JSON reader, subgraphs, the line graph), so that
+no endpoint is looked up twice.  All values are frozen and every transform
+returns a new value, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -114,46 +116,68 @@ def _ascending(ids) -> bool:
     return all(map(lt, ids, islice(ids, 1, None)))
 
 
-def _check(vertex_ids, edge_ids, us, vs) -> tuple:
+def _check(vertex_ids, edge_ids, us, vs, numbered=False) -> tuple:
     """The graph invariants, on vertex ids and edge columns in their given
     order: raise GraphError naming, by its position, the first duplicate
     vertex id, duplicate edge id, loop or endpoint that is not a vertex.
 
-    Return the sorted vertex ids, the edge positions in id order (None when
-    the edges already arrive in id order), the edge ids in id order, and,
-    in the given order, each edge's endpoints as indices into the sorted
-    vertex ids.  Ids that arrive strictly ascending, as every document the
-    JSON writer emits has them, are neither sorted nor copied in a new
-    order; any other order is sorted.  The checks run on whole columns;
+    ``us`` and ``vs`` are endpoint ids or, when ``numbered``, a caller's
+    endpoint numbers: indices into ``vertex_ids``.  Return the sorted vertex
+    ids, the edge positions in id order (None when the edges already
+    arrive in id order), the edge ids in id order, and, in the given order,
+    each edge's lesser endpoint, as an index into the sorted vertex ids,
+    and the xor of its two endpoints' indices.  Ids that arrive strictly
+    ascending, as every document the JSON writer emits has them, are
+    neither sorted nor copied in a new order, and their endpoint numbers
+    are kept; any other order is sorted, and numbered endpoints are then
+    numbered again through their ids.  The checks run on whole columns;
     only a graph that fails one is walked in its given order, to name the
     first offender."""
-    vertices = tuple(vertex_ids if _ascending(vertex_ids) else sorted(vertex_ids))
-    index = dict(zip(vertices, range(len(vertices))))
+    n = len(vertex_ids)
+    if numbered and not _ascending(vertex_ids):
+        if not all(0 <= x < n for column in (us, vs) for x in column):
+            raise GraphError("endpoint numbers must index the vertex ids")
+        numbered, us, vs = False, [vertex_ids[x] for x in us], [vertex_ids[x] for x in vs]
+    if numbered:
+        vertices, a, b = tuple(vertex_ids), us, vs
+    else:
+        vertices = tuple(vertex_ids if _ascending(vertex_ids) else sorted(vertex_ids))
+        index = dict(zip(vertices, range(n)))
+        # an endpoint that is not a vertex is numbered -1
+        a = list(map(index.get, us, repeat(-1)))
+        b = list(map(index.get, vs, repeat(-1)))
+    tail = [x if x < y else y for x, y in zip(a, b)]
+    ends = list(map(xor, a, b))  # 0 for a loop
+    if numbered:
+        known = not tail or (min(tail) >= 0 and max(a) < n and max(b) < n)
+    else:
+        known = len(index) == n and -1 not in tail
     if _ascending(edge_ids):
         order, distinct, ids = None, True, tuple(edge_ids)
     else:
         order = sorted(range(len(edge_ids)), key=edge_ids.__getitem__)
         ids = tuple(map(edge_ids.__getitem__, order))
         distinct = not any(map(eq, ids, islice(ids, 1, None)))
-    a = list(map(index.get, us, repeat(-1)))
-    b = list(map(index.get, vs, repeat(-1)))
-    if (len(index) == len(vertices) and distinct
-            and -1 not in a and -1 not in b and not any(map(eq, a, b))):
-        return vertices, order, ids, a, b
+    if known and distinct and 0 not in ends:
+        return vertices, order, ids, tail, ends
+    if numbered:
+        if not known:
+            raise GraphError("endpoint numbers must index the vertex ids")
+        us, vs = map(vertices.__getitem__, a), map(vertices.__getitem__, b)
     seen = set()
     for i, v in enumerate(vertex_ids):
         if v in seen:
             raise GraphError(f"vertices[{i}]: duplicate vertex id {v!r}")
         seen.add(v)
     seen = set()
-    for i, (eid, u, v) in enumerate(zip(edge_ids, us, vs)):
+    for i, (eid, u, v, x, y) in enumerate(zip(edge_ids, us, vs, a, b)):
         if eid in seen:
             raise GraphError(f"edges[{i}]: duplicate edge id {eid!r}")
         seen.add(eid)
         if u == v:
             raise GraphError(f"edges[{i}]: loop edge {eid!r} at vertex {u!r}")
-        for endpoint in (u, v):
-            if endpoint not in index:
+        for endpoint, number in ((u, x), (v, y)):
+            if number < 0:
                 raise GraphError(f"edges[{i}]: endpoint {endpoint!r} is not a vertex")
 
 
@@ -178,32 +202,28 @@ class _Multigraph:
     """
 
     @classmethod
-    def _from_columns(cls, *columns):
+    def _from_columns(cls, *columns, numbered=False):
         """The graph with the given columns, in the order its
         ``__post_init__`` takes them, with the same checks as the
-        constructor."""
+        constructor; ``numbered`` as for ``_check``."""
         graph = cls.__new__(cls)
-        graph.__post_init__(*columns)
+        graph.__post_init__(*columns, numbered)
         return graph
 
-    def _store_columns(self, vertex_ids, edge_ids, us, vs, negative) -> None:
+    def _store_columns(self, vertex_ids, edge_ids, us, vs, negative, numbered) -> None:
         """Check the invariants on the given order, then store the columns
         in id order.  Columns given in id order are permuted by nothing, and
         a given list of negative bits is kept, not copied: the caller hands
         it over."""
-        vertices, order, ids, a, b = _check(vertex_ids, edge_ids, us, vs)
+        vertices, order, ids, tail, ends = _check(vertex_ids, edge_ids, us, vs, numbered)
         if order is not None:
-            a, b = list(map(a.__getitem__, order)), list(map(b.__getitem__, order))
+            tail = list(map(tail.__getitem__, order))
+            ends = list(map(ends.__getitem__, order))
             negative = list(map(negative.__getitem__, order))
         elif negative.__class__ is not list:
             negative = list(negative)
         self.__dict__.update(
-            vertex_ids=vertices,
-            edge_ids=ids,
-            tail=[x if x < y else y for x, y in zip(a, b)],
-            ends=list(map(xor, a, b)),
-            negative=negative,
-        )
+            vertex_ids=vertices, edge_ids=ids, tail=tail, ends=ends, negative=negative)
 
     @cached_property
     def incidence(self) -> list:
@@ -291,12 +311,13 @@ class SignedGraph(_Multigraph):
             rows.append((str(eid), str(u), str(v), sign is Sign.NEGATIVE))
         self.__post_init__(tuple(str(v) for v in vertices), *_columns(rows, 4))
 
-    def __post_init__(self, vertex_ids, edge_ids, us, vs, negative):
+    def __post_init__(self, vertex_ids, edge_ids, us, vs, negative, numbered=False):
         """Fill the graph on ``vertex_ids`` whose edge k is ``edge_ids[k]``
-        from ``us[k]`` to ``vs[k]``, negative when ``negative[k]``."""
+        from ``us[k]`` to ``vs[k]``, negative when ``negative[k]``; the
+        endpoints are ids, or numbers when ``numbered`` (see ``_check``)."""
         # every construction runs through this one method, under this name:
         # bench/tracer.py counts the graphs built by wrapping it
-        self._store_columns(vertex_ids, edge_ids, us, vs, negative)
+        self._store_columns(vertex_ids, edge_ids, us, vs, negative, numbered)
         self.__dict__["vertices"] = self.vertex_ids
 
     @cached_property
@@ -320,11 +341,15 @@ class SignedGraph(_Multigraph):
         """The subgraph on the vertex numbers ``vertices`` and the edge
         numbers ``edges``, both ascending, cut from the columns; every edge
         must join two of the vertices."""
-        ids, tail, ends = self.vertex_ids, self.tail, self.ends
+        tail, ends = self.tail, self.ends
+        a, b = [tail[k] for k in edges], [tail[k] ^ ends[k] for k in edges]
+        if len(vertices) < len(self.vertex_ids):  # number the part's vertices
+            number = dict(zip(vertices, range(len(vertices))))
+            a, b = list(map(number.__getitem__, a)), list(map(number.__getitem__, b))
         return SignedGraph._from_columns(
-            tuple(map(ids.__getitem__, vertices)), list(map(self.edge_ids.__getitem__, edges)),
-            [ids[tail[k]] for k in edges], [ids[tail[k] ^ ends[k]] for k in edges],
-            list(map(self.negative.__getitem__, edges)))
+            tuple(map(self.vertex_ids.__getitem__, vertices)),
+            list(map(self.edge_ids.__getitem__, edges)), a, b,
+            list(map(self.negative.__getitem__, edges)), numbered=True)
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
@@ -385,11 +410,11 @@ class MarkedGraph(_Multigraph):
             rows.append((str(eid), str(u), str(v)))
         self.__post_init__(*_columns(marked, 2), *_columns(rows, 3))
 
-    def __post_init__(self, vertex_ids, marks, edge_ids, us, vs) -> None:
+    def __post_init__(self, vertex_ids, marks, edge_ids, us, vs, numbered=False) -> None:
         """Fill the marked graph on ``vertex_ids``, the i-th negative when
         ``marks[i]``, whose edge k is ``edge_ids[k]`` from ``us[k]`` to
-        ``vs[k]``."""
-        self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us))
+        ``vs[k]``, ids or numbers as ``SignedGraph`` takes them."""
+        self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us), numbered)
         if self.vertex_ids != tuple(vertex_ids):  # put the marks in id order
             marks = map(dict(zip(vertex_ids, marks)).__getitem__, self.vertex_ids)
         self.__dict__["marks"] = list(marks)

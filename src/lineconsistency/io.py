@@ -3,21 +3,26 @@
 The JSON schema: ``{"vertices": [str, ...], "edges": [{"id", "u", "v",
 "sign"}, ...]}`` with signs written as "+" or "-".  Numeric identifiers are
 stringified on read; booleans are rejected.  The reader checks only the
-document's shape, in one pass that takes the decoded edges straight into the
-graph's columns (ids, endpoints, negative bits) without building edge values;
-the graph invariants (unique ids, no loops, endpoints among the vertices) are
+document's shape, taking the decoded edges straight into the graph's
+columns (ids, endpoints, negative bits) without building edge values; the
+graph invariants (unique ids, no loops, endpoints among the vertices) are
 checked once, by the graph constructor, and its error is re-raised as
-GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  The
-read's peak is the text plus the decoded document: the reader drops the
-text once decoded and the document once its columns are taken, so neither
-is alive while the graph is built.  The text is freed then only when the
-caller holds no other reference to it; the CLI's loader holds none (on
-CPython 3.11, a call's arguments belong to the callee's frame).  Ids
-that arrive in id order, as the writers emit them, are not sorted.  The
-writers emit the canonical text of ``json.dumps(document, indent=2,
-sort_keys=True)`` straight from the columns, each id quoted by json's own C
-string encoder: writes are byte-deterministic, reads of writes round-trip
-structurally, and ids must be strings (another id raises TypeError).
+GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  A
+text in the writers' layout longer than one chunk (``_CHUNK``, 64K
+characters) has its vertices decoded first and its edges a chunk at a
+time, each chunk's endpoints numbered before it is dropped: that read's
+peak is the text plus the columns plus one decoded chunk.  Any other text,
+or a writer-layout one out of shape, is decoded whole, and its read's peak
+is the text plus the decoded document.  Either way the reader drops the
+text before the graph is built, and a whole document once its columns are
+taken.  The text is freed then only when the caller holds no other
+reference to it; the CLI's loader holds none (on CPython 3.11, a call's
+arguments belong to the callee's frame).  Ids that arrive in id order, as
+the writers emit them, are not sorted.  The writers emit the canonical
+text of ``json.dumps(document, indent=2, sort_keys=True)`` straight from
+the columns, each id quoted by json's own C string encoder: writes are
+byte-deterministic, reads of writes round-trip structurally, and ids must
+be strings (another id raises TypeError).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
 
 _STRING = frozenset((str,))
 _NEGATIVE = {"+": False, "-": True}  # a sign symbol's negative bit
-_SIGN = itemgetter("sign")
+_ID, _U, _V, _SIGN = map(itemgetter, ("id", "u", "v", "sign"))
 
 
 class GraphFormatError(GraphError):
@@ -92,16 +97,55 @@ def _edge_columns(items: list) -> tuple:
     return ids, us, vs, negative
 
 
-def read_signed_graph(text: str) -> SignedGraph:
-    """Parse a JSON document into a validated SignedGraph, dropping the text
-    once decoded and the document once its columns are taken."""
+def _writer_columns(text: str):
+    """The columns of a text in the writers' layout, with endpoint numbers,
+    or None for any other text.
+
+    The vertices are decoded first; the edges array is then decoded a chunk
+    of about ``_CHUNK`` characters at a time, each chunk cut just after an
+    edge object's closing line (``_BETWEEN``).  A JSON string holds no
+    literal newline, so every cut falls between two edge objects, and when
+    every piece decodes, the pieces join into the document ``json.loads``
+    returns.  Each chunk's endpoints are numbered, as indices into the
+    vertex ids, before the chunk is dropped.  None also comes back for a
+    piece that does not decode, a vertex id that is not a string, an item
+    that is not an object with a string id and a "+"/"-" sign, or an
+    endpoint that is not a vertex id: the whole text is then decoded by
+    ``read_signed_graph``, which names the fault."""
+    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+        return None
+    end = text.rfind(_VERTICES)
+    if end < 0:
+        return None
     try:
-        document = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer literal too long to convert, or
-        # arrays or objects nested deeper than the recursion limit
-        raise GraphFormatError(f"invalid JSON: {exc}") from None
-    del text
+        vertices = json.loads(text[end + len(_VERTICES) - 1:1 - len(_TAIL)])
+    except (ValueError, RecursionError):
+        return None
+    if vertices.__class__ is not list or not _STRING.issuperset(map(type, vertices)):
+        return None
+    index = dict(zip(vertices, range(len(vertices))))
+    ids, a, b, negative = [], [], [], []
+    start = len(_HEAD) - 1
+    while start < end:
+        cut = text.find(_BETWEEN, start + _CHUNK, end)
+        stop = end if cut < 0 else cut + len(_CLOSE)
+        try:
+            items = json.loads("[" + text[start:stop] + "]")
+            ids += map(_ID, items)
+            a += map(index.__getitem__, map(_U, items))
+            b += map(index.__getitem__, map(_V, items))
+            negative += map(_NEGATIVE.__getitem__, map(_SIGN, items))
+        except (ValueError, RecursionError, TypeError, KeyError):
+            return None
+        start = stop + 1  # past the comma
+    if not _STRING.issuperset(map(type, ids)):
+        return None
+    return vertices, ids, a, b, negative
+
+
+def _document_columns(document) -> tuple:
+    """The columns of a decoded document, with endpoint ids, or
+    GraphFormatError at its first fault of shape."""
     if not isinstance(document, dict):
         raise GraphFormatError("top level must be an object")
     for key in ("vertices", "edges"):
@@ -109,11 +153,30 @@ def read_signed_graph(text: str) -> SignedGraph:
             raise GraphFormatError(f"missing key {key!r}")
         if not isinstance(document[key], list):
             raise GraphFormatError(f"{key!r} must be an array")
-    vertices = _vertex_ids(document["vertices"])
-    columns = _edge_columns(document["edges"])
-    del document
+    return (_vertex_ids(document["vertices"]), *_edge_columns(document["edges"]))
+
+
+def read_signed_graph(text: str) -> SignedGraph:
+    """Parse a JSON document into a validated SignedGraph.  A text in the
+    writers' layout longer than one chunk is decoded a chunk of edges at a
+    time; any other is decoded whole.  The text is dropped once decoded,
+    and a whole document once its columns are taken, before the graph is
+    built."""
+    columns = _writer_columns(text) if len(text) > _CHUNK else None
+    numbered = columns is not None
+    if not numbered:
+        try:
+            document = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer literal too long to convert, or
+            # arrays or objects nested deeper than the recursion limit
+            raise GraphFormatError(f"invalid JSON: {exc}") from None
+    del text
+    if not numbered:
+        columns = _document_columns(document)
+        del document
     try:
-        return SignedGraph._from_columns(vertices, *columns)
+        return SignedGraph._from_columns(*columns, numbered=numbered)
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from None
 
@@ -122,6 +185,17 @@ def read_signed_graph(text: str) -> SignedGraph:
 _EDGE = '{\n      "id": %s,\n      "sign": "%s",\n      "u": %s,\n      "v": %s\n    }'
 _LINE_EDGE = '{\n      "id": %s,\n      "u": %s,\n      "v": %s\n    }'
 _MARK = '{\n      "id": %s,\n      "sign": "%s"\n    }'
+
+
+# The writers' layout, as _document emits it with at least one edge: the
+# text starts with _HEAD, has _VERTICES between its two arrays and ends
+# with _TAIL, and _BETWEEN, a comma after _CLOSE, joins two edge objects.
+_HEAD = '{\n  "edges": [\n    {'
+_CLOSE = "\n    }"
+_BETWEEN = _CLOSE + ",\n    {"
+_VERTICES = '\n  ],\n  "vertices": ['
+_TAIL = "]\n}\n"
+_CHUNK = 1 << 16  # characters of edges decoded at a time, and one edge more
 
 
 def _document(edges: list, vertices: list) -> str:

@@ -16,9 +16,10 @@ import itertools
 from .core import Circle, GraphError, MarkedGraph, SignedGraph
 
 
-def _line_edge_ids(triples) -> list:
-    """``a~b@s`` for each (a, b, s): the one place the id format is written."""
-    return [f"{a}~{b}@{s}" for a, b, s in triples]
+def _line_edge_ids(ids, triples) -> list:
+    """``a~b@s`` for each (i, j, s), where a is ``ids[i]`` and b is
+    ``ids[j]``: the one place the id format is written."""
+    return [f"{ids[i]}~{ids[j]}@{s}" for i, j, s in triples]
 
 
 def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
@@ -28,8 +29,7 @@ def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
     distinct.  Collisions from pathological input ids containing '~'/'@' are
     caught by MarkedGraph's duplicate-id check.
     """
-    a, b = sorted((edge_a, edge_b))
-    return _line_edge_ids([(a, b, shared_vertex)])[0]
+    return _line_edge_ids(sorted((edge_a, edge_b)), [(0, 1, shared_vertex)])[0]
 
 
 def line_graph(graph: SignedGraph) -> MarkedGraph:
@@ -37,15 +37,16 @@ def line_graph(graph: SignedGraph) -> MarkedGraph:
 
     Line-graph vertex ids are the originating edge ids verbatim, so circles in
     the result read directly against the input graph: line vertex k is edge
-    k, marked by its negative bit, and each incidence list, in id order, gives
-    its vertex's pairs of edges already sorted.
+    k, marked by its negative bit, so a line edge's endpoints are the edge
+    numbers it pairs, and each incidence list, in id order, gives its
+    vertex's pairs of edges already sorted.
     """
     ids = graph.edge_ids
-    pairs = [(ids[a], ids[b], v) for v, incident in zip(graph.vertex_ids, graph.incidence)
+    pairs = [(a, b, v) for v, incident in zip(graph.vertex_ids, graph.incidence)
              for a, b in itertools.combinations(incident, 2)]
     return MarkedGraph._from_columns(
-        ids, graph.negative, _line_edge_ids(pairs),
-        [p[0] for p in pairs], [p[1] for p in pairs])
+        ids, graph.negative, _line_edge_ids(ids, pairs),
+        [p[0] for p in pairs], [p[1] for p in pairs], numbered=True)
 
 
 def line_circle(lvertices: tuple, shared: tuple) -> Circle:

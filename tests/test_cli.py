@@ -164,17 +164,17 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
 
-    def test_check_peaks_at_the_text_and_document(self, tmp_path, capsys, large_document,
-                                                  traced_peak):
-        # the reader frees the text once decoded and the document once its
-        # columns are taken; condition ii then allocates less than either
+    def test_check_peaks_under_85_percent_of_the_text_and_document(
+            self, tmp_path, capsys, large_document, traced_peak):
+        # the reader decodes the edges a chunk at a time and frees the text
+        # before the graph is built; condition ii then allocates less
         path = tmp_path / "large.json"
         path.write_text(large_document)
         document = traced_peak(lambda: json.loads(large_document))
-        floor = sys.getsizeof(large_document) + document
+        whole = sys.getsizeof(large_document) + document
         peak = traced_peak(lambda: main(["check", "--method", "ii", str(path)]))
         assert capsys.readouterr().out == "ii: line consistent\n"
-        assert peak <= 1.10 * floor
+        assert peak <= 0.85 * whole
 
     def test_byte_identical_reports(self, neg_star, capsys):
         main(["check", neg_star, "--witness"])

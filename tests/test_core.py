@@ -184,6 +184,46 @@ class TestOneConstructorPerKind:
         assert type(raised.value) is ValueError  # the unpacking's, not a GraphError
 
 
+class TestNumberedEndpoints:
+    """``_from_columns(..., numbered=True)`` takes endpoints as indices into
+    the given vertex ids and fills the graph their ids give, with the same
+    checks and messages."""
+
+    @pytest.mark.parametrize("vertices", ["abc", "cab", "bca"])
+    def test_numbers_give_the_graph_their_ids_give(self, vertices):
+        us, vs = ["b", "a", "c"], ["c", "b", "a"]
+        by_ids = SignedGraph._from_columns(tuple(vertices), ["e2", "e1", "e0"], us, vs,
+                                           [True, False, True])
+        numbers = [list(map(vertices.index, column)) for column in (us, vs)]
+        by_numbers = SignedGraph._from_columns(tuple(vertices), ["e2", "e1", "e0"], *numbers,
+                                               [True, False, True], numbered=True)
+        assert by_numbers == by_ids == SignedGraph("abc", [
+            ("e2", "b", "c", "-"), ("e1", "a", "b", "+"), ("e0", "c", "a", "-")])
+        marked = MarkedGraph._from_columns(tuple(vertices), [True, False, False], ["d1"],
+                                           *[[x[0]] for x in numbers], numbered=True)
+        assert marked == MarkedGraph(list(zip(vertices, "-++")), [("d1", us[0], vs[0])])
+
+    @pytest.mark.parametrize("vertices, us, vs, message", [
+        ("abc", [0, 1], [1, 1], "edges[1]: loop edge 'e1' at vertex 'b'"),
+        ("cba", [0, 2], [1, 2], "edges[1]: loop edge 'e1' at vertex 'a'"),
+        ("aba", [0, 1], [1, 2], "vertices[2]: duplicate vertex id 'a'"),
+        ("abc", [0, 1], [1, 3], "endpoint numbers must index the vertex ids"),
+        ("abc", [0, -1], [1, 2], "endpoint numbers must index the vertex ids"),
+        ("cba", [0, 1], [3, 2], "endpoint numbers must index the vertex ids"),
+        ("cba", [0, -3], [1, 2], "endpoint numbers must index the vertex ids"),
+    ])
+    def test_errors(self, vertices, us, vs, message):
+        with pytest.raises(GraphError) as raised:
+            SignedGraph._from_columns(tuple(vertices), ["e0", "e1"], us, vs, [False, True],
+                                      numbered=True)
+        assert str(raised.value) == message
+
+    def test_duplicate_edge_id(self):
+        with pytest.raises(GraphError, match=r"^edges\[2\]: duplicate edge id 'e0'$"):
+            SignedGraph._from_columns(("a", "b", "c"), ["e0", "e1", "e0"], [0, 1, 0],
+                                      [1, 2, 2], [False] * 3, numbered=True)
+
+
 class TestSignedEdgeSign:
     def test_symbols_become_signs(self):
         # the negative 3-star from edge values with symbol signs

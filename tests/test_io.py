@@ -175,12 +175,13 @@ class TestRead:
         with pytest.raises(GraphFormatError, match="missing key"):
             read_signed_graph('{"vertices":[]}')
 
-    def test_read_peaks_at_the_decoded_document(self, large_document, traced_peak):
-        # the text and the document are dropped before the graph is built
+    def test_read_peaks_under_75_percent_of_the_document(self, large_document, traced_peak):
+        # the edges are decoded a chunk at a time, so the whole document is
+        # never alive: the read peaks at the columns and one chunk
         assert large_document.count('"id"') == 19_969
         document = traced_peak(lambda: json.loads(large_document))
         read = traced_peak(lambda: read_signed_graph(large_document))
-        assert read <= 1.10 * document
+        assert read <= 0.75 * document
 
 
 def built_graphs():
