@@ -6,7 +6,9 @@ as JSON), and ``fuzz`` (agreement testing of every check against the oracle).
 
 Exit codes: 0 line consistent / success, 1 not line consistent, 2 input or
 parameter error, 3 internal disagreement between methods, 4 resource limit
-(an exponential method exceeded its circle cap).
+(an exponential method exceeded its circle cap, or memory ran out), 5 any
+other exception, a fault of the program: a one-line summary, then the
+traceback, on stderr.  So exit 1 always means a NO verdict.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 import json
 import random
 import sys
+import traceback
 
 from . import analysis, generate
 from .core import GraphError, SignedGraph
@@ -36,6 +39,7 @@ EXIT_INCONSISTENT = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DISAGREEMENT = 3
 EXIT_RESOURCE_LIMIT = 4
+EXIT_UNEXPECTED = 5
 
 _METHODS = ("i", "ii", "iii", "thm1", "structure", "oracle")
 
@@ -268,6 +272,13 @@ def main(argv=None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except Exception as exc:
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_UNEXPECTED
 
 
 def entry_point():

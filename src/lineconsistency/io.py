@@ -7,33 +7,33 @@ document's shape, taking the decoded edges straight into the graph's
 columns (ids, endpoints, negative bits) without building edge values; the
 graph invariants (unique ids, no loops, endpoints among the vertices) are
 checked once, by the graph constructor, and its error is re-raised as
-GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.  A
-text in the writers' layout longer than one chunk (``_CHUNK``, 64K
-characters) has its vertices decoded first and its edges a chunk at a
-time, each chunk's endpoints numbered before it is dropped: that read's
-peak is the text plus the columns plus one decoded chunk.  Any other text,
-or a writer-layout one out of shape, is decoded whole, and its read's peak
-is the text plus the decoded document.  Either way the reader drops the
-text before the graph is built, and a whole document once its columns are
-taken.  The text is freed then only when the caller holds no other
-reference to it; the CLI's loader holds none (on CPython 3.11, a call's
-arguments belong to the callee's frame).  Ids that arrive in id order, as
-the writers emit them, are not sorted.  The writers emit the canonical
-text of ``json.dumps(document, indent=2, sort_keys=True)`` straight from
-the columns, each id quoted by json's own C string encoder: writes are
-byte-deterministic, reads of writes round-trip structurally, and ids must
-be strings (another id raises TypeError).
+GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.
+Vertex ids and edge objects are decoded only by ``_vertex_ids`` and
+``_edge_columns``.  A text in the writers' layout longer than one chunk
+(``_CHUNK``, 64K characters) has its vertices decoded first and its edges a
+chunk at a time, each chunk's endpoints numbered before it is dropped: that
+read's peak is the text plus the columns plus one decoded chunk.  Any other
+text, or a writer-layout one with a fault or an endpoint that is not a
+vertex, is decoded whole, which names a fault at its place in the document;
+that read's peak is the text plus the decoded document.  Either way the
+reader drops the text before the graph is built, and a whole document once
+its columns are taken.  The text is freed then only when the caller holds
+no other reference to it; the CLI's loader holds none (on CPython 3.11, a
+call's arguments belong to the callee's frame).  Ids that arrive in id
+order, as the writers emit them, are not sorted.  The writers emit the
+canonical text of ``json.dumps(document, indent=2, sort_keys=True)``
+straight from the columns, each id quoted by json's own C string encoder:
+writes are byte-deterministic, reads of writes round-trip structurally, and
+ids must be strings (another id raises TypeError).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .analysis import StructureReport
 # new_signed_graph is not used here but stays importable from this module:
 # bench/tracer.py wraps it.
 from .core import GraphError, MarkedGraph, Sign, SignedGraph, new_signed_graph
@@ -71,12 +71,13 @@ def _edge_columns(items: list) -> tuple:
     taken column by column; any other is walked edge by edge, which
     stringifies integer ids and locates the first fault."""
     try:
-        ids = [item["id"] for item in items]
-        us = [item["u"] for item in items]
-        vs = [item["v"] for item in items]
-        if _STRING.issuperset(map(type, chain(ids, us, vs))):
-            # each sign is read once: any other symbol raises KeyError
-            return ids, us, vs, list(map(_NEGATIVE.__getitem__, map(_SIGN, items)))
+        ids = list(map(_ID, items))
+        us = list(map(_U, items))
+        vs = list(map(_V, items))
+        # str.join raises TypeError at an id or endpoint that is not a string,
+        # and each sign is read once: any other symbol raises KeyError
+        "".join(ids), "".join(us), "".join(vs)
+        return ids, us, vs, list(map(_NEGATIVE.__getitem__, map(_SIGN, items)))
     except (TypeError, KeyError):
         pass
     ids, us, vs, negative = [], [], [], []
@@ -106,39 +107,34 @@ def _writer_columns(text: str):
     edge object's closing line (``_BETWEEN``).  A JSON string holds no
     literal newline, so every cut falls between two edge objects, and when
     every piece decodes, the pieces join into the document ``json.loads``
-    returns.  Each chunk's endpoints are numbered, as indices into the
-    vertex ids, before the chunk is dropped.  None also comes back for a
-    piece that does not decode, a vertex id that is not a string, an item
-    that is not an object with a string id and a "+"/"-" sign, or an
-    endpoint that is not a vertex id: the whole text is then decoded by
-    ``read_signed_graph``, which names the fault."""
+    returns.  The vertex ids are taken by ``_vertex_ids`` and each chunk's
+    columns by ``_edge_columns``, and the chunk's endpoints are numbered, as
+    indices into the vertex ids, before it is dropped.  None also comes back
+    for a piece that does not decode, a fault that ``_vertex_ids`` or
+    ``_edge_columns`` would name, or an endpoint that is not a vertex id:
+    the whole text is then decoded by ``read_signed_graph``, which names the
+    fault at its place in the whole document."""
     if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
         return None
     end = text.rfind(_VERTICES)
     if end < 0:
         return None
-    try:
-        vertices = json.loads(text[end + len(_VERTICES) - 1:1 - len(_TAIL)])
-    except (ValueError, RecursionError):
-        return None
-    if vertices.__class__ is not list or not _STRING.issuperset(map(type, vertices)):
-        return None
-    index = dict(zip(vertices, range(len(vertices))))
     ids, a, b, negative = [], [], [], []
     start = len(_HEAD) - 1
-    while start < end:
-        cut = text.find(_BETWEEN, start + _CHUNK, end)
-        stop = end if cut < 0 else cut + len(_CLOSE)
-        try:
-            items = json.loads("[" + text[start:stop] + "]")
-            ids += map(_ID, items)
-            a += map(index.__getitem__, map(_U, items))
-            b += map(index.__getitem__, map(_V, items))
-            negative += map(_NEGATIVE.__getitem__, map(_SIGN, items))
-        except (ValueError, RecursionError, TypeError, KeyError):
-            return None
-        start = stop + 1  # past the comma
-    if not _STRING.issuperset(map(type, ids)):
+    try:
+        # "[" ... "]" decodes to a list, or not at all
+        vertices = _vertex_ids(json.loads(text[end + len(_VERTICES) - 1:1 - len(_TAIL)]))
+        index = dict(zip(vertices, range(len(vertices))))
+        while start < end:
+            cut = text.find(_BETWEEN, start + _CHUNK, end)
+            stop = end if cut < 0 else cut + len(_CLOSE)
+            chunk_ids, us, vs, bits = _edge_columns(json.loads("[" + text[start:stop] + "]"))
+            ids += chunk_ids
+            a += map(index.__getitem__, us)
+            b += map(index.__getitem__, vs)
+            negative += bits
+            start = stop + 1  # past the comma
+    except (ValueError, RecursionError, KeyError):  # GraphFormatError is a ValueError
         return None
     return vertices, ids, a, b, negative
 
@@ -227,7 +223,7 @@ def write_marked_graph(marked: MarkedGraph) -> str:
     return _document(edges, marks)
 
 
-def structure_report_to_dict(report: StructureReport) -> dict:
+def structure_report_to_dict(report) -> dict:
     return asdict(report)
 
 
@@ -236,7 +232,7 @@ def _quote(identifier: str) -> str:
     return f'"{escaped}"'
 
 
-def export_dot(graph, report: StructureReport = None) -> str:
+def export_dot(graph, report=None) -> str:
     """Graphviz DOT text: positive edges solid, negative dashed; marked-graph
     vertex signs in node labels; structure-report components as clusters.
     Edges and marks are read from the graph's columns."""

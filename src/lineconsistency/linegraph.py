@@ -26,8 +26,11 @@ def line_edge_id(edge_a: str, edge_b: str, shared_vertex: str) -> str:
     """Identifier of the line-graph edge joining two edges at a common vertex.
 
     Encodes the pair and the shared endpoint so the two edges of a digon stay
-    distinct.  Collisions from pathological input ids containing '~'/'@' are
-    caught by MarkedGraph's duplicate-id check.
+    distinct.  Ids containing '~' or '@' can collide: at a vertex ``s`` with
+    edges ``p``, ``q~r``, ``p~q`` and ``r``, the pairs ``p``/``q~r`` and
+    ``p~q``/``r`` both give ``p~q~r@s``, MarkedGraph's duplicate-id check
+    rejects the line graph, and every route that builds it raises GraphError,
+    while condition ii still answers.
     """
     return _line_edge_ids(sorted((edge_a, edge_b)), [(0, 1, shared_vertex)])[0]
 

@@ -23,7 +23,8 @@ from lineconsistency import (
     random_signed_graph,
     write_signed_graph,
 )
-from lineconsistency import _traversal
+from lineconsistency import _traversal, analysis
+from lineconsistency import cli as cli_module
 from lineconsistency.analysis import UNBALANCED, _local_clauses
 from lineconsistency.cli import main
 
@@ -524,6 +525,38 @@ class TestFuzz:
         assert err.count("error: bounds exceeded: ") == 4
         assert "--count must be nonnegative" in err
         assert "--recipes must be nonnegative" in err
+
+
+# one route of each command, patched where the command looks it up
+CRASH_ROUTES = {
+    "check": (["check", "STAR", "--method", "ii"], analysis, "check_condition_ii"),
+    "line-graph": (["line-graph", "STAR", "-"], cli_module, "line_graph"),
+    "decompose": (["decompose", "STAR"], analysis, "classify_structure"),
+    "fuzz": (["fuzz", "--count", "2", "--max-n", "3"], cli_module, "is_consistent_oracle"),
+}
+
+
+@pytest.mark.parametrize("command", list(CRASH_ROUTES))
+@pytest.mark.parametrize("error, code, first_line", [
+    (MemoryError(), 4, "resource limit: out of memory"),
+    (RuntimeError("boom\nagain"), 5, "unexpected error: RuntimeError('boom\\nagain')"),
+], ids=["memory", "runtime"])
+def test_an_escaping_exception_never_exits_1(command, error, code, first_line, neg_star,
+                                             monkeypatch, capsys):
+    argv, owner, route = CRASH_ROUTES[command]
+
+    def crash(*args):
+        raise error
+
+    monkeypatch.setattr(owner, route, crash)
+    assert main([neg_star if arg == "STAR" else arg for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == first_line
+    if code == 4:
+        assert len(err) == 1
+    else:  # the traceback follows
+        assert err[1] == "Traceback (most recent call last):"
+        assert err[-2:] == ["RuntimeError: boom", "again"]
 
 
 @pytest.mark.parametrize("family", ["tested-edges", "random", "circles", "flipped"])

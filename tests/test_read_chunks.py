@@ -159,9 +159,9 @@ _ADVERSARIAL = {
 
 
 # the texts the chunked path reads to the end; any other is decoded whole
-_CHUNKED = {"escaped-ids", "raw-non-ascii", "extra-key", "duplicate-edge-id",
-            "duplicate-vertex", "loop", "vertices-out-of-order", "edges-out-of-order",
-            "separator-inside-an-edge"}
+_CHUNKED = {"escaped-ids", "raw-non-ascii", "integer-id", "integer-endpoint",
+            "integer-vertex", "extra-key", "duplicate-edge-id", "duplicate-vertex", "loop",
+            "vertices-out-of-order", "edges-out-of-order", "separator-inside-an-edge"}
 
 
 @pytest.mark.parametrize("name", list(_ADVERSARIAL))
@@ -210,3 +210,36 @@ def test_every_cut_reads_the_same_graph(monkeypatch, decoded_lengths):
             if chunk < len(_edge("e1")):
                 assert decoded_lengths[-1] == last, chunk
     assert {0, 1, 2, 3, 6} <= pieces  # a whole decode, and one to six chunks
+
+
+@pytest.fixture
+def edge_column_calls(monkeypatch):
+    """The number of edge objects in each call of io._edge_columns while
+    the test runs."""
+    calls, edge_columns = [], reader._edge_columns
+
+    def counted(items):
+        calls.append(len(items))
+        return edge_columns(items)
+
+    monkeypatch.setattr(reader, "_edge_columns", counted)
+    return calls
+
+
+def test_edge_columns_decodes_every_chunk(large_document, monkeypatch, decoded_lengths,
+                                          edge_column_calls):
+    # _edge_columns is the reader's one decoder of edge objects: once per
+    # chunk of a writer text, once for the whole of its minified twin
+    for text, chunk in ((large_document, reader._CHUNK), (_TEXT, 1), (_TEXT, 40),
+                        (_TEXT, 100)):
+        monkeypatch.setattr(reader, "_CHUNK", chunk)
+        twin = json.dumps(json.loads(text))
+        decoded_lengths.clear()
+        edge_column_calls.clear()
+        graph = read_signed_graph(text)
+        chunks = len(decoded_lengths) - 1  # less the vertices' decode
+        assert chunks > 1 and len(edge_column_calls) == chunks
+        assert sum(edge_column_calls) == len(graph.edge_ids)
+        edge_column_calls.clear()
+        assert read_signed_graph(twin) == graph
+        assert edge_column_calls == [len(graph.edge_ids)]

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps functions at the names their callers look
 them up under; every such name must stay bound where the tracer reads it,
 and an import no module reads is allowed only when the tracer wraps it.
-Every function, method and class of the package has a reader."""
+Every function, method and class of the package has a reader, and the
+modules the reader and the checks run on import no package module but core
+and _traversal."""
 
 import ast
 import importlib.util
@@ -114,3 +116,27 @@ def test_no_public_definition_is_left_unread():
                | readme_code_names()
                | names_read(parse([ROOT / "tests" / "test_acceptance.py"])))
     assert not sorted(public - readers)
+
+
+def package_imports(path):
+    """The package modules ``path`` imports, by their names in the package;
+    an absolute import of the package itself reads as ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            found.update(name.partition(".")[2] or "__init__" for name in names
+                         if name.split(".")[0] == "lineconsistency")
+    return found
+
+
+def test_production_modules_import_only_core_and_traversal():
+    """The graph, its traversal, the JSON reader and writers and the line
+    graph import no route: cycles, analysis and cli stay off their path."""
+    assert package_imports(PACKAGE / "core.py") == {"_traversal"}  # the guard sees imports
+    others = {name: package_imports(PACKAGE / name) - {"core", "_traversal"}
+              for name in ("core.py", "_traversal.py", "io.py", "linegraph.py")}
+    assert not {name: found for name, found in others.items() if found}
