@@ -20,7 +20,9 @@ from .analysis import (
     check_theorem1_simple,
     classify_structure,
     find_isthmi,
+    find_negative_circle,
     find_witness,
+    is_balanced_fast,
 )
 from .core import (
     Circle,
@@ -41,8 +43,6 @@ from .cycles import (
     ConsistencyResult,
     circle_vertex_sign,
     enumerate_circles,
-    find_negative_circle,
-    is_balanced_fast,
     is_balanced_oracle,
     is_consistent_oracle,
 )

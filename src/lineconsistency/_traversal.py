@@ -38,7 +38,8 @@ class Forest:
     exactly when all of them are bridges.  With ``last`` reversed from some
     order, ``closed[-1]`` is the first in that order that is not a bridge:
     the others on a circle through it come later, so are merged before it.
-    Condition ii keeps its forest on an unbalanced graph for the witness.
+    ``analysis`` is the one module that keeps and reads a forest: condition
+    ii keeps its own on an unbalanced graph for the witness.
     """
 
     def __init__(self, graph, last=()):

@@ -1,6 +1,6 @@
 """Structural line-consistency checks, classification, and counterexamples.
 
-Four independent decision routes live here: three local/structural conditions,
+Five independent decision routes live here: three local/structural conditions,
 a simple-graph criterion, and a full structural classification.  All of them
 must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
@@ -11,11 +11,12 @@ block labels, components and balance, in vertex and edge numbers, from one
 iterative depth-first search per graph (``SignedGraph.traversal``, linear and
 cached).  An isthmus is an edge alone in its block, and these routes test it
 on the labels, ``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact
-as a set of ids, for callers outside them.  Condition ii reads
-balance, whether its tested edges are isthmi and which one is not, from one
-parity union-find (``_traversal.Forest``), and runs no search.  Witnesses are
-derived from the failing clause of condition ii in linear time;
-``linegraph`` builds them as line-graph circles and checks them.
+as a set of ids, for callers outside them.  Condition ii reads balance,
+whether its tested edges are isthmi and which one is not, from one parity
+union-find (``_traversal.Forest``) and runs no search.  It lives here with the
+forest it keeps on an unbalanced graph, the negative-circle search that reads
+that forest, and the witnesses, derived from its failing clause in linear time
+and built and checked as line-graph circles by ``linegraph``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import xor
 from typing import Optional
 
 from ._traversal import Forest
-from .core import Circle, GraphError, SignedGraph
+from .core import Circle, GraphError, SignedGraph, _circle
 # line_graph, is_consistent_oracle, circle_vertex_sign and enumerate_circles are
 # not used here but stay importable from this module: bench/tracer.py wraps them.
 from .cycles import (
@@ -35,8 +36,6 @@ from .cycles import (
     circle_vertex_sign,
     circles_through,
     enumerate_circles,
-    find_negative_circle,
-    is_balanced_fast,
     is_consistent_oracle,
 )
 from .linegraph import circle_image, line_circle, line_graph, verify_witness
@@ -237,6 +236,35 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
         return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
                        vertex=graph.vertices[tested[k]], edge=graph.edge_ids[k])
     return failed or (Verdict(True) if forest.balanced else Verdict(False, UNBALANCED))
+
+
+def is_balanced_fast(graph: SignedGraph) -> bool:
+    """Balance in linear time, from the switching parities of the graph's
+    depth-first search."""
+    return graph.traversal.balanced
+
+
+def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
+    """A negative circle when the graph is unbalanced, else None.
+
+    The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
+    kept on an unbalanced graph, else a new one, finds the unbalanced
+    component with the least vertex in C-level passes, and only that
+    component is searched, as a graph of its own.  The witness is the
+    fundamental circle of its search's first conflicting edge, which a
+    search of the whole graph finds too: that takes roots in vertex order,
+    meets no conflict in a balanced component and runs on a component as on
+    that component alone.  Its sign is checked on the graph's columns.
+    """
+    component = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
+    if component is None:
+        return None
+    part = graph._part(*component)
+    circle_edges, circle_vertices = part.traversal.negative_cycle()
+    circle = _circle(part, circle_vertices, circle_edges)
+    if graph.sign_of_walk(circle).is_positive:
+        raise GraphError(f"the search's circle {circle} is not negative")
+    return circle
 
 
 def check_condition_iii(graph: SignedGraph) -> Verdict:

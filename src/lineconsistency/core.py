@@ -27,6 +27,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import compress, islice, repeat, starmap
 from operator import eq, lt, xor
+from types import SimpleNamespace
 from typing import Iterable
 
 from . import _traversal
@@ -474,6 +475,14 @@ class Circle:
         # the same circle traversed backwards from the least edge
         backwards = (edges[:1] + edges[:0:-1], vertices[1::-1] + vertices[:1:-1])
         return Circle(*min((edges, vertices), backwards))
+
+
+def _circle(graph, cycle, edges) -> Circle:
+    """The canonical circle along the vertex numbers ``cycle`` and the edge
+    numbers ``edges``, built once (``Circle.canonical`` reads only them)."""
+    return Circle.canonical(SimpleNamespace(
+        edges=tuple(map(graph.edge_ids.__getitem__, edges)),
+        vertices=tuple(map(graph.vertex_ids.__getitem__, cycle))))
 
 
 def validate_circle(graph, circle: Circle) -> list:

@@ -1,21 +1,19 @@
-"""Circle enumeration and the definitional balance/consistency oracles.
-
-Both search signed or marked multigraphs on their integer columns: digons
-come from parallel-edge groups, longer circles from a depth-first vertex-cycle
-search in each block that prunes every branch closing no circle, expanded over
-every choice of parallel edge.  So the work per circle is polynomial and the
-cap bounds time too; only the number of circles grows exponentially.
+"""Circle enumeration, ``circle_vertex_sign`` and the definitional balance and
+consistency oracles.  Enumeration and the oracles search signed or marked
+multigraphs on their integer columns: digons come from parallel-edge groups,
+longer circles from a depth-first vertex-cycle search in each block that
+prunes every branch closing no circle, expanded over every choice of parallel
+edge.  So the work per circle is polynomial and the cap bounds time too; only
+the number of circles grows exponentially.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress, product
 from math import comb, prod
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from ._traversal import Forest
-from .core import Circle, GraphError, Sign, SignedGraph, sign_product, validate_circle
+from .core import Circle, GraphError, Sign, SignedGraph, _circle, sign_product, validate_circle
 
 DEFAULT_CIRCLE_CAP = 1_000_000
 
@@ -120,14 +118,6 @@ def _cycles_through(graph, targets):
                 yield cycle, product(*choices), prod(map(len, choices))
 
 
-def _circle(graph, cycle, edges) -> Circle:
-    """The canonical circle along the vertex numbers ``cycle`` and the edge
-    numbers ``edges``, built once (``Circle.canonical`` reads only them)."""
-    return Circle.canonical(SimpleNamespace(
-        edges=tuple(map(graph.edge_ids.__getitem__, edges)),
-        vertices=tuple(map(graph.vertex_ids.__getitem__, cycle))))
-
-
 def circles_through(graph, targets, max_circles):
     """Yield canonical circles of ``graph`` containing a target vertex.
 
@@ -161,35 +151,6 @@ def is_balanced_oracle(graph: SignedGraph, *,
         if graph.sign_of_walk(circle).is_negative:
             return False
     return True
-
-
-def is_balanced_fast(graph: SignedGraph) -> bool:
-    """Balance in linear time, from the switching parities of the graph's
-    depth-first search."""
-    return graph.traversal.balanced
-
-
-def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
-    """A negative circle when the graph is unbalanced, else None.
-
-    The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
-    kept on an unbalanced graph, else a new one, finds the unbalanced
-    component with the least vertex in C-level passes, and only that
-    component is searched, as a graph of its own.  The witness is the
-    fundamental circle of its search's first conflicting edge, which a
-    search of the whole graph finds too: that takes roots in vertex order,
-    meets no conflict in a balanced component and runs on a component as on
-    that component alone.  Its sign is checked on the graph's columns.
-    """
-    component = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
-    if component is None:
-        return None
-    part = graph._part(*component)
-    circle_edges, circle_vertices = part.traversal.negative_cycle()
-    circle = _circle(part, circle_vertices, circle_edges)
-    if graph.sign_of_walk(circle).is_positive:
-        raise GraphError(f"the search's circle {circle} is not negative")
-    return circle
 
 
 def circle_vertex_sign(marked, circle: Circle) -> Sign:

@@ -636,6 +636,17 @@ class TestFindWitness:
                 validate_circle(marked, witness)
                 assert circle_vertex_sign(marked, witness) is Sign.NEGATIVE, g
 
+    def test_no_circle_runs_through_an_isthmus(self):
+        # e2 of the path is an isthmus, so no circle closes through it; the
+        # circle through e5 of the square hung on that path is the square
+        g = sg("abcdef", ("e1", "a", "b", "+"), ("e2", "b", "c", "-"),
+               ("e3", "c", "d", "+"), ("e4", "d", "e", "+"), ("e5", "e", "f", "+"),
+               ("e6", "f", "c", "+"))
+        assert analysis._circle_through_edge(g, g._edge_number("e2")) is None
+        circle = analysis._circle_through_edge(g, g._edge_number("e5"))
+        assert set(circle.edges) == {"e3", "e4", "e5", "e6"}
+        validate_circle(g, circle)
+
     def test_raises_on_consistent_graph(self):
         g = circle4("----")
         with pytest.raises(GraphError, match="consistent"):

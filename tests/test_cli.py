@@ -574,8 +574,7 @@ def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
     bindings = [name for name, module in sys.modules.items()
                 if name.startswith("lineconsistency")
                 and getattr(module, "Forest", None) is _traversal.Forest]
-    assert {"lineconsistency._traversal", "lineconsistency.analysis",
-            "lineconsistency.cycles"} <= set(bindings)
+    assert {"lineconsistency._traversal", "lineconsistency.analysis"} <= set(bindings)
     for name in bindings:
         monkeypatch.setattr(sys.modules[name], "Forest", counted)
     kinds = Counter()

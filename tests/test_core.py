@@ -46,6 +46,8 @@ class TestSign:
             assert Sign.POSITIVE * s is s
             assert s * Sign.POSITIVE is s
         assert Sign.NEGATIVE * Sign.NEGATIVE is Sign.POSITIVE
+        with pytest.raises(TypeError):
+            Sign.POSITIVE * 1
 
     def test_empty_product_is_positive(self):
         assert sign_product([]) is Sign.POSITIVE
@@ -53,6 +55,7 @@ class TestSign:
     def test_from_symbol(self):
         assert Sign.from_symbol("+") is Sign.POSITIVE
         assert Sign.from_symbol("-") is Sign.NEGATIVE
+        assert [str(Sign.from_symbol(symbol)) for symbol in "+-"] == ["+", "-"]
         with pytest.raises(GraphError):
             Sign.from_symbol("x")
 

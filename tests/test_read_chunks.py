@@ -149,6 +149,7 @@ _ADVERSARIAL = {
     "truncated": _TEXT[:-2],
     "truncated-edges": _TEXT[:_TEXT.index(_edge("e4"))] + _TEXT[_TEXT.index("\n  ],"):],
     "broken-edge": _with_edge("e3", '"u": "3"', '"u": 3"'),
+    "no-vertices-key": _TEXT.replace('"vertices": [', '"nodes": ['),
     "second-vertices-key": (_TEXT[:-3] + ",\n"
                             + _VERTICES.replace('"6"', '"6",\n    "7"') + "\n}\n"),
     "separator-inside-an-edge": _with_edge(
@@ -195,6 +196,7 @@ def test_adversarial_outcomes():
     assert _outcome(_ADVERSARIAL["unknown-endpoint-after-loop"]) == (
         "edges[2]: loop edge 'e3' at vertex '3'")
     assert _outcome(_ADVERSARIAL["vertices-out-of-order"]) == _BASE
+    assert _outcome(_ADVERSARIAL["no-vertices-key"]) == "missing key 'vertices'"
 
 
 def test_every_cut_reads_the_same_graph(monkeypatch, decoded_lengths):

@@ -1,14 +1,17 @@
 """The benchmark's tracer wraps functions at the names their callers look
 them up under; every such name must stay bound where the tracer reads it,
 and an import no module reads is allowed only when the tracer wraps it.
-Every function, method and class of the package has a reader, and the
-modules the reader and the checks run on import no package module but core
-and _traversal."""
+Every binding the package calls through stays called there, so its span
+keeps recording.  Every function, method and class of the package has a
+reader, the modules the reader and the checks run on import no package
+module but core and _traversal, and the witness search lives in analysis,
+beside condition ii and its forest."""
 
 import ast
 import importlib.util
 import re
 from pathlib import Path
+from types import ModuleType
 
 from lineconsistency import analysis
 
@@ -31,6 +34,46 @@ def test_every_traced_name_is_bound_on_its_owner():
         f"{owner.__name__}.{attr}" for owner, attr in names if attr not in owner.__dict__
     ]
     assert not missing
+
+
+# The wrapped bindings that nothing in the package reads, so their spans read
+# 0 on every run; ROADMAP item 7 deletes them or moves their spans.
+DEAD_SPANS = {
+    "io.new_signed_graph", "SignedGraph.negative_subgraph", "SignedGraph.without_edges",
+    "analysis.find_isthmi", "analysis.blocks", "analysis.is_consistent_oracle",
+    "analysis.enumerate_circles", "analysis.line_graph", "analysis.circle_vertex_sign",
+}
+
+
+def test_every_live_span_stays_live():
+    """A module's binding is live when the module reads the name, or another
+    package module reads it as ``module.attr``; a class's binding is live
+    when a package module reads it as an attribute.  A live binding going
+    dark loses its span's time, and a listed one coming alive leaves the
+    list."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    loaded = {stem: {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+              for stem, tree in trees.items()}
+    # (reading module, the name the attribute is read on, the attribute)
+    attributes = {(stem, getattr(node.value, "id", None), node.attr)
+                  for stem, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    bindings = [(owner, attr) for owner, attr, _, _ in load_tracer().SPANS]
+    bindings.append((analysis, "circle_vertex_sign"))
+    dead = set()
+    for owner, attr in bindings:
+        if isinstance(owner, ModuleType):
+            module = owner.__name__.rpartition(".")[2]
+            live = attr in loaded[module] or any(
+                (stem, module, attr) in attributes for stem in trees if stem != module)
+            name = f"{module}.{attr}"
+        else:
+            live = any(read == attr for _, _, read in attributes)
+            name = f"{owner.__name__}.{attr}"
+        if not live:
+            dead.add(name)
+    assert dead == DEAD_SPANS
 
 
 def unused_imports(path):
@@ -140,3 +183,13 @@ def test_production_modules_import_only_core_and_traversal():
     others = {name: package_imports(PACKAGE / name) - {"core", "_traversal"}
               for name in ("core.py", "_traversal.py", "io.py", "linegraph.py")}
     assert not {name: found for name, found in others.items() if found}
+
+
+def test_the_witness_search_lives_beside_condition_ii():
+    """cycles holds the definitional routes and imports only core; the forest
+    condition ii keeps for the negative-circle search is written and read in
+    analysis alone."""
+    assert package_imports(PACKAGE / "cycles.py") == {"core"}
+    holders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "_forest" in path.read_text()]
+    assert holders == ["analysis.py"]
