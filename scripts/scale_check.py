@@ -7,15 +7,18 @@ For each size n, ``random_signed_graph(n // 2, n, 0.0, 1)`` (a line-consistent
 graph with no negative edge, so every pass of condition ii runs) is written
 with ``write_signed_graph`` to ``INPUTS/random-n.json``, unless that file is
 already there.  Each run is a fresh ``python3 -m lineconsistency.cli`` process
-on the sources in ``--src`` (default: this checkout's ``src``); its wall time
-and its own maximum resident set size (``ru_maxrss``, from ``os.wait4``) are
-printed as one JSON line per run.  Inputs are written by a child process too,
+on the sources in ``--src`` (default: this checkout's ``src``), given the file
+by its path (``"input": "file"``, which the CLI streams from disk) and then
+through stdin (``"input": "stdin"``, read as one text); its wall time and its
+own maximum resident set size (``ru_maxrss``, from ``os.wait4``) are printed
+as one JSON line per run.  Inputs are written by a child process too,
 so this process stays small.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -46,13 +49,16 @@ def write_input(src: Path, n: int, path: Path) -> None:
                        env=child_env(src), check=True)
 
 
-def timed_check(src: Path, path: Path) -> dict:
-    """One CLI run on ``path``: exit code, wall seconds and maxrss in MB."""
+def timed_check(src: Path, path: Path, source: str) -> dict:
+    """One CLI run on ``path``, named by its path (``source`` "file") or fed
+    through stdin ("stdin"): exit code, wall seconds and maxrss in MB."""
     argv = [sys.executable, "-m", "lineconsistency.cli", "check", "--method", "ii",
-            "--witness", str(path)]
-    start = time.perf_counter()
-    child = subprocess.Popen(argv, env=child_env(src), stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
+            "--witness", "-" if source == "stdin" else str(path)]
+    with open(path, "rb") as stdin:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, env=child_env(src), stdin=stdin,
+                                 stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
     seconds = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     return {"exit": child.returncode, "seconds": round(seconds, 3),
@@ -72,9 +78,10 @@ def main(argv=None) -> int:
         for n in args.sizes:
             path = inputs / f"random-{n}.json"
             write_input(args.src, n, path)
-            for _ in range(args.repeat):
-                run = timed_check(args.src, path)
-                print(json.dumps({"edges": n, "src": str(args.src), **run}), flush=True)
+            for _, source in itertools.product(range(args.repeat), ("file", "stdin")):
+                run = timed_check(args.src, path, source)
+                row = {"edges": n, "input": source, "src": str(args.src), **run}
+                print(json.dumps(row), flush=True)
     return 0
 
 

@@ -28,6 +28,7 @@ from .io import (
     GraphFormatError,
     export_dot,
     read_signed_graph,
+    stream_signed_graph,
     structure_report_to_dict,
     write_marked_graph,
     write_signed_graph,
@@ -45,12 +46,13 @@ _METHODS = ("i", "ii", "iii", "thm1", "structure", "oracle")
 
 
 def _load(path: str) -> SignedGraph:
-    # the text goes straight into the reader, which frees it before the graph
-    # is built; a writer-layout text's edges are decoded a chunk at a time, so
-    # the peak is the text, the columns and one chunk, else the whole document
+    # a regular file over one chunk is streamed, never held whole; others go as text
     try:
         if path == "-":
             return read_signed_graph(sys.stdin.read())
+        graph = stream_signed_graph(path)
+        if graph is not None:
+            return graph
         with open(path, "r", encoding="utf-8") as handle:
             return read_signed_graph(handle.read())
     except UnicodeDecodeError as exc:

@@ -9,30 +9,30 @@ graph invariants (unique ids, no loops, endpoints among the vertices) are
 checked once, by the graph constructor, and its error is re-raised as
 GraphFormatError with the same ``vertices[i]``/``edges[i]`` location.
 Vertex ids and edge objects are decoded only by ``_vertex_ids`` and
-``_edge_columns``.  A text in the writers' layout longer than one chunk
-(``_CHUNK``, 64K characters) has its vertices decoded first and its edges a
-chunk at a time, each chunk's endpoints numbered before it is dropped: that
-read's peak is the text plus the columns plus one decoded chunk.  Any other
-text, or a writer-layout one with a fault or an endpoint that is not a
-vertex, is decoded whole, which names a fault at its place in the document;
-that read's peak is the text plus the decoded document.  Either way the
-reader drops the text before the graph is built, and a whole document once
-its columns are taken.  The text is freed then only when the caller holds
-no other reference to it; the CLI's loader holds none (on CPython 3.11, a
-call's arguments belong to the callee's frame).  Ids that arrive in id
-order, as the writers emit them, are not sorted.  The writers emit the
-canonical text of ``json.dumps(document, indent=2, sort_keys=True)``
-straight from the columns, each id quoted by json's own C string encoder:
-writes are byte-deterministic, reads of writes round-trip structurally, and
-ids must be strings (another id raises TypeError).
+``_edge_columns``.  Input in the writers' layout longer than one chunk
+(``_CHUNK``: 64K characters, or bytes of a file) has its vertices decoded
+first, then its edges a chunk at a time, each chunk's endpoints numbered
+before it is dropped.  A regular file's text is never held whole.  Stdin,
+a smaller file and a file the stream refuses (a fault, or a ``\\r`` byte)
+are read as a text, which is dropped before the graph is built (and freed,
+as the CLI's loader holds no other reference).  A text in any other layout,
+or with a fault or an endpoint that is not a vertex, is decoded whole,
+which names the fault at its place.  Ids that arrive in id order, as the
+writers emit them, are not sorted.  The writers emit the canonical text of
+``json.dumps(document, indent=2, sort_keys=True)`` straight from the
+columns, each id quoted by json's own C string encoder: writes are
+byte-deterministic, reads of writes round-trip structurally, and ids must
+be strings (another id raises TypeError).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from stat import S_ISREG
 
 # new_signed_graph is not used here but stays importable from this module:
 # bench/tracer.py wraps it.
@@ -98,43 +98,73 @@ def _edge_columns(items: list) -> tuple:
     return ids, us, vs, negative
 
 
-def _writer_columns(text: str):
-    """The columns of a text in the writers' layout, with endpoint numbers,
-    or None for any other text.
-
-    The vertices are decoded first; the edges array is then decoded a chunk
-    of about ``_CHUNK`` characters at a time, each chunk cut just after an
-    edge object's closing line (``_BETWEEN``).  A JSON string holds no
-    literal newline, so every cut falls between two edge objects, and when
-    every piece decodes, the pieces join into the document ``json.loads``
-    returns.  The vertex ids are taken by ``_vertex_ids`` and each chunk's
-    columns by ``_edge_columns``, and the chunk's endpoints are numbered, as
-    indices into the vertex ids, before it is dropped.  None also comes back
-    for a piece that does not decode, a fault that ``_vertex_ids`` or
-    ``_edge_columns`` would name, or an endpoint that is not a vertex id:
-    the whole text is then decoded by ``read_signed_graph``, which names the
-    fault at its place in the whole document."""
-    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
-        return None
+def _text_pieces(text: str):
+    """A writers'-layout text's vertex array, then its edges in chunks cut at
+    the first ``_BETWEEN`` past ``_CHUNK`` characters, or ValueError.  A JSON
+    string holds no literal newline, so a cut falls between two edges."""
     end = text.rfind(_VERTICES)
-    if end < 0:
-        return None
-    ids, a, b, negative = [], [], [], []
+    if end < 0 or not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+        raise ValueError
+    yield text[end + len(_VERTICES) - 1:1 - len(_TAIL)]
     start = len(_HEAD) - 1
+    while start < end:
+        cut = text.find(_BETWEEN, start + _CHUNK, end)
+        stop = end if cut < 0 else cut + len(_CLOSE)
+        yield text[start:stop]
+        start = stop + 1  # past the comma
+
+
+def _file_pieces(path: str):
+    """``_text_pieces`` of a regular file larger than one chunk: its end read
+    in growing windows to the last ``_VERTICES``, then ``_CHUNK``-byte blocks
+    cut at their last ``_BETWEEN``, so that each piece decodes alone as
+    strict UTF-8.  ValueError also for a ``\\r`` (text mode's newlines)."""
+    status = os.stat(path)
+    if not (S_ISREG(status.st_mode) and status.st_size > _CHUNK):
+        raise ValueError
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEAD)) != _HEAD.encode():
+            raise ValueError
+        end, size, window, between = -1, status.st_size, _CHUNK, _BETWEEN.encode()
+        while end < 0 and window < 2 * size:  # the last window missed the start
+            offset = max(size - window, 0)
+            handle.seek(offset)
+            tail = handle.read(size - offset)
+            end, window = tail.rfind(_VERTICES.encode()), 2 * window
+        if end < 0 or not tail.endswith(_TAIL.encode()) or b"\r" in tail:
+            raise ValueError
+        yield tail[end + len(_VERTICES) - 1:1 - len(_TAIL)].decode()
+        del tail
+        end, data = end + offset, bytearray()
+        handle.seek(len(_HEAD) - 1)
+        while handle.tell() < end:
+            block = handle.read(min(_CHUNK, end - handle.tell()))
+            if not block or b"\r" in block:  # the file shrank, or a \r
+                raise ValueError
+            data += block
+            cut = data.rfind(between, max(len(data) - len(block) - len(between) + 1, 0))
+            if cut >= 0:
+                yield data[:cut + len(_CLOSE)].decode()
+                del data[:cut + len(_CLOSE) + 1]  # and the comma
+        yield data.decode()
+
+
+def _writer_columns(pieces):
+    """The columns of a source's pieces, each piece's endpoints numbered
+    before it is dropped, or None when the source refuses, a piece does not
+    decode, the decoders name a fault, or an endpoint is not a vertex."""
+    ids, a, b, negative = [], [], [], []
     try:
         # "[" ... "]" decodes to a list, or not at all
-        vertices = _vertex_ids(json.loads(text[end + len(_VERTICES) - 1:1 - len(_TAIL)]))
+        vertices = _vertex_ids(json.loads(next(pieces)))
         index = dict(zip(vertices, range(len(vertices))))
-        while start < end:
-            cut = text.find(_BETWEEN, start + _CHUNK, end)
-            stop = end if cut < 0 else cut + len(_CLOSE)
-            chunk_ids, us, vs, bits = _edge_columns(json.loads("[" + text[start:stop] + "]"))
+        for piece in pieces:
+            chunk_ids, us, vs, bits = _edge_columns(json.loads("[" + piece + "]"))
             ids += chunk_ids
             a += map(index.__getitem__, us)
             b += map(index.__getitem__, vs)
             negative += bits
-            start = stop + 1  # past the comma
-    except (ValueError, RecursionError, KeyError):  # GraphFormatError is a ValueError
+    except (ValueError, RecursionError, KeyError, OSError):  # the whole read names it
         return None
     return vertices, ids, a, b, negative
 
@@ -155,10 +185,8 @@ def _document_columns(document) -> tuple:
 def read_signed_graph(text: str) -> SignedGraph:
     """Parse a JSON document into a validated SignedGraph.  A text in the
     writers' layout longer than one chunk is decoded a chunk of edges at a
-    time; any other is decoded whole.  The text is dropped once decoded,
-    and a whole document once its columns are taken, before the graph is
-    built."""
-    columns = _writer_columns(text) if len(text) > _CHUNK else None
+    time, any other whole; the text is dropped before the graph is built."""
+    columns = _writer_columns(_text_pieces(text)) if len(text) > _CHUNK else None
     numbered = columns is not None
     if not numbered:
         try:
@@ -171,6 +199,16 @@ def read_signed_graph(text: str) -> SignedGraph:
     if not numbered:
         columns = _document_columns(document)
         del document
+    return _graph(columns, numbered)
+
+
+def stream_signed_graph(path: str):
+    """The graph in the file at ``path`` via ``_file_pieces``, or None: read it whole."""
+    columns = _writer_columns(_file_pieces(path))
+    return None if columns is None else _graph(columns, numbered=True)
+
+
+def _graph(columns: tuple, numbered: bool) -> SignedGraph:
     try:
         return SignedGraph._from_columns(*columns, numbered=numbered)
     except GraphError as exc:
@@ -191,7 +229,7 @@ _CLOSE = "\n    }"
 _BETWEEN = _CLOSE + ",\n    {"
 _VERTICES = '\n  ],\n  "vertices": ['
 _TAIL = "]\n}\n"
-_CHUNK = 1 << 16  # characters of edges decoded at a time, and one edge more
+_CHUNK = 1 << 16  # characters (a file's bytes) of edges per chunk, and an edge more
 
 
 def _document(edges: list, vertices: list) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from io import StringIO
 
@@ -21,6 +22,7 @@ from lineconsistency import (
     new_signed_graph,
     random_recipe,
     random_signed_graph,
+    read_signed_graph,
     write_signed_graph,
 )
 from lineconsistency import _traversal, analysis
@@ -176,6 +178,22 @@ class TestCheck:
         peak = traced_peak(lambda: main(["check", "--method", "ii", str(path)]))
         assert capsys.readouterr().out == "ii: line consistent\n"
         assert peak <= 0.85 * whole
+
+    def test_check_of_a_file_peaks_under_1_6_times_its_graph(
+            self, tmp_path, capsys, large_document, traced_peak):
+        # the file's edges are read from disk a chunk at a time, so its whole
+        # text is never held: the graph and condition ii set the peak
+        path = tmp_path / "large.json"
+        path.write_text(large_document)
+        tracemalloc.start()
+        try:
+            graph = read_signed_graph(large_document)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        peak = traced_peak(lambda: main(["check", "--method", "ii", str(path)]))
+        assert capsys.readouterr().out == "ii: line consistent\n"
+        assert len(graph.edge_ids) == 19_969 and peak <= 1.6 * size
 
     def test_byte_identical_reports(self, neg_star, capsys):
         main(["check", neg_star, "--witness"])

@@ -229,19 +229,26 @@ def edge_column_calls(monkeypatch):
 
 
 def test_edge_columns_decodes_every_chunk(large_document, monkeypatch, decoded_lengths,
-                                          edge_column_calls):
+                                          edge_column_calls, tmp_path):
     # _edge_columns is the reader's one decoder of edge objects: once per
-    # chunk of a writer text, once for the whole of its minified twin
+    # chunk of a writer text or of a streamed file, once for the whole of
+    # its minified twin
+    path = tmp_path / "graph.json"
     for text, chunk in ((large_document, reader._CHUNK), (_TEXT, 1), (_TEXT, 40),
                         (_TEXT, 100)):
         monkeypatch.setattr(reader, "_CHUNK", chunk)
         twin = json.dumps(json.loads(text))
-        decoded_lengths.clear()
-        edge_column_calls.clear()
-        graph = read_signed_graph(text)
-        chunks = len(decoded_lengths) - 1  # less the vertices' decode
-        assert chunks > 1 and len(edge_column_calls) == chunks
-        assert sum(edge_column_calls) == len(graph.edge_ids)
+        path.write_text(text)
+        graphs = []
+        for read, source in ((read_signed_graph, text), (reader.stream_signed_graph, path)):
+            decoded_lengths.clear()
+            edge_column_calls.clear()
+            graphs.append(read(source))
+            chunks = len(decoded_lengths) - 1  # less the vertices' decode
+            assert chunks > 1 and len(edge_column_calls) == chunks
+            assert sum(edge_column_calls) == len(graphs[-1].edge_ids)
+        graph, streamed = graphs
+        assert streamed == graph
         edge_column_calls.clear()
         assert read_signed_graph(twin) == graph
         assert edge_column_calls == [len(graph.edge_ids)]
