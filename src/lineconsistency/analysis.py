@@ -361,7 +361,8 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     Read from the columns, ``_degrees`` and the traversal's per-edge block
     labels, where an isthmus is an edge whose block has one edge.  Every
     negative edge at a vertex lies in its component, so a component's extra
-    edges at a vertex are the vertex's positive edges.
+    edges at a vertex are the vertex's positive edges; one loop tests them at
+    its vertices of negative degree 2, a circle's vertices or a path's inner ones.
     """
     ids, edge_ids, tail, ends = graph.vertex_ids, graph.edge_ids, graph.tail, graph.ends
     negative, incidence = graph.negative, graph.incidence
@@ -394,70 +395,61 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     def isthmus(k):
         return sizes[label[k]] == 1
 
-    def whole_block(edges):  # whether edges are exactly one block's edges
+    def common_block(edges):  # the label of the block holding all of edges, or None
         b = label[edges[0]]
-        return sizes[b] == len(edges) and all(label[k] == b for k in edges)
+        return b if all(label[k] == b for k in edges) else None
 
     reports = []
     for run, comp_edges, inside in zip(runs, negative_edges, inside_edges):
         degrees = [negative_degree[v] for v in run]
         kind = _classify_kind(degrees)
-        endpoints = []
+        path = kind == "nontrivial-path"
+        endpoints = [v for v, d in zip(run, degrees) if d == 1] if path else []
+        inner = [v for v, d in zip(run, degrees) if d == 2] if path or kind == "circle" else []
         violations = []
         is_block = path_form = case = endpoints_divalent = endpoint_extras_ok = None
-
-        def check_extras(word, inner):
-            """At most one extra edge at each inner vertex, a positive isthmus."""
-            for v in inner:
-                extras = degree[v] - negative_degree[v]
-                if extras > 1:
-                    violations.append(
-                        f"more than one extra edge at {word} vertex {ids[v]!r}")
-                elif extras and not isthmus(positive_at[v]):
-                    violations.append(
-                        f"extra edge at {word} vertex {ids[v]!r} is not a positive isthmus"
-                    )
-
         if kind == "other":
-            violations.append(
-                "negative component is not a circle, path, or single vertex"
-            )
+            violations.append("negative component is not a circle, path, or single vertex")
         elif kind == "circle":
-            is_block = whole_block(comp_edges)
+            b = common_block(comp_edges)
+            is_block = b is not None and sizes[b] == len(comp_edges)
             if not is_block:
                 violations.append("circle component is not a block")
-            check_extras("circle", run)
-        elif kind == "nontrivial-path":
-            endpoints = [v for v, d in zip(run, degrees) if d == 1]
-            for v in endpoints:
-                if degree[v] > 2:
-                    violations.append(f"path endpoint {ids[v]!r} is not at most divalent")
-            check_extras("path", (v for v in run if v not in endpoints))
+        for v in endpoints:
+            if degree[v] > 2:
+                violations.append(f"path endpoint {ids[v]!r} is not at most divalent")
+        word = "path" if path else "circle"
+        for v in inner:  # at most one extra edge, a positive isthmus
+            if degree[v] > 3:
+                violations.append(f"more than one extra edge at {word} vertex {ids[v]!r}")
+            elif degree[v] == 3 and not isthmus(positive_at[v]):
+                violations.append(
+                    f"extra edge at {word} vertex {ids[v]!r} is not a positive isthmus"
+                )
+        if path:
+            b = common_block(comp_edges)
             if not inside:
                 path_form = "induced"
             elif (
                 len(inside) == 1
                 and [tail[inside[0]], tail[inside[0]] ^ ends[inside[0]]] == endpoints
-                and whole_block(comp_edges + inside)
+                and label[inside[0]] == b
+                and sizes[b] == len(comp_edges) + 1
             ):
                 path_form = "closes-circle-block"
             else:
                 violations.append("path is neither induced nor closes a circle block")
-            b = label[comp_edges[0]]
-            if sizes[b] > 1 and all(label[k] == b for k in comp_edges):
+            if b is not None and sizes[b] > 1:
                 case = "a"
                 endpoints_divalent = all(degree[v] == 2 for v in endpoints)
             elif all(map(isthmus, comp_edges)) and all(  # no endpoint in a nontrivial block
-                isthmus(k) for v in endpoints for k in incidence[v]
-            ):
+                    isthmus(k) for v in endpoints for k in incidence[v]):
                 case = "b"
                 # every edge at an endpoint is an isthmus, and the extra ones are positive
                 endpoint_extras_ok = True
             else:
-                violations.append(
-                    "path is neither inside a nontrivial block nor an "
-                    "isthmus path with block-free endpoints"
-                )
+                violations.append("path is neither inside a nontrivial block nor an "
+                                  "isthmus path with block-free endpoints")
 
         reports.append(
             ComponentReport(

@@ -76,14 +76,12 @@ def _run_method(graph: SignedGraph, method: str) -> analysis.Verdict:
         return analysis.check_theorem1_simple(graph)
     if method == "structure":
         return analysis.classify_structure(graph).as_verdict()
-    if method == "oracle":
-        consistent, witness = is_consistent_oracle(line_graph(graph))
-        if consistent:
-            return analysis.Verdict(True)
-        return analysis.Verdict(
-            False, "negative circle in the line graph", witness=witness
-        )
-    raise GraphError(f"unknown method {method!r}")
+    consistent, witness = is_consistent_oracle(line_graph(graph))  # method == "oracle"
+    if consistent:
+        return analysis.Verdict(True)
+    return analysis.Verdict(
+        False, "negative circle in the line graph", witness=witness
+    )
 
 
 def _witness_json(witness) -> str:
@@ -98,8 +96,8 @@ def cmd_check(args) -> int:
     methods = _methods_for(graph) if args.method == "all" else [args.method]
     verdicts = {method: _run_method(graph, method) for method in methods}
     answers = {v.line_consistent for v in verdicts.values()}
-    witness = None
-    if args.witness and answers == {False}:
+    witness = None  # built only for a failed verdict that carries none of its own
+    if args.witness and answers == {False} and None in [v.witness for v in verdicts.values()]:
         witness = analysis.find_witness(graph, verdicts.get("ii", verdicts[methods[0]]))
     for method, verdict in verdicts.items():
         if verdict.line_consistent:

@@ -94,10 +94,6 @@ class Edge:
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
 
-    @property
-    def endpoints(self) -> frozenset:
-        return frozenset((self.u, self.v))
-
 
 @dataclass(frozen=True)
 class SignedEdge(Edge):

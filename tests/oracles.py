@@ -289,13 +289,41 @@ def _classify_kind_by_ids(component, negative_degree):
     return "other", ()
 
 
+def _subdivided_blocks(graph):
+    """(isthmi, block_of, balanced) by definition, from networkx, reading
+    nothing of the library's search: each positive edge is subdivided once
+    and each negative edge twice.  An edge is an isthmus when its first
+    segment is a bridge, and its block is the biconnected component holding
+    that segment.  A circle's length there is even exactly when it has an
+    even number of negative edges, so the graph is balanced exactly when the
+    subdivided graph is bipartite (Harary 1953)."""
+    import networkx as nx
+
+    subdivided = nx.Graph()
+    subdivided.add_nodes_from(graph.vertices)
+    for e in graph.edges:
+        nx.add_path(subdivided, [e.u, *((e.id, j) for j in range(1 + e.sign.is_negative)), e.v])
+    bridges = set(map(frozenset, nx.bridges(subdivided)))
+    component_of = {frozenset(segment): i for i, component in
+                    enumerate(nx.biconnected_component_edges(subdivided))
+                    for segment in component}
+    first = {e.id: frozenset((e.u, (e.id, 0))) for e in graph.edges}
+    isthmi = frozenset(eid for eid, segment in first.items() if segment in bridges)
+    members = defaultdict(set)
+    for eid, segment in first.items():
+        members[component_of[segment]].add(eid)
+    block_of = {eid: frozenset(members[component_of[segment]]) for eid, segment in first.items()}
+    return isthmi, block_of, nx.is_bipartite(subdivided)
+
+
 def classify_structure_by_values(graph):
     """The classifier ``analysis.classify_structure`` replaced: edge values,
-    id sets per block and a second search for the negative components."""
+    id sets per block and a second search for the negative components.  The
+    isthmi, blocks and balance are defined afresh (``_subdivided_blocks``), so
+    a fault in the library's block labels moves the classifier alone."""
     negative_triples = [(e.id, e.u, e.v) for e in graph.edges if e.sign.is_negative]
     negative_degree = Counter(x for _, u, v in negative_triples for x in (u, v))
-    isthmi = find_isthmi(graph)
-    block_of = {eid: b.edges for b in blocks(graph) for eid in b.edges}
+    isthmi, block_of, balanced = _subdivided_blocks(graph)
 
     components = _components(graph.vertices, negative_triples)
     component_of = {v: i for i, component in enumerate(components) for v in component}
@@ -351,7 +379,7 @@ def classify_structure_by_values(graph):
             elif (
                 len(inside) == 1
                 and inside[0].sign.is_positive
-                and inside[0].endpoints == frozenset(endpoints)
+                and frozenset((inside[0].u, inside[0].v)) == frozenset(endpoints)
                 and block_of[inside[0].id] == edge_set | {inside[0].id}
             ):
                 path_form = "closes-circle-block"
@@ -390,7 +418,6 @@ def classify_structure_by_values(graph):
             endpoint_extras_positive_isthmi=endpoint_extras_ok,
         ))
 
-    balanced = is_balanced_fast(graph)
     overall = balanced and all(r.ok for r in reports)
     return StructureReport(
         balanced=balanced, components=tuple(reports), line_consistent=overall

@@ -706,10 +706,13 @@ def test_degenerate_inputs():
     assert not any(check(forest).line_consistent for check in ALL_CHECKS)
 
 
-@pytest.mark.parametrize("family", ["exhaustive", "random", "recipes", "collisions"])
+@pytest.mark.parametrize("family", [
+    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
+    "negative-paths", "flipped"])
 def test_classifier_matches_the_edge_value_classifier(family):
     """The classifier reads the columns and the traversal's block labels;
-    the one it replaced, which read edge values, is kept in ``oracles``."""
+    the one it replaced, which read edge values, is kept in ``oracles``, with
+    isthmi, blocks and balance read from networkx on a subdivided graph."""
     for graph in differential_corpus(family):
         assert classify_structure(graph) == classify_structure_by_values(graph)
 

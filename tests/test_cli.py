@@ -142,6 +142,23 @@ class TestCheck:
         assert code == 1
         assert out.startswith("ii: NOT line consistent")
 
+    def test_a_witness_is_built_only_for_a_verdict_without_one(self, neg_star,
+                                                                 monkeypatch, capsys):
+        """The oracle's verdict carries its own circle, so ``--method oracle``
+        builds no witness; the other methods' verdicts share one."""
+        calls = []
+        monkeypatch.setattr(analysis, "find_witness",
+                            lambda *args, built=analysis.find_witness:
+                            calls.append(args) or built(*args))
+        assert main(["check", neg_star, "--method", "oracle", "--witness"]) == 1
+        assert capsys.readouterr().out == (
+            "oracle: NOT line consistent (clause: negative circle in the line graph)\n"
+            'oracle: witness {"edges": ["e1~e2@c", "e1~e3@c", "e2~e3@c"], '
+            '"vertices": ["e2", "e1", "e3"]}\n')
+        assert calls == []
+        assert main(["check", neg_star, "--witness"]) == 1
+        assert len(calls) == 1
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/g.json"]) == 2
 

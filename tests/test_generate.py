@@ -58,7 +58,8 @@ class TestExhaustive:
         for g in exhaustive_signed_graphs(3, 6):
             pair_counts = {}
             for e in g.edges:
-                pair_counts[e.endpoints] = pair_counts.get(e.endpoints, 0) + 1
+                pair = frozenset((e.u, e.v))
+                pair_counts[pair] = pair_counts.get(pair, 0) + 1
             assert all(c <= 2 for c in pair_counts.values())
 
     def test_bounds_enforced(self):
@@ -128,7 +129,8 @@ class TestRandom:
             pair_counts = {}
             for e in g.edges:
                 assert e.u != e.v
-                pair_counts[e.endpoints] = pair_counts.get(e.endpoints, 0) + 1
+                pair = frozenset((e.u, e.v))
+                pair_counts[pair] = pair_counts.get(pair, 0) + 1
             assert all(c <= 2 for c in pair_counts.values())
 
 
@@ -179,7 +181,7 @@ class TestRandomSampler:
         graph = random_signed_graph(2_000, 20, 0.5, 9)
         assert populations == [range(2_000 * 1_999)]
         assert len(graph.edges) == 20
-        assert max(Counter(e.endpoints for e in graph.edges).values()) <= 2
+        assert max(Counter(frozenset((e.u, e.v)) for e in graph.edges).values()) <= 2
 
 
 class TestRecipe:

@@ -45,7 +45,7 @@ class TestLineGraph:
         m = line_graph(g)
         assert m.vertex_ids == ("e1", "e2")
         assert len(m.edges) == 2
-        assert all(e.endpoints == frozenset(("e1", "e2")) for e in m.edges)
+        assert all(frozenset((e.u, e.v)) == frozenset(("e1", "e2")) for e in m.edges)
 
     def test_triangle_maps_to_triangle(self):
         g = new_signed_graph(
