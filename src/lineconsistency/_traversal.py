@@ -7,7 +7,8 @@ an edge alone in its block.
 ``Traversal(graph)`` reads the integer columns off a ``core._Multigraph``:
 vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
 id order, joining ``tail[k]`` and ``tail[k] ^ ends[k]``, with ``negative[k]``
-its sign bit and ``incidence[i]`` the edges at vertex ``i`` in id order.
+its sign, a 0/1 byte, and ``incidence[i]`` the edges at vertex ``i`` in id
+order.
 Roots are taken in vertex order and each vertex's edges in edge-id order, so
 results are deterministic, and nothing recurses.  One pass records discovery
 numbers, low-links (Tarjan 1972), tree parent edges and switching parities
@@ -17,7 +18,7 @@ numbers, low-links (Tarjan 1972), tree parent edges and switching parities
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, filterfalse
+from itertools import compress, count
 
 
 class Forest:
@@ -25,19 +26,23 @@ class Forest:
     and which of some chosen edges close a circle, without incidence lists.
 
     Every edge is merged once, the edges numbered in ``last`` (distinct)
-    after all the others.  ``up[v]`` is v's parent in the forest, v itself
-    at a root; union by size keeps every find chain within log2(n) + 1
+    after all the others.  ``up[v]`` is v's parent in the forest.  While
+    the edges merge, a root holds minus its tree's size there, so there is
+    no size list and no starting int object per vertex; once all are
+    merged, each root points back to itself, so ``up[v] == v`` exactly at
+    a root.  Union by size keeps every find chain within log2(n) + 1
     vertices (Tarjan 1975, JACM 22(2)), and nothing recurses.  Each vertex
     also holds its switching parity relative to its parent (Harary 1953).
     An edge whose endpoints already share a root closes a circle; its sign
     is checked against their parities, so ``balanced`` does not depend on
     edge order and ``conflicts`` lists every edge that contradicts them.
     ``closed`` lists the ``last`` edges that closed a circle, in merge
-    order: the other edges are merged first, and contracting them keeps
-    exactly which ``last`` edges are bridges, so none closes a circle
-    exactly when all of them are bridges.  With ``last`` reversed from some
-    order, ``closed[-1]`` is the first in that order that is not a bridge:
-    the others on a circle through it come later, so are merged before it.
+    order, recorded only while they merge: the other edges are merged
+    first, and contracting them keeps exactly which ``last`` edges are
+    bridges, so none closes a circle exactly when all of them are bridges.
+    With ``last`` reversed from some order, ``closed[-1]`` is the first in
+    that order that is not a bridge: the others on a circle through it come
+    later, so are merged before it.
     ``analysis`` is the one module that keeps and reads a forest: condition
     ii keeps its own on an unbalanced graph for the witness.
     """
@@ -45,32 +50,39 @@ class Forest:
     def __init__(self, graph, last=()):
         tail, ends, negative = graph.tail, graph.ends, graph.negative
         n, m = len(graph.vertex_ids), len(tail)
-        up, odd, size = list(range(n)), [0] * n, [1] * n
-        conflicts, closing = [], []
-        skip = set(last)
-        edges = chain(filterfalse(skip.__contains__, range(m)), last) if skip else range(m)
-        for k in edges:
-            a = tail[k]
-            b = a ^ ends[k]
-            x = negative[k]  # becomes parity(a) ^ parity(b) ^ sign
-            while up[a] != a:
-                x ^= odd[a]
-                a = up[a]
-            while up[b] != b:
-                x ^= odd[b]
-                b = up[b]
-            if a == b:
-                if x:
-                    conflicts.append(k)
-                closing.append(k)
-            elif size[a] < size[b]:
-                up[a], odd[a] = b, x
-                size[b] += size[a]
-            else:
-                up[b], odd[b] = a, x
-                size[a] += size[b]
-        self.tail, self.up, self.conflicts = tail, up, conflicts
-        self.closed = list(filter(skip.__contains__, closing))
+        up, odd = [-1] * n, [0] * n  # a root's up is minus its tree's size
+        conflicts, closed = [], []
+        others = zip(count(), tail, ends, negative)
+        if last:
+            kept = bytearray(b"\x01") * m
+            for k in last:
+                kept[k] = 0
+            others = compress(others, kept)
+        tested = ((k, tail[k], ends[k], negative[k]) for k in last)
+        for edges, closing in ((others, None), (tested, closed)):
+            for k, a, e, x in edges:  # x becomes parity(a) ^ parity(b) ^ sign
+                b = a ^ e
+                while up[a] >= 0:
+                    x ^= odd[a]
+                    a = up[a]
+                while up[b] >= 0:
+                    x ^= odd[b]
+                    b = up[b]
+                if a == b:
+                    if x:
+                        conflicts.append(k)
+                    if closing is not None:
+                        closing.append(k)
+                elif up[a] > up[b]:  # a's tree is the smaller
+                    up[b] += up[a]
+                    up[a], odd[a] = b, x
+                else:
+                    up[a] += up[b]
+                    up[b], odd[b] = a, x
+        for v, parent in enumerate(up):  # each root points to itself from here on
+            if parent < 0:
+                up[v] = v
+        self.tail, self.up, self.conflicts, self.closed = tail, up, conflicts, closed
 
     @property
     def balanced(self) -> bool:

@@ -21,9 +21,10 @@ and built and checked as line-graph circles by ``linegraph``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import xor
 from typing import Optional
 
@@ -143,13 +144,17 @@ def _balance_verdict(graph: SignedGraph) -> Verdict:
     return Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED)
 
 
+_NO_EDGE = array("l", [-1])  # ``_degrees``' positive_at at a vertex with no positive edge
+
+
 def _degrees(graph: SignedGraph) -> tuple:
     """(degree, negative_degree, positive_at), one pass over the columns:
     each vertex's degree and negative degree, and the last positive edge at
-    it in id order, its only one when it has one (-1 when it has none)."""
+    it in id order, its only one when it has one (-1 when it has none).
+    ``positive_at`` is an ``array``, so it holds no int object per edge."""
     n = len(graph.vertex_ids)
-    degree, negative_degree, positive_at = [0] * n, [0] * n, [-1] * n
-    for k, (a, e, odd) in enumerate(zip(graph.tail, graph.ends, graph.negative)):
+    degree, negative_degree, positive_at = [0] * n, [0] * n, _NO_EDGE * n
+    for k, a, e, odd in zip(count(), graph.tail, graph.ends, graph.negative):
         b = a ^ e
         degree[a] += 1
         degree[b] += 1
@@ -202,13 +207,13 @@ def _local_clauses(graph: SignedGraph) -> tuple:
     degree, negative_degree, positive_at = _degrees(graph)
     tested = {}
     for i in compress(range(len(degree)), negative_degree):
-        count = negative_degree[i]
-        others = degree[i] - count
-        if count > 2:
+        negatives = negative_degree[i]
+        others = degree[i] - negatives
+        if negatives > 2:
             return tested, Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
         if others > 1:
             return tested, Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
-        if count == 2 and others == 1:
+        if negatives == 2 and others == 1:
             tested.setdefault(positive_at[i], i)
     return tested, None
 

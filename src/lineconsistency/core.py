@@ -3,10 +3,12 @@
 Edges carry explicit string identifiers so parallel edges stay distinguishable.
 A graph is stored as integer columns (``_Multigraph``): its sorted vertex
 ids, its edge ids in id order, each edge's endpoints as indices into the
-vertex ids, and a negative bit per edge.  The depth-first search, condition
-ii, circle checks and witnesses read the columns and find an id by bisecting
-the sorted ids, so checking a circle of length L costs O(L log m).  A marked
-graph has the same columns plus a negative bit per vertex.  Edge and vertex
+vertex ids, and its signs as ``bytes``, one 0/1 byte per edge, whatever
+built it, so graphs built on different paths compare and hash equal.  The
+depth-first search, condition ii, circle checks and witnesses read the
+columns and find an id by bisecting the sorted ids, so checking a circle of
+length L costs O(L log m).  A marked graph has the same columns, its signs
+all 0, plus a negative bit per vertex.  Edge and vertex
 values (``SignedEdge``, ``Edge``, ``MarkedVertex``) are derived from the
 columns when a caller asks for ``edges``, a marked graph's ``vertices``,
 ``edge()`` or ``incident_edges()``.  Every graph is filled from columns, and
@@ -194,7 +196,8 @@ class _Multigraph:
     ``vertex_ids`` are sorted and vertex i is ``vertex_ids[i]``; edge k is
     the k-th edge in id order, ``edge_ids[k]``, joining ``tail[k]`` and
     ``tail[k] ^ ends[k]`` (the lesser index is the tail), and
-    ``negative[k]`` is true when it is negative.  Everything cached is
+    ``negative[k]``, a byte of the ``bytes`` column, is 1 when it is
+    negative, else 0.  Everything cached is
     derived from these columns.
     """
 
@@ -209,16 +212,16 @@ class _Multigraph:
 
     def _store_columns(self, vertex_ids, edge_ids, us, vs, negative, numbered) -> None:
         """Check the invariants on the given order, then store the columns
-        in id order.  Columns given in id order are permuted by nothing, and
-        a given list of negative bits is kept, not copied: the caller hands
-        it over."""
+        in id order.  Columns given in id order are permuted by nothing.
+        The negative bits, any iterable of 0/1 or bools, are stored as
+        ``bytes``, one byte per edge: a given ``bytes`` in id order is kept,
+        as it cannot change, and anything else is copied."""
         vertices, order, ids, tail, ends = _check(vertex_ids, edge_ids, us, vs, numbered)
         if order is not None:
             tail = list(map(tail.__getitem__, order))
             ends = list(map(ends.__getitem__, order))
-            negative = list(map(negative.__getitem__, order))
-        elif negative.__class__ is not list:
-            negative = list(negative)
+            negative = map(negative.__getitem__, order)
+        negative = bytes(negative)
         self.__dict__.update(
             vertex_ids=vertices, edge_ids=ids, tail=tail, ends=ends, negative=negative)
 
@@ -346,7 +349,7 @@ class SignedGraph(_Multigraph):
         return SignedGraph._from_columns(
             tuple(map(self.vertex_ids.__getitem__, vertices)),
             list(map(self.edge_ids.__getitem__, edges)), a, b,
-            list(map(self.negative.__getitem__, edges)), numbered=True)
+            bytes(map(self.negative.__getitem__, edges)), numbered=True)
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
@@ -382,7 +385,7 @@ class MarkedVertex:
 
 class MarkedGraph(_Multigraph):
     """A loopless multigraph with signed vertices (a marked graph): the
-    columns of ``SignedGraph`` with all-false ``negative``, plus ``marks[i]``,
+    columns of ``SignedGraph`` with all-zero ``negative``, plus ``marks[i]``,
     true when vertex i is negative."""
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
@@ -411,7 +414,7 @@ class MarkedGraph(_Multigraph):
         """Fill the marked graph on ``vertex_ids``, the i-th negative when
         ``marks[i]``, whose edge k is ``edge_ids[k]`` from ``us[k]`` to
         ``vs[k]``, ids or numbers as ``SignedGraph`` takes them."""
-        self._store_columns(vertex_ids, edge_ids, us, vs, [False] * len(us), numbered)
+        self._store_columns(vertex_ids, edge_ids, us, vs, bytes(len(us)), numbered)
         if self.vertex_ids != tuple(vertex_ids):  # put the marks in id order
             marks = map(dict(zip(vertex_ids, marks)).__getitem__, self.vertex_ids)
         self.__dict__["marks"] = list(marks)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from stat import S_ISREG
@@ -64,8 +63,9 @@ def _vertex_ids(values: list) -> list:
 
 
 def _edge_columns(items: list) -> tuple:
-    """(ids, us, vs, negative bits) of the decoded edge objects, in their
-    given order, or GraphFormatError at the first one out of shape.
+    """(ids, us, vs, negative bits as ``bytes``) of the decoded edge
+    objects, in their given order, or GraphFormatError at the first one out
+    of shape.
 
     The common document (objects with string ids and a "+"/"-" sign) is
     taken column by column; any other is walked edge by edge, which
@@ -77,7 +77,7 @@ def _edge_columns(items: list) -> tuple:
         # str.join raises TypeError at an id or endpoint that is not a string,
         # and each sign is read once: any other symbol raises KeyError
         "".join(ids), "".join(us), "".join(vs)
-        return ids, us, vs, list(map(_NEGATIVE.__getitem__, map(_SIGN, items)))
+        return ids, us, vs, bytes(map(_NEGATIVE.__getitem__, map(_SIGN, items)))
     except (TypeError, KeyError):
         pass
     ids, us, vs, negative = [], [], [], []
@@ -95,7 +95,7 @@ def _edge_columns(items: list) -> tuple:
             negative.append(Sign.from_symbol(item["sign"]) is Sign.NEGATIVE)
         except GraphError as exc:
             raise GraphFormatError(f"{where}.sign: {exc}") from None
-    return ids, us, vs, negative
+    return ids, us, vs, bytes(negative)
 
 
 def _text_pieces(text: str):
@@ -153,7 +153,7 @@ def _writer_columns(pieces):
     """The columns of a source's pieces, each piece's endpoints numbered
     before it is dropped, or None when the source refuses, a piece does not
     decode, the decoders name a fault, or an endpoint is not a vertex."""
-    ids, a, b, negative = [], [], [], []
+    ids, a, b, negative = [], [], [], bytearray()
     try:
         # "[" ... "]" decodes to a list, or not at all
         vertices = _vertex_ids(json.loads(next(pieces)))
@@ -262,7 +262,11 @@ def write_marked_graph(marked: MarkedGraph) -> str:
 
 
 def structure_report_to_dict(report) -> dict:
-    return asdict(report)
+    """``dataclasses.asdict(report)`` without its deep copies: the report's
+    fields, with each component's fields copied shallowly into a dict.  The
+    components' fields are ids, tuples of ids and flags, all immutable, so
+    their tuples are shared, not copied."""
+    return {**vars(report), "components": tuple(dict(vars(c)) for c in report.components)}
 
 
 def _quote(identifier: str) -> str:

@@ -36,6 +36,7 @@ from lineconsistency import (
     line_edge_id,
     line_graph,
     new_signed_graph,
+    read_signed_graph,
     validate_circle,
 )
 from lineconsistency import _traversal
@@ -242,6 +243,16 @@ class TestConditionII:
             v = check_condition_ii(g)
             assert not v.line_consistent
             assert len(find_witness(g, v)) == 3
+
+    def test_working_memory_is_under_40_bytes_a_vertex(self, large_document, traced_peak):
+        # the union-find keeps its tree sizes in the roots' parent slots and
+        # the degree pass its edge numbers in an array: no int object is kept
+        # per vertex or per positive edge
+        graph = read_signed_graph(large_document)
+        verdicts = []
+        peak = traced_peak(lambda: verdicts.append(check_condition_ii(graph)))
+        assert verdicts == [Verdict(True)]
+        assert peak <= 40 * len(graph.vertex_ids)
 
 
 class TestConditionIII:

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import compress
 
@@ -15,14 +16,19 @@ from lineconsistency import (
     SignedGraph,
     check_condition_ii,
     classify_structure,
+    exhaustive_signed_graphs,
+    generate_line_consistent,
+    line_graph,
     new_marked_graph,
     new_signed_graph,
+    random_recipe,
     random_signed_graph,
     read_signed_graph,
     sign_product,
     validate_circle,
     write_signed_graph,
 )
+from lineconsistency.io import stream_signed_graph
 
 
 def triangle(signs="+++"):
@@ -554,6 +560,55 @@ class TestMarkedGraph:
         assert tuple(compress(marked.vertex_ids, marked.marks)) == ("y",)
         with pytest.raises(GraphError, match="invalid sign"):
             MarkedVertex("y", True)
+
+
+class TestSignColumn:
+    """Every graph's ``negative`` column is ``bytes``, one 0/1 byte per edge,
+    whatever built it, so graphs built on different paths compare and hash
+    equal."""
+
+    @staticmethod
+    def assert_same(graphs):
+        first = graphs[0]
+        for graph in graphs:
+            assert type(graph.negative) is bytes and set(graph.negative) <= {0, 1}
+            assert len(graph.negative) == len(graph.edge_ids)
+            assert graph == first and hash(graph) == hash(first)
+
+    def test_the_reader_and_the_constructor(self, tmp_path, large_document):
+        path = tmp_path / "large.json"
+        path.write_text(large_document)
+        chunked = read_signed_graph(large_document)
+        # another layout is decoded whole
+        whole = read_signed_graph(json.dumps(json.loads(large_document)))
+        streamed = stream_signed_graph(str(path))
+        tuples = SignedGraph(chunked.vertex_ids,
+                             [(e.id, e.u, e.v, e.sign.value) for e in chunked.edges])
+        values = SignedGraph(chunked.vertices, chunked.edges)
+        self.assert_same([chunked, whole, streamed, tuples, values])
+        assert 0 < sum(chunked.negative) < len(chunked.negative)
+
+    def test_parts_and_generators(self):
+        recipe = random_recipe(5)
+        graphs = [random_signed_graph(9, 20, 0.5, 3), generate_line_consistent(recipe, 5),
+                  *exhaustive_signed_graphs(3, 2)]
+        for graph in graphs:
+            self.assert_same([graph, read_signed_graph(write_signed_graph(graph))])
+            negative = graph.negative_subgraph()
+            self.assert_same([negative, SignedGraph(graph.vertices, graph.negative_edges)])
+            kept = graph.edges[1:]
+            self.assert_same([graph.without_edges(graph.edge_ids[:1]),
+                              SignedGraph(graph.vertices, kept)])
+
+    def test_the_line_graph(self):
+        graph = random_signed_graph(8, 12, 0.5, 3)
+        marked = line_graph(graph)
+        assert type(marked.negative) is bytes
+        assert marked.negative == bytes(len(marked.edge_ids))
+        assert marked.marks == list(graph.negative) and any(marked.marks)
+        rebuilt = MarkedGraph(marked.vertices, marked.edges)
+        assert rebuilt.negative == marked.negative
+        assert rebuilt == marked and hash(rebuilt) == hash(marked)
 
 
 def test_structural_equality_is_order_independent():

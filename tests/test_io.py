@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -492,3 +493,17 @@ def test_structure_report_to_dict_is_json_friendly():
     report = classify_structure(g)
     text = json.dumps(structure_report_to_dict(report), sort_keys=True)
     assert '"kind": "nontrivial-path"' in text
+
+
+@pytest.mark.parametrize("family", [
+    "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
+    "negative-paths", "flipped"])
+def test_structure_report_to_dict_is_asdict(family):
+    """The report's dict is the one ``dataclasses.asdict`` builds, tuples
+    kept as tuples, and its JSON text is the same, byte for byte."""
+    for graph in differential_corpus(family):
+        report = classify_structure(graph)
+        fast, deep = structure_report_to_dict(report), dataclasses.asdict(report)
+        assert fast == deep  # a tuple never equals a list
+        assert (json.dumps(fast, indent=2, sort_keys=True)
+                == json.dumps(deep, indent=2, sort_keys=True))
