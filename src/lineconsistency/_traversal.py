@@ -44,7 +44,8 @@ class Forest:
     that order that is not a bridge: the others on a circle through it come
     later, so are merged before it.
     ``analysis`` is the one module that keeps and reads a forest: condition
-    ii keeps its own on an unbalanced graph for the witness.
+    ii keeps its own on an unbalanced graph for the witness, whose
+    breadth-first search then runs on the unbalanced component alone.
     """
 
     def __init__(self, graph, last=()):
@@ -233,25 +234,3 @@ class Traversal:
         for k, b in enumerate(label):
             members[b].append(k)
         return members
-
-    def negative_cycle(self):
-        """(edge numbers, vertex numbers) of the conflicting edge's
-        fundamental circle, which is negative, or None when balanced.
-
-        A non-tree edge of a depth-first search joins a vertex to one of its
-        ancestors, so the circle is the tree path up from the deeper
-        endpoint, closed by the edge.
-        """
-        k = self.conflict
-        if k < 0:
-            return None
-        a, b = self.tail[k], self.tail[k] ^ self.ends[k]
-        v, top = (a, b) if self.disc[a] > self.disc[b] else (b, a)
-        edges, vertices = [], [v]
-        while v != top:
-            edges.append(self.parent[v])
-            v ^= self.ends[edges[-1]]
-            vertices.append(v)
-        edges.append(k)
-        return edges, vertices
-

@@ -14,15 +14,17 @@ on the labels, ``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact
 as a set of ids, for callers outside them.  Condition ii reads balance,
 whether its tested edges are isthmi and which one is not, from one parity
 union-find (``_traversal.Forest``) and runs no search.  It lives here with the
-forest it keeps on an unbalanced graph, the negative-circle search that reads
-that forest, and the witnesses, derived from its failing clause in linear time
-and built and checked as line-graph circles by ``linegraph``.
+forest it keeps on an unbalanced graph and the witnesses, derived from its
+failing clause in linear time and built and checked as line-graph circles by
+``linegraph``.  Both graph-wide witnesses, a negative circle of the
+unbalanced component that forest cuts out and a shortest circle through a
+positive edge that is not an isthmus, come from one breadth-first search
+(``_odd_circle``) that stops at the first edge contradicting its parities.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import xor
@@ -255,21 +257,51 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
     kept on an unbalanced graph, else a new one, finds the unbalanced
     component with the least vertex in C-level passes, and only that
-    component is searched, as a graph of its own.  The witness is the
-    fundamental circle of its search's first conflicting edge, which a
-    search of the whole graph finds too: that takes roots in vertex order,
-    meets no conflict in a balanced component and runs on a component as on
-    that component alone.  Its sign is checked on the graph's columns.
+    component is searched, as a graph of its own: a breadth-first search
+    from its least vertex (``_odd_circle``) stops at the first edge whose
+    sign contradicts the switching parities, whose circle has at most twice
+    that vertex's eccentricity plus one edges.  Its sign is checked on the
+    graph's columns.
     """
     component = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
     if component is None:
         return None
     part = graph._part(*component)
-    circle_edges, circle_vertices = part.traversal.negative_cycle()
-    circle = _circle(part, circle_vertices, circle_edges)
+    circle = _odd_circle(part, 0, part.negative.__getitem__)
     if graph.sign_of_walk(circle).is_positive:
         raise GraphError(f"the search's circle {circle} is not negative")
     return circle
+
+
+def _odd_circle(graph: SignedGraph, root: int, odd, skip: int = -1) -> Optional[Circle]:
+    """The circle closed by the first edge whose oddness, ``odd(k)``,
+    contradicts the switching parities of a breadth-first tree grown from
+    vertex ``root`` (Harary 1953), or None when no edge of root's component
+    does; edge ``skip`` never enters the tree.  The circle is that edge and
+    the tree paths from its ends up to where they meet, each at most root's
+    eccentricity long.  Only the vertices reached are kept, so the search
+    costs what it visits."""
+    ends, incidence = graph.ends, graph.incidence
+    up = {root: -2}  # vertex -> 2 * the edge entering it + its parity, -2 at the root
+    queue = [root]
+    for v in queue:  # queue grows as the search reaches vertices
+        for k in incidence[v]:
+            w = ends[k] ^ v
+            if w not in up:
+                if k != skip:
+                    up[w] = k << 1 | (up[v] ^ odd(k)) & 1
+                    queue.append(w)
+            elif (up[v] ^ up[w] ^ odd(k)) & 1:
+                a, b = [v], [w]  # each end and its ancestors, up to the root
+                for path in a, b:
+                    while up[path[-1]] >= 0:
+                        path.append(path[-1] ^ ends[up[path[-1]] >> 1])
+                while len(a) > 1 < len(b) and a[-2] == b[-2]:  # cut to where they meet
+                    a.pop()
+                    b.pop()
+                b.reverse()  # from where they meet down to w
+                return _circle(graph, a + b[1:], [up[x] >> 1 for x in a[:-1] + b[1:]] + [k])
+    return None
 
 
 def check_condition_iii(graph: SignedGraph) -> Verdict:
@@ -480,30 +512,11 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
 
 
 def _circle_through_edge(graph: SignedGraph, k: int) -> Optional[Circle]:
-    """A shortest circle containing edge ``k``: BFS over the incidence between
-    its endpoints avoiding the edge itself, then close with it.  None if it is
-    an isthmus."""
-    ends, incidence, start = graph.ends, graph.incidence, graph.tail[k]
-    goal = start ^ ends[k]
-    parent = {start: -1}  # vertex -> the edge that reached it
-    queue = deque([start])
-    while queue and goal not in parent:
-        v = queue.popleft()
-        for j in incidence[v]:
-            w = ends[j] ^ v
-            if j != k and w not in parent:
-                parent[w] = j
-                queue.append(w)
-    if goal not in parent:
-        return None
-    # walk the tree path back from goal to start; edge k closes it
-    vertices, edges = [goal], []
-    while parent[vertices[-1]] >= 0:
-        edges.append(parent[vertices[-1]])
-        vertices.append(ends[edges[-1]] ^ vertices[-1])
-    edges.append(k)
-    return Circle(tuple(map(graph.edge_ids.__getitem__, edges)),
-                  tuple(map(graph.vertex_ids.__getitem__, vertices)))
+    """A shortest circle containing edge ``k``, or None if it is an isthmus:
+    the breadth-first search from its tail with ``k`` alone odd and kept out
+    of the tree meets ``k`` first from its other end, reached along a
+    shortest path that avoids it."""
+    return _odd_circle(graph, graph.tail[k], k.__eq__, k)
 
 
 def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
@@ -545,11 +558,13 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     vertex form a triangle (O(deg)); a shortest circle C through a
     non-isthmus positive edge gives C's image if C is negative, else that
     image with the spare negative edge interposed at the vertex (O(m)); an
-    unbalanced graph gives the image of a negative circle, cut in C-level
-    passes from the union-find condition ii kept.  Verdicts of other methods
-    are re-derived with condition ii, which agrees with them.  No edge value
-    is built: the witness is read from the graph's columns and checked
-    against ``graph`` in O(len log m) before it is returned.
+    unbalanced graph gives the image of a negative circle, searched for in
+    the component cut in C-level passes from the union-find condition ii
+    kept.  Both circles come from one breadth-first search (``_odd_circle``),
+    C's with the edge alone odd and kept out of the tree.  Verdicts of other
+    methods are re-derived with condition ii, which agrees with them.  No
+    edge value is built: the witness is read from the graph's columns and
+    checked against ``graph`` in O(len log m) before it is returned.
     """
     if failed.line_consistent:
         raise GraphError("graph is line consistent; there is no witness")

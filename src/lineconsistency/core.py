@@ -341,7 +341,7 @@ class SignedGraph(_Multigraph):
         """The subgraph on the vertex numbers ``vertices`` and the edge
         numbers ``edges``, both ascending, cut from the columns; every edge
         must join two of the vertices."""
-        tail, ends = self.tail, self.ends
+        tail, ends, negative = self.tail, self.ends, self.negative
         a, b = [tail[k] for k in edges], [tail[k] ^ ends[k] for k in edges]
         if len(vertices) < len(self.vertex_ids):  # number the part's vertices
             number = dict(zip(vertices, range(len(vertices))))
@@ -349,7 +349,7 @@ class SignedGraph(_Multigraph):
         return SignedGraph._from_columns(
             tuple(map(self.vertex_ids.__getitem__, vertices)),
             list(map(self.edge_ids.__getitem__, edges)), a, b,
-            bytes(map(self.negative.__getitem__, edges)), numbered=True)
+            bytes([negative[k] for k in edges]), numbered=True)
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
@@ -367,8 +367,8 @@ class SignedGraph(_Multigraph):
 
     def sign_of_walk(self, circle: Circle) -> Sign:
         """Product of edge signs around a circle of this graph."""
-        odd = sum(map(self.negative.__getitem__, validate_circle(self, circle))) & 1
-        return Sign.NEGATIVE if odd else Sign.POSITIVE
+        negative = self.negative
+        return _SIGNS[sum([negative[k] for k in validate_circle(self, circle)]) & 1]
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,14 @@ def verify_witness(graph: SignedGraph, witness: Circle) -> None:
     is a negative circle of the line graph of ``graph``: consecutive line
     vertices are edges of ``graph`` that the line edge between them joins at a
     shared endpoint, and an odd number of them are negative."""
-    numbers = [graph._edge_number(eid) for eid in witness.vertices]
+    numbers, negative = [graph._edge_number(eid) for eid in witness.vertices], graph.negative
     edges = list(zip(witness.vertices, (set(graph._endpoints(k)) for k in numbers)))
     joined = all(
         line_edge in {line_edge_id(a, b, s) for s in ends_a & ends_b}
         for line_edge, (a, ends_a), (b, ends_b)
         in zip(witness.edges, edges, edges[1:] + edges[:1])
     )
-    if not joined or not sum(map(graph.negative.__getitem__, numbers)) & 1:
+    if not joined or not sum([negative[k] for k in numbers]) & 1:
         raise GraphError(f"witness {witness} is not a negative line-graph circle")
 
 

@@ -7,10 +7,12 @@ and the document writers are the references for the seeded generators and
 the JSON writers; the edge-value line graph, structural classifier and DOT
 writer are the references for the column-built ones; the string-dict
 circle search is the reference for the one on the integer columns; condition
-ii and the negative circle read from the whole graph's depth-first search are
-the references for the ones read from the parity union-find; conditions i and
-iii and corollary 3 reading isthmi as a set of ids are the references for the
-ones reading the block labels.
+ii read from the whole graph's depth-first search is the reference for the
+one read from the parity union-find; conditions i and iii and corollary 3
+reading isthmi as a set of ids are the references for the ones reading the
+block labels.  The witnesses' circles are checked by definition, against
+networkx on the subdivided graph, and the witnesses are built from them as
+the paper builds them.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from lineconsistency.analysis import (
     ComponentReport,
     StructureReport,
     Verdict,
-    _circle_through_edge,
     _degree_sign_clause,
     _degrees,
     blocks,
@@ -289,6 +290,18 @@ def _classify_kind_by_ids(component, negative_degree):
     return "other", ()
 
 
+def _subdivided(graph):
+    """The networkx graph with each positive edge of ``graph`` subdivided once
+    and each negative edge twice; segment j of edge e ends at (e.id, j)."""
+    import networkx as nx
+
+    subdivided = nx.Graph()
+    subdivided.add_nodes_from(graph.vertices)
+    for e in graph.edges:
+        nx.add_path(subdivided, [e.u, *((e.id, j) for j in range(1 + e.sign.is_negative)), e.v])
+    return subdivided
+
+
 def _subdivided_blocks(graph):
     """(isthmi, block_of, balanced) by definition, from networkx, reading
     nothing of the library's search: each positive edge is subdivided once
@@ -299,10 +312,7 @@ def _subdivided_blocks(graph):
     subdivided graph is bipartite (Harary 1953)."""
     import networkx as nx
 
-    subdivided = nx.Graph()
-    subdivided.add_nodes_from(graph.vertices)
-    for e in graph.edges:
-        nx.add_path(subdivided, [e.u, *((e.id, j) for j in range(1 + e.sign.is_negative)), e.v])
+    subdivided = _subdivided(graph)
     bridges = set(map(frozenset, nx.bridges(subdivided)))
     component_of = {frozenset(segment): i for i, component in
                     enumerate(nx.biconnected_component_edges(subdivided))
@@ -628,24 +638,71 @@ def check_corollary_3_by_isthmi(graph):
     return not any(graph.negative)
 
 
-def find_negative_circle_by_search(graph):
-    """The fundamental circle of the first conflict of the whole graph's
-    depth-first search, canonical, or None when balanced."""
-    cycle = graph.traversal.negative_cycle()
-    if cycle is None:
-        return None
-    edges, vertices = cycle
-    return Circle(tuple(map(graph.edge_ids.__getitem__, edges)),
-                  tuple(map(graph.vertex_ids.__getitem__, vertices))).canonical()
+def _base_multigraph(graph, without=None):
+    """The networkx multigraph of ``graph``'s edges, but the edge ``without``."""
+    import networkx as nx
+
+    base = nx.MultiGraph()
+    base.add_nodes_from(graph.vertices)
+    base.add_edges_from((e.u, e.v) for e in graph.edges if e.id != without)
+    return base
 
 
-def clause_witness_by_search(graph, failed):
-    """The witness of a failed clause of condition ii, with the edges at the
-    vertex read from the incidence lists and the negative circle from
-    ``find_negative_circle_by_search``."""
+def _negative_edges_on(graph, circle):
+    """The number of negative edges on ``circle``, after asserting that it
+    runs along edges of ``graph``, read from its edge values."""
+    edges = {e.id: e for e in graph.edges}
+    ends = zip(circle.vertices, circle.vertices[1:] + circle.vertices[:1])
+    assert all({edges[eid].u, edges[eid].v} == set(pair)
+               for eid, pair in zip(circle.edges, ends)), circle
+    return sum(edges[eid].sign.is_negative for eid in circle.edges)
+
+
+def assert_negative_circle_by_definition(graph, circle):
+    """``circle`` is None exactly on a balanced graph; else it is a negative
+    circle of the graph inside the unbalanced component that holds the least
+    vertex, with at most 2 * ecc + 1 edges, where ecc is that vertex's
+    breadth-first eccentricity in its component: the most that two paths
+    down a breadth-first tree from it and one edge can make.  A component is
+    unbalanced exactly when its subdivided graph is not bipartite (Harary
+    1953); all of it is read from networkx."""
+    import networkx as nx
+
+    subdivided = _subdivided(graph)
+    if nx.is_bipartite(subdivided):
+        assert circle is None, graph
+        return
+    vertices = set(graph.vertices)
+    component = min((c & vertices for c in nx.connected_components(subdivided)
+                     if not nx.is_bipartite(subdivided.subgraph(c))), key=min)
+    assert _negative_edges_on(graph, circle) % 2 == 1, circle
+    assert set(circle.vertices) <= component, circle
+    distances = nx.single_source_shortest_path_length(_base_multigraph(graph), min(component))
+    assert len(circle) <= 2 * max(distances.values()) + 1, circle
+
+
+def assert_shortest_circle_through(graph, edge, circle):
+    """``circle`` is a circle of the graph through the edge ``edge`` with
+    1 + the networkx distance between its ends in the graph without it."""
+    import networkx as nx
+
+    e = graph.edge(edge)
+    _negative_edges_on(graph, circle)
+    assert edge in circle.edges, circle
+    rest = _base_multigraph(graph, without=edge)
+    assert len(circle) == 1 + nx.shortest_path_length(rest, e.u, e.v), circle
+
+
+def clause_witness_from(graph, failed, circle):
+    """The paper's witness of a failed clause of condition ii: the triangle
+    of edges at the vertex, read from the incidence lists, for the local
+    clauses; else ``circle``'s image, ``circle`` being a negative circle
+    for an unbalanced graph, or a circle through the failing positive edge,
+    with the spare negative edge at the vertex interposed when it is
+    positive."""
     v, clause = failed.vertex, failed.failed_clause
     if clause == UNBALANCED:
-        return circle_image(find_negative_circle_by_search(graph))
+        return circle_image(circle)
     incident = graph.incidence[graph._vertex(v)]
     positive = [graph.edge_ids[k] for k in incident if not graph.negative[k]]
     negative = [graph.edge_ids[k] for k in incident if graph.negative[k]]
@@ -653,7 +710,6 @@ def clause_witness_by_search(graph, failed):
         return line_circle(tuple(negative[:3]), (v, v, v))
     if clause == TWO_POSITIVE_EDGES:
         return line_circle((negative[0], positive[0], positive[1]), (v, v, v))
-    circle = _circle_through_edge(graph, graph._edge_number(failed.edge))
     if graph.sign_of_walk(circle).is_negative:
         return circle_image(circle)
     spare = next(eid for eid in negative if eid not in circle.edges)
@@ -662,6 +718,18 @@ def clause_witness_by_search(graph, failed):
         circle.edges[j:] + circle.edges[:j] + (spare,),
         circle.vertices[j + 1:] + circle.vertices[:j + 1] + (v,),
     )
+
+
+def spliced_graph(n, seed):
+    """``random_signed_graph(n // 2, n, 0.0, seed)`` with its first edge x-y
+    on a circle replaced by the path x-u (+), u-w (-), w-y (+): unbalanced
+    only through that path, and every local clause of condition ii holds."""
+    graph = random_signed_graph(n // 2, n, 0.0, seed)
+    isthmi = find_isthmi(graph)
+    cut = next(t for t in graph.edge_triples() if t[0] not in isthmi)
+    return new_signed_graph(graph.vertices + ("u", "w"), [
+        *((eid, a, b, "+") for eid, a, b in graph.edge_triples() if eid != cut[0]),
+        ("s1", cut[1], "u", "+"), ("s2", "u", "w", "-"), ("s3", "w", cut[2], "+")])
 
 
 def _parallel_groups(edge_triples):

@@ -3,15 +3,17 @@ import weakref
 
 import pytest
 from oracles import (
+    assert_negative_circle_by_definition,
+    assert_shortest_circle_through,
     check_condition_i_by_isthmi,
     check_condition_ii_by_search,
     check_condition_iii_by_isthmi,
     check_corollary_3_by_isthmi,
     classify_structure_by_values,
-    clause_witness_by_search,
+    clause_witness_from,
     differential_corpus,
-    find_negative_circle_by_search,
     flipped_recipe,
+    spliced_graph,
 )
 
 from lineconsistency import (
@@ -41,6 +43,7 @@ from lineconsistency import (
 )
 from lineconsistency import _traversal
 from lineconsistency.core import SignedGraph
+from lineconsistency.linegraph import verify_witness
 
 ALL_CHECKS = (check_condition_i, check_condition_ii, check_condition_iii)
 
@@ -732,11 +735,13 @@ def test_classifier_matches_the_edge_value_classifier(family):
     "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
     "negative-paths", "flipped"])
 def test_condition_ii_matches_the_search(family, monkeypatch):
-    """Condition ii and the negative circle read from the parity union-find
-    give the verdicts, named vertices and edges, witnesses and circles that
-    the whole graph's depth-first search gave; the references are kept in
-    ``oracles``.  Condition ii itself builds no search and no incidence
-    list."""
+    """Condition ii read from the parity union-find gives the verdicts and
+    named vertices and edges that the whole graph's depth-first search gave;
+    that reference is kept in ``oracles``.  The negative circle and the
+    circle through a positive edge that is not an isthmus meet their
+    definitions, checked with networkx, and the witnesses are the paper's
+    constructions on them.  Condition ii itself builds no search and no
+    incidence list."""
     searches = []
     monkeypatch.setattr(_traversal, "incidence",
                         lambda *args, built=_traversal.incidence:
@@ -750,9 +755,13 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
         assert searches == [], graph
         expected = check_condition_ii_by_search(graph)
         assert verdict == expected, graph
-        assert find_negative_circle(graph) == find_negative_circle_by_search(graph), graph
+        circle = find_negative_circle(graph)
+        assert_negative_circle_by_definition(graph, circle)
+        if verdict.failed_clause == analysis.POSITIVE_EDGE_NOT_ISTHMUS:
+            circle = analysis._circle_through_edge(graph, graph._edge_number(verdict.edge))
+            assert_shortest_circle_through(graph, verdict.edge, circle)
         if not verdict.line_consistent:
-            assert find_witness(graph, verdict) == clause_witness_by_search(graph, expected)
+            assert find_witness(graph, verdict) == clause_witness_from(graph, expected, circle)
 
 
 @pytest.mark.parametrize("family", ["random", "circles", "negative-paths", "flipped"])
@@ -772,6 +781,19 @@ def test_kept_forest_changes_no_circle_and_no_verdict(family):
             kept += 1
         assert find_negative_circle(first) == circle == find_negative_circle(second), graph
     assert kept > 0
+
+
+def test_negative_circle_is_short_on_a_large_spliced_graph():
+    """About 2 * 10^4 positive edges with one of them spliced into a path
+    through one negative edge: the negative circle keeps within twice the
+    least vertex's eccentricity plus one, where the depth-first search's
+    fundamental circle ran through thousands of edges, and the witness is a
+    negative circle of the line graph."""
+    graph = spliced_graph(20000, 3)
+    assert_negative_circle_by_definition(graph, find_negative_circle(graph))
+    verdict = check_condition_ii(graph)
+    assert verdict.failed_clause == analysis.UNBALANCED
+    verify_witness(graph, find_witness(graph, verdict))
 
 
 def test_a_checked_and_witnessed_graph_dies_by_reference_counting():

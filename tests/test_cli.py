@@ -236,18 +236,23 @@ class TestCheck:
             for a, b in zip(vertices, vertices[1:] + vertices[:1])
         )
 
-    def test_unbalanced_witness_reuses_the_traversal(self, tmp_path, monkeypatch,
-                                                     capsys):
-        from lineconsistency import _traversal
+    @pytest.fixture
+    def incidence_sizes(self, monkeypatch):
+        """The vertex count of every incidence built; building a depth-first
+        search fails."""
 
-        searched = []
+        def forbidden(graph):
+            raise AssertionError("a depth-first search was built")
 
-        class Counted(_traversal.Traversal):
-            def __init__(self, graph):
-                searched.append(graph.vertex_ids)
-                super().__init__(graph)
+        sizes = []
+        monkeypatch.setattr(_traversal, "incidence",
+                            lambda n, *columns, built=_traversal.incidence:
+                            sizes.append(n) or built(n, *columns))
+        monkeypatch.setattr(_traversal, "Traversal", forbidden)
+        return sizes
 
-        monkeypatch.setattr(_traversal, "Traversal", Counted)
+    def test_unbalanced_witness_runs_no_depth_first_search(self, tmp_path, capsys,
+                                                           incidence_sizes):
         # no local clause fails; the triangle with one negative edge is
         # unbalanced, and its image is the witness
         path = write_graph(
@@ -259,20 +264,10 @@ class TestCheck:
         assert "(clause: unbalanced)" in out
         payload = json.loads(out.split("witness ", 1)[1])
         assert sorted(payload["vertices"]) == ["e1", "e2", "e3"]
-        assert len(searched) == 1
+        assert incidence_sizes == [3]
 
-    def test_unbalanced_witness_searches_only_its_component(self, tmp_path, monkeypatch,
-                                                            capsys):
-        from lineconsistency import _traversal
-
-        searched = []
-
-        class Counted(_traversal.Traversal):
-            def __init__(self, graph):
-                searched.append(graph.vertex_ids)
-                super().__init__(graph)
-
-        monkeypatch.setattr(_traversal, "Traversal", Counted)
+    def test_unbalanced_witness_searches_only_its_component(self, tmp_path, capsys,
+                                                            incidence_sizes):
         # a balanced path of 1,000 edges, then the unbalanced triangle, whose
         # vertex and edge ids sort after the path's
         edges = [(f"q{i:04d}", f"p{i:04d}", f"p{i + 1:04d}", "-" if i % 3 else "+")
@@ -282,7 +277,7 @@ class TestCheck:
                            [f"p{i:04d}" for i in range(1001)] + ["x", "y", "z"], edges)
         assert main(["check", path, "--method", "ii", "--witness"]) == 1
         assert "(clause: unbalanced)" in capsys.readouterr().out
-        assert searched == [("x", "y", "z")]
+        assert incidence_sizes == [3]
 
     @pytest.mark.parametrize("edges, clause, witness", PADDED_CASES, ids=PADDED_IDS)
     def test_check_builds_no_edge_values(self, tmp_path, capsys, built_edge_values,

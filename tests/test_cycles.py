@@ -193,13 +193,12 @@ class TestBalance:
 
     def test_positive_circle_from_the_search_raises(self, monkeypatch):
         # a raised error, not an assert, so the check survives python -O
-        from lineconsistency._traversal import Traversal
+        from lineconsistency import analysis
 
         # the searched part is the unbalanced component, so the positive
-        # triangle x-p-q (edges 3-5 on vertices 2, 0, 1) shares x with the
-        # negative triangle x-y-z
-        monkeypatch.setattr(Traversal, "negative_cycle",
-                            lambda self: ([3, 4, 5], [2, 0, 1]))
+        # triangle x-p-q shares x with the negative triangle x-y-z
+        monkeypatch.setattr(analysis, "_odd_circle",
+                            lambda *args: Circle(("g1", "g2", "g3"), ("x", "p", "q")))
         triangles = new_signed_graph(
             "pqxyz", [("f1", "x", "y", "-"), ("f2", "y", "z", "+"), ("f3", "z", "x", "+"),
                       ("g1", "x", "p", "+"), ("g2", "p", "q", "+"), ("g3", "q", "x", "+")]
