@@ -45,7 +45,8 @@ class Forest:
     later, so are merged before it.
     ``analysis`` is the one module that keeps and reads a forest: condition
     ii keeps its own on an unbalanced graph for the witness, whose
-    breadth-first search then runs on the unbalanced component alone.
+    breadth-first search then runs over the unbalanced component's edges
+    alone, indexed in the graph's own vertex numbers.
     """
 
     def __init__(self, graph, last=()):
@@ -96,10 +97,10 @@ class Forest:
         return v
 
     def unbalanced_component(self):
-        """(vertex numbers, edge numbers), both ascending, of the unbalanced
-        component holding the least vertex, or None when balanced.  No find
-        runs per vertex: up to log2(n) + 1 passes over ``up`` label the
-        unbalanced trees, and one over ``tail`` cuts the least one's edges."""
+        """The edge numbers, ascending, of the unbalanced component holding
+        the least vertex, or None when balanced.  No find runs per vertex:
+        up to log2(n) + 1 passes over ``up`` label the unbalanced trees, and
+        one over ``tail`` cuts the least one's edges."""
         if not self.conflicts:
             return None
         roots = {self.root(self.tail[k]) for k in self.conflicts}
@@ -110,8 +111,7 @@ class Forest:
             label = grown
         if len(roots) > 1:  # the tree of the least labelled vertex alone
             label = list(map(next(filter(None, label)).__eq__, label))
-        return (list(compress(range(len(label)), label)),
-                list(compress(range(len(self.tail)), map(label.__getitem__, self.tail))))
+        return list(compress(range(len(self.tail)), map(label.__getitem__, self.tail)))
 
 
 def incidence(n: int, tail, ends) -> list:

@@ -16,15 +16,16 @@ whether its tested edges are isthmi and which one is not, from one parity
 union-find (``_traversal.Forest``) and runs no search.  It lives here with the
 forest it keeps on an unbalanced graph and the witnesses, derived from its
 failing clause in linear time and built and checked as line-graph circles by
-``linegraph``.  Both graph-wide witnesses, a negative circle of the
-unbalanced component that forest cuts out and a shortest circle through a
-positive edge that is not an isthmus, come from one breadth-first search
-(``_odd_circle``) that stops at the first edge contradicting its parities.
+``linegraph``.  Both graph-wide witnesses come from one breadth-first search
+(``_odd_circle``) stopping at the first edge that contradicts its parities: a
+negative circle, searched in place over the unbalanced component's edges that
+forest cuts out, and a shortest circle through a positive non-isthmus edge.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import xor
@@ -255,35 +256,38 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
     The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
-    kept on an unbalanced graph, else a new one, finds the unbalanced
-    component with the least vertex in C-level passes, and only that
-    component is searched, as a graph of its own: a breadth-first search
-    from its least vertex (``_odd_circle``) stops at the first edge whose
-    sign contradicts the switching parities, whose circle has at most twice
-    that vertex's eccentricity plus one edges.  Its sign is checked on the
-    graph's columns.
+    kept on an unbalanced graph, else a new one, cuts out the edges of the
+    unbalanced component with the least vertex in C-level passes.  They
+    alone are indexed by the graph's vertex numbers, each vertex's edges
+    ascending, and searched in place, with no subgraph built: a breadth-first
+    search from that least vertex (``_odd_circle``) stops at the first edge
+    whose sign contradicts the switching parities, whose circle has at most
+    twice that vertex's eccentricity plus one edges.  Its sign is checked.
     """
-    component = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
-    if component is None:
+    edges = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
+    if edges is None:
         return None
-    part = graph._part(*component)
-    circle = _odd_circle(part, 0, part.negative.__getitem__)
+    tail, ends, edges_at = graph.tail, graph.ends, defaultdict(list)
+    for k in edges:
+        a = tail[k]
+        edges_at[a].append(k)
+        edges_at[a ^ ends[k]].append(k)
+    circle = _odd_circle(graph, min(edges_at), graph.negative.__getitem__, edges_at)
     if graph.sign_of_walk(circle).is_positive:
         raise GraphError(f"the search's circle {circle} is not negative")
     return circle
 
 
-def _odd_circle(graph: SignedGraph, root: int, odd, skip: int = -1) -> Optional[Circle]:
+def _odd_circle(graph: SignedGraph, root: int, odd, incidence, skip=-1) -> Optional[Circle]:
     """The circle closed by the first edge whose oddness, ``odd(k)``,
     contradicts the switching parities of a breadth-first tree grown from
-    vertex ``root`` (Harary 1953), or None when no edge of root's component
-    does; edge ``skip`` never enters the tree.  The circle is that edge and
-    the tree paths from its ends up to where they meet, each at most root's
-    eccentricity long.  Only the vertices reached are kept, so the search
-    costs what it visits."""
-    ends, incidence = graph.ends, graph.incidence
+    vertex ``root`` (Harary 1953) along ``incidence[v]`` at each vertex v,
+    or None when no edge of root's component does; edge ``skip`` never
+    enters the tree.  The circle is that edge and the tree paths from its
+    ends up to where they meet, each at most root's eccentricity long.  Only
+    the vertices reached are kept, so the search costs what it visits."""
     up = {root: -2}  # vertex -> 2 * the edge entering it + its parity, -2 at the root
-    queue = [root]
+    ends, queue = graph.ends, [root]
     for v in queue:  # queue grows as the search reaches vertices
         for k in incidence[v]:
             w = ends[k] ^ v
@@ -516,7 +520,7 @@ def _circle_through_edge(graph: SignedGraph, k: int) -> Optional[Circle]:
     the breadth-first search from its tail with ``k`` alone odd and kept out
     of the tree meets ``k`` first from its other end, reached along a
     shortest path that avoids it."""
-    return _odd_circle(graph, graph.tail[k], k.__eq__, k)
+    return _odd_circle(graph, graph.tail[k], k.__eq__, graph.incidence, k)
 
 
 def _clause_witness(graph: SignedGraph, failed: Verdict) -> Circle:
@@ -558,9 +562,9 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     vertex form a triangle (O(deg)); a shortest circle C through a
     non-isthmus positive edge gives C's image if C is negative, else that
     image with the spare negative edge interposed at the vertex (O(m)); an
-    unbalanced graph gives the image of a negative circle, searched for in
-    the component cut in C-level passes from the union-find condition ii
-    kept.  Both circles come from one breadth-first search (``_odd_circle``),
+    unbalanced graph gives the image of a negative circle, searched in place
+    over the edges that the union-find condition ii kept cuts out in C-level
+    passes.  Both circles come from one breadth-first search (``_odd_circle``),
     C's with the edge alone odd and kept out of the tree.  Verdicts of other
     methods are re-derived with condition ii, which agrees with them.  No
     edge value is built: the witness is read from the graph's columns and

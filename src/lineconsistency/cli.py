@@ -86,8 +86,7 @@ def _run_method(graph: SignedGraph, method: str) -> analysis.Verdict:
 
 def _witness_json(witness) -> str:
     return json.dumps(
-        {"edges": list(witness.edges), "vertices": list(witness.vertices)},
-        sort_keys=True,
+        {"edges": list(witness.edges), "vertices": list(witness.vertices)}, sort_keys=True
     )
 
 
@@ -99,6 +98,7 @@ def cmd_check(args) -> int:
     witness = None  # built only for a failed verdict that carries none of its own
     if args.witness and answers == {False} and None in [v.witness for v in verdicts.values()]:
         witness = analysis.find_witness(graph, verdicts.get("ii", verdicts[methods[0]]))
+    shown_json = functools.cache(_witness_json)  # each distinct circle formatted once
     for method, verdict in verdicts.items():
         if verdict.line_consistent:
             print(f"{method}: line consistent")
@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
             print(f"{method}: NOT line consistent (clause: {verdict.failed_clause})")
             shown = verdict.witness or witness  # the oracle keeps its own circle
             if args.witness and shown:
-                print(f"{method}: witness {_witness_json(shown)}")
+                print(f"{method}: witness {shown_json(shown)}")
     if len(answers) > 1:
         detail = {m: v.line_consistent for m, v in sorted(verdicts.items())}
         print(f"internal error: methods disagree: {detail}", file=sys.stderr)

@@ -337,29 +337,22 @@ class SignedGraph(_Multigraph):
     def negative_edges(self) -> tuple:
         return tuple(compress(self.edges, self.negative))
 
-    def _part(self, vertices, edges) -> "SignedGraph":
-        """The subgraph on the vertex numbers ``vertices`` and the edge
-        numbers ``edges``, both ascending, cut from the columns; every edge
-        must join two of the vertices."""
+    def _part(self, edges) -> "SignedGraph":
+        """The spanning subgraph keeping the edge numbers ``edges``,
+        ascending, cut from the columns."""
         tail, ends, negative = self.tail, self.ends, self.negative
-        a, b = [tail[k] for k in edges], [tail[k] ^ ends[k] for k in edges]
-        if len(vertices) < len(self.vertex_ids):  # number the part's vertices
-            number = dict(zip(vertices, range(len(vertices))))
-            a, b = list(map(number.__getitem__, a)), list(map(number.__getitem__, b))
         return SignedGraph._from_columns(
-            tuple(map(self.vertex_ids.__getitem__, vertices)),
-            list(map(self.edge_ids.__getitem__, edges)), a, b,
+            self.vertex_ids, list(map(self.edge_ids.__getitem__, edges)),
+            [tail[k] for k in edges], [tail[k] ^ ends[k] for k in edges],
             bytes([negative[k] for k in edges]), numbered=True)
 
     def negative_subgraph(self) -> "SignedGraph":
         """Spanning subgraph keeping exactly the negative edges."""
-        return self._part(range(len(self.vertex_ids)),
-                          list(compress(range(len(self.tail)), self.negative)))
+        return self._part(list(compress(range(len(self.tail)), self.negative)))
 
     def without_edges(self, edge_ids: Iterable[str]) -> "SignedGraph":
         drop = set(map(self._edge_number, edge_ids))
-        return self._part(range(len(self.vertex_ids)),
-                          [k for k in range(len(self.tail)) if k not in drop])
+        return self._part([k for k in range(len(self.tail)) if k not in drop])
 
     @property
     def is_simple(self) -> bool:

@@ -116,9 +116,9 @@ def _text_pieces(text: str):
 
 def _file_pieces(path: str):
     """``_text_pieces`` of a regular file larger than one chunk: its end read
-    in growing windows to the last ``_VERTICES``, then ``_CHUNK``-byte blocks
-    cut at their last ``_BETWEEN``, so that each piece decodes alone as
-    strict UTF-8.  ValueError also for a ``\\r`` (text mode's newlines)."""
+    back, each byte once, in doubling windows to the last ``_VERTICES``, then
+    ``_CHUNK``-byte blocks cut at their last ``_BETWEEN``, so that each piece
+    decodes alone as strict UTF-8.  ValueError also for a ``\\r`` (text mode's newlines)."""
     status = os.stat(path)
     if not (S_ISREG(status.st_mode) and status.st_size > _CHUNK):
         raise ValueError
@@ -126,12 +126,14 @@ def _file_pieces(path: str):
         if handle.read(len(_HEAD)) != _HEAD.encode():
             raise ValueError
         end, size, window, between = -1, status.st_size, _CHUNK, _BETWEEN.encode()
-        while end < 0 and window < 2 * size:  # the last window missed the start
-            offset = max(size - window, 0)
-            handle.seek(offset)
-            tail = handle.read(size - offset)
-            end, window = tail.rfind(_VERTICES.encode()), 2 * window
-        if end < 0 or not tail.endswith(_TAIL.encode()) or b"\r" in tail:
+        offset, tail, marker = size, b"", _VERTICES.encode()
+        while end < 0 < offset:  # each window reads only the bytes before the last
+            start, window = max(size - window, 0), 2 * window
+            handle.seek(start)
+            tail = handle.read(offset - start) + tail  # then a marker starting in them
+            end, offset = tail.rfind(marker, 0, offset - start + len(marker) - 1), start
+        if end < 0 or len(tail) != size - offset or b"\r" in tail \
+                or not tail.endswith(_TAIL.encode()):  # len: the file shrank
             raise ValueError
         yield tail[end + len(_VERTICES) - 1:1 - len(_TAIL)].decode()
         del tail

@@ -6,11 +6,13 @@ from collections import Counter
 from io import StringIO
 
 import pytest
-from oracles import check_condition_ii_by_search, differential_corpus
+from oracles import check_condition_ii_by_search, differential_corpus, spliced_graph
+from test_read_chunks import FAMILIES
 
 from lineconsistency import (
     CircleLimitError,
     GraphError,
+    SignedGraph,
     check_condition_i,
     check_condition_ii,
     check_condition_iii,
@@ -26,6 +28,7 @@ from lineconsistency import (
     write_signed_graph,
 )
 from lineconsistency import _traversal, analysis
+from lineconsistency._traversal import Forest
 from lineconsistency import cli as cli_module
 from lineconsistency.analysis import UNBALANCED, _local_clauses
 from lineconsistency.cli import main
@@ -159,6 +162,25 @@ class TestCheck:
         assert main(["check", neg_star, "--witness"]) == 1
         assert len(calls) == 1
 
+    def test_each_witness_is_formatted_once(self, monkeypatch, capsys):
+        """Every failed method prints a witness, but at most two distinct
+        circles are shown, the oracle's own and the one the other methods
+        share, and each is formatted once."""
+        formatted = []
+        monkeypatch.setattr(cli_module, "_witness_json",
+                            lambda circle, built=cli_module._witness_json:
+                            formatted.append(circle) or built(circle))
+        distinct = Counter()
+        for graph in differential_corpus("crossval"):
+            formatted.clear()
+            monkeypatch.setattr(sys, "stdin", StringIO(write_signed_graph(graph)))
+            main(["check", "--witness", "-"])
+            shown = {line.split(" witness ")[1]
+                     for line in capsys.readouterr().out.splitlines() if " witness " in line}
+            assert len(formatted) == len(shown) <= 2, graph
+            distinct[len(shown)] += 1
+        assert distinct[1] and distinct[2], distinct
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/g.json"]) == 2
 
@@ -238,16 +260,17 @@ class TestCheck:
 
     @pytest.fixture
     def incidence_sizes(self, monkeypatch):
-        """The vertex count of every incidence built; building a depth-first
-        search fails."""
+        """The vertex count of every index the breadth-first search is
+        handed; building an incidence or a depth-first search fails."""
 
-        def forbidden(graph):
-            raise AssertionError("a depth-first search was built")
+        def forbidden(*args):
+            raise AssertionError("an incidence or a depth-first search was built")
 
         sizes = []
-        monkeypatch.setattr(_traversal, "incidence",
-                            lambda n, *columns, built=_traversal.incidence:
-                            sizes.append(n) or built(n, *columns))
+        monkeypatch.setattr(analysis, "_odd_circle",
+                            lambda graph, root, odd, index, *rest, search=analysis._odd_circle:
+                            sizes.append(len(index)) or search(graph, root, odd, index, *rest))
+        monkeypatch.setattr(_traversal, "incidence", forbidden)
         monkeypatch.setattr(_traversal, "Traversal", forbidden)
         return sizes
 
@@ -621,6 +644,29 @@ def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
         kinds[forests, verdict.failed_clause] += 1
     if family != "tested-edges":  # there every graph tests an edge, none is unbalanced
         assert kinds[1, UNBALANCED] and any(f == 0 for f, _ in kinds), kinds
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("spliced",))
+def test_witness_check_builds_one_graph_per_input(family, monkeypatch, capsys, tmp_path):
+    """check --method ii --witness builds one graph, the one it reads, on
+    every unbalanced input: the negative circle is searched in place, not
+    in a copy of its component.  The graphs are counted at the one method
+    every construction runs through."""
+    built, construct = [], SignedGraph.__post_init__
+    monkeypatch.setattr(SignedGraph, "__post_init__",
+                        lambda graph, *columns: built.append(graph) or construct(graph, *columns))
+    graphs = [spliced_graph(20000, 3)] if family == "spliced" else differential_corpus(family)
+    path, unbalanced = tmp_path / "graph.json", 0
+    for graph in graphs:
+        if Forest(graph).balanced:
+            continue
+        path.write_text(write_signed_graph(graph))
+        built.clear()
+        main(["check", str(path), "--method", "ii", "--witness"])
+        unbalanced += f"(clause: {UNBALANCED})" in capsys.readouterr().out
+        assert len(built) == 1, graph
+    # recipe graphs are line consistent, and no tested-edges graph fails on balance
+    assert unbalanced or family in ("recipes", "tested-edges")
 
 
 # The SHA-256 of every verdict, report and check output over the golden

@@ -127,6 +127,32 @@ def test_a_vertex_array_longer_than_the_edges_streams(monkeypatch, capsys, tmp_p
     assert streamed
 
 
+def test_the_vertex_array_is_read_once(monkeypatch, capsys, tmp_path, streamed):
+    """The file's end is read back in doubling windows, each byte once, so a
+    vertex array over several windows costs the file's bytes, plus what the
+    last window holds before the array and the one byte the edges' first
+    block reads again: not every window's bytes anew."""
+    reads = []
+
+    class Counted(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(reader, "open", lambda path, mode: Counted(path), raising=False)
+    monkeypatch.setattr(reader, "_CHUNK", 64)
+    data = write_signed_graph(new_signed_graph(map(str, range(300)), [
+        (f"e{i}", str(i), str(i + 1), "-" if i % 2 else "+") for i in range(60)])).encode()
+    tail, window = len(data) - data.rindex(reader._VERTICES.encode()), 64
+    while window < tail:
+        window *= 2
+    assert 8 * 64 <= window <= len(data)  # several windows, none past the start
+    _same_as_stdin(monkeypatch, capsys, tmp_path / "graph.json", data)
+    assert streamed
+    assert sum(reads) == len(data) + window - tail + 1
+
+
 def test_a_file_of_one_chunk_is_read_whole(monkeypatch, capsys, tmp_path, streamed):
     path = tmp_path / "graph.json"
     for chunk, streams in ((len(_DATA), False), (len(_DATA) - 1, True)):
