@@ -6,16 +6,20 @@ must agree with the definitional oracle (``cycles.is_consistent_oracle`` on
 the line graph); the test suite enforces that agreement exhaustively.  The
 second condition is the production checker; the others are cross-validation
 routes.  Every route counts degrees and negative degrees once, in one pass
-over the columns (``_degrees``, not cached).  The cross-validation routes read
-block labels, components and balance, in vertex and edge numbers, from one
-iterative depth-first search per graph (``SignedGraph.traversal``, linear and
-cached).  An isthmus is an edge alone in its block, and these routes test it
-on the labels, ``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact
-as a set of ids, for callers outside them.  Condition ii reads balance,
-whether its tested edges are isthmi and which one is not, from one parity
-union-find (``_traversal.Forest``) and runs no search.  It lives here with the
-forest it keeps on an unbalanced graph and the witnesses, derived from its
-failing clause in linear time and built and checked as line-graph circles by
+over the columns (``_degrees``, not cached).  One local pass over those counts
+(``_local_clauses``) serves four routes, conditions i, ii and iii and the
+simple-graph criterion: it stops at the same vertex and tests the same
+positive edges for each, and each names the failed clause in its own words.
+The cross-validation routes read block labels, components and balance, in
+vertex and edge numbers, from one iterative depth-first search per graph
+(``SignedGraph.traversal``, linear and cached).  An isthmus is an edge alone
+in its block, and these routes test it on the labels,
+``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact as a set of ids,
+for callers outside them.  Condition ii reads balance, whether its tested
+edges are isthmi and which one is not, from one parity union-find
+(``_traversal.Forest``) and runs no search.  It lives here with the forest it
+keeps on an unbalanced graph and the witnesses, derived from its failing
+clause in linear time and built and checked as line-graph circles by
 ``linegraph``.  Both graph-wide witnesses come from one breadth-first search
 (``_odd_circle``) stopping at the first edge that contradicts its parities: a
 negative circle, searched in place over the unbalanced component's edges that
@@ -169,56 +173,52 @@ def _degrees(graph: SignedGraph) -> tuple:
     return degree, negative_degree, positive_at
 
 
-def _degree_sign_clause(graph: SignedGraph, degrees: tuple, degree3_clause: str) -> tuple:
-    """The local clause of conditions i and iii and the simple-graph
-    criterion (degree > 3 totally positive; degree 3 totally positive or
-    exactly one positive edge, else ``degree3_clause`` fails), read in vertex
-    order from ``degrees`` (``_degrees(graph)``) up to the first failure:
-    (mixed, failed).  ``mixed`` maps each degree-3 vertex with one positive
-    edge before it to that edge; a route testing them first keeps the first
-    failure in vertex order."""
+def _local_clauses(graph: SignedGraph, degrees: tuple, clause) -> tuple:
+    """The local clause every route opens with, read in vertex order over the
+    vertices with a negative edge, from ``degrees`` (``_degrees(graph)``), up
+    to the first that fails: (tested, failed).  A vertex passes at degree at
+    most 2, or at degree 3 with two negative edges, whose positive edge it
+    tests.  ``tested`` maps each tested edge to the first vertex testing it,
+    once even when both ends test it; ``failed`` is the failed verdict, its
+    clause named by the route's ``clause(degree, negative degree)``, or None.
+    Two vertices testing one edge k fail or pass together in every route,
+    so the first names them both: k is an isthmus or not, and a circle
+    through one missing its negative pair runs along k, so it runs through
+    the other and misses that one's pair too."""
     degree, negative_degree, positive_at = degrees
-    mixed = {}
+    tested = {}
     for i in compress(range(len(degree)), negative_degree):
         if degree[i] == 3 and negative_degree[i] == 2:
-            mixed[i] = positive_at[i]
-        elif degree[i] >= 3:
-            clause = degree3_clause if degree[i] == 3 else "degree>3 not totally positive"
-            return mixed, Verdict(False, clause, vertex=graph.vertices[i])
-    return mixed, None
+            tested.setdefault(positive_at[i], i)
+        elif degree[i] > 2:
+            return tested, Verdict(False, clause(degree[i], negative_degree[i]),
+                                   vertex=graph.vertices[i])
+    return tested, None
+
+
+def _condition_ii_clause(degree: int, negatives: int) -> str:
+    return NEGATIVE_DEGREE_ABOVE_2 if negatives > 2 else TWO_POSITIVE_EDGES
+
+
+def _sign_clause(degree: int, negatives: int) -> str:  # conditions i and iii
+    return "degree-3 vertex signs invalid" if degree == 3 else "degree>3 not totally positive"
+
+
+def _theorem1_clause(degree: int, negatives: int) -> str:
+    return ("degree-3 vertex without exactly two negative edges" if degree == 3
+            else _sign_clause(degree, negatives))
 
 
 def check_condition_i(graph: SignedGraph) -> Verdict:
     """Balanced; degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, which is an isthmus."""
-    mixed, failed = _degree_sign_clause(graph, _degrees(graph), "degree-3 vertex signs invalid")
+    tested, failed = _local_clauses(graph, _degrees(graph), _sign_clause)
     label, sizes = graph.traversal.block_labels
-    for i, k in mixed.items():
+    for k, i in tested.items():
         if sizes[label[k]] > 1:
             return Verdict(False, "degree-3 positive edge not an isthmus",
                            vertex=graph.vertices[i], edge=graph.edge_ids[k])
     return failed or _balance_verdict(graph)
-
-
-def _local_clauses(graph: SignedGraph) -> tuple:
-    """The local clauses of condition ii, read in vertex order over the
-    vertices with a negative edge, up to the first that fails: (tested,
-    failed).  ``tested`` maps each positive edge met at a vertex with two
-    negative edges and one positive edge to the first such vertex, once
-    even when both ends test it; ``failed`` is the failed verdict, or None.
-    The counts come from ``_degrees`` and are freed on return."""
-    degree, negative_degree, positive_at = _degrees(graph)
-    tested = {}
-    for i in compress(range(len(degree)), negative_degree):
-        negatives = negative_degree[i]
-        others = degree[i] - negatives
-        if negatives > 2:
-            return tested, Verdict(False, NEGATIVE_DEGREE_ABOVE_2, vertex=graph.vertices[i])
-        if others > 1:
-            return tested, Verdict(False, TWO_POSITIVE_EDGES, vertex=graph.vertices[i])
-        if negatives == 2 and others == 1:
-            tested.setdefault(positive_at[i], i)
-    return tested, None
 
 
 def check_condition_ii(graph: SignedGraph) -> Verdict:
@@ -226,14 +226,17 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The local clauses are read from the columns (``_local_clauses``).  The
-    positive edges they test are merged last, in reverse vertex order, into
-    one parity union-find (``_traversal.Forest``): when none closes a circle,
-    all are isthmi and its balance answers the last clause; else the last to
-    close one is the first in vertex order that is not an isthmus.  A local
-    clause failing before any edge is tested needs no forest.  An unbalanced
-    graph keeps it, as ``traversal`` is kept, for ``find_negative_circle``."""
-    tested, failed = _local_clauses(graph)
+    The local clauses are read from the columns by the one local pass that
+    also serves conditions i and iii and the simple-graph criterion
+    (``_local_clauses``); its degree counts are freed before the forest is
+    built.  The positive edges they test are merged last, in reverse vertex
+    order, into one parity union-find (``_traversal.Forest``): when none
+    closes a circle, all are isthmi and its balance answers the last clause;
+    else the last to close one is the first in vertex order that is not an
+    isthmus.  A local clause failing before any edge is tested needs no
+    forest.  An unbalanced graph keeps it, as ``traversal`` is kept, for
+    ``find_negative_circle``."""
+    tested, failed = _local_clauses(graph, _degrees(graph), _condition_ii_clause)
     if failed and not tested:
         return failed
     forest = Forest(graph, list(reversed(tested)))
@@ -317,29 +320,22 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
     leaves balance as it is, and each degree drops by the positive isthmi
     at the vertex."""
     degrees = _degrees(graph)
-    _, failed = _degree_sign_clause(graph, degrees, "degree-3 vertex signs invalid")
+    _, failed = _local_clauses(graph, degrees, _sign_clause)
     if failed:
         return failed
     label, sizes = graph.traversal.block_labels
     if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    degree = degrees[0]
-    edges = list(zip(graph.tail, graph.ends, graph.negative))
-    for (a, e, negative), b in zip(edges, label):
-        if not negative and sizes[b] == 1:
+    degree, tail, ends, negative = degrees[0], graph.tail, graph.ends, graph.negative
+    for a, e, odd, b in zip(tail, ends, negative, label):
+        if not odd and sizes[b] == 1:
             degree[a] -= 1
             degree[a ^ e] -= 1
-    for a, e, negative in edges:
-        if not negative:
-            continue
+    for a, e in compress(zip(tail, ends), negative):
         for x in (a, a ^ e):
             if degree[x] > 2:
-                return Verdict(
-                    False,
-                    "negative-edge endpoint degree exceeds 2 "
-                    "after deleting positive isthmi",
-                    vertex=graph.vertices[x],
-                )
+                return Verdict(False, "negative-edge endpoint degree exceeds 2 after "
+                               "deleting positive isthmi", vertex=graph.vertices[x])
     return Verdict(True)
 
 
@@ -347,13 +343,13 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
     """The simple-graph criterion: balanced; degree > 3 totally positive;
     degree 3 totally positive or two negative edges lying on every circle
     through the vertex (checked against the circles through that vertex
-    alone, enumerated only once such a vertex is reached)."""
+    alone, enumerated only once such a vertex is reached, and at one vertex
+    per tested positive edge, the first testing it)."""
     if not graph.is_simple:
         raise GraphError("requires a simple graph")
-    mixed, failed = _degree_sign_clause(
-        graph, _degrees(graph), "degree-3 vertex without exactly two negative edges")
+    tested, failed = _local_clauses(graph, _degrees(graph), _theorem1_clause)
     off_circle = "degree-3 negative pair not on all circles through the vertex"
-    for i in mixed:
+    for i in tested.values():
         v = graph.vertices[i]
         pair = {graph.edge_ids[k] for k in graph.incidence[i] if graph.negative[k]}
         circles = circles_through(graph, (v,), DEFAULT_CIRCLE_CAP)

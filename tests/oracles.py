@@ -9,10 +9,11 @@ writer are the references for the column-built ones; the string-dict
 circle search is the reference for the one on the integer columns; condition
 ii read from the whole graph's depth-first search is the reference for the
 one read from the parity union-find; conditions i and iii and corollary 3
-reading isthmi as a set of ids are the references for the ones reading the
-block labels.  The witnesses' circles are checked by definition, against
-networkx on the subdivided graph, and the witnesses are built from them as
-the paper builds them.
+reading isthmi as a set of ids, with degrees, negative degrees and the local
+clause counted from the edge values, are the references for the ones reading
+the block labels and the shared local pass.  The witnesses' circles are
+checked by definition, against networkx on the subdivided graph, and the
+witnesses are built from them as the paper builds them.
 """
 
 import itertools
@@ -28,8 +29,6 @@ from lineconsistency.analysis import (
     ComponentReport,
     StructureReport,
     Verdict,
-    _degree_sign_clause,
-    _degrees,
     blocks,
     find_isthmi,
     is_balanced_fast,
@@ -533,9 +532,9 @@ def flipped_recipe(seed):
         negative_circles=(4, 6, 8), closing_paths=(2, 4), induced_paths=(2, 4),
         isthmus_paths=(1, 3), pendant_positives=4, scaffold_tree=8), seed)
     negative = graph.negative_subgraph()
-    degree = _degrees(negative)[0]
+    degree = Counter(x for e in negative.edges for x in (e.u, e.v))
     circle = next(run for run in negative.traversal.components
-                  if len(run) > 2 and all(degree[v] == 2 for v in run))
+                  if len(run) > 2 and all(degree[negative.vertices[v]] == 2 for v in run))
     flip = next(k for k, a in enumerate(graph.tail) if graph.negative[k] and a in circle)
     return new_signed_graph(graph.vertices, [
         (e.id, e.u, e.v, "+" if k == flip else e.sign.value) for k, e in enumerate(graph.edges)])
@@ -598,42 +597,65 @@ def check_condition_ii_by_search(graph):
     return Verdict(True) if graph.traversal.balanced else Verdict(False, UNBALANCED)
 
 
+def _degree_sign_clause_by_edges(graph):
+    """The local clause of conditions i and iii, counted from the edge
+    values at every vertex in vertex order up to the first that fails:
+    (degree, mixed, failed).  ``degree`` counts each vertex's edges by id,
+    and ``mixed`` maps each vertex of degree 3 with two negative edges
+    before the failure to the id of its positive edge."""
+    degree, negatives, positive = Counter(), Counter(), {}
+    for e in graph.edges:
+        for x in (e.u, e.v):
+            degree[x] += 1
+            if e.sign.is_negative:
+                negatives[x] += 1
+            else:
+                positive[x] = e.id
+    mixed = {}
+    for v in graph.vertices:
+        if not negatives[v] or degree[v] < 3:
+            continue
+        if degree[v] == 3 and negatives[v] == 2:
+            mixed[v] = positive[v]
+        else:
+            clause = ("degree-3 vertex signs invalid" if degree[v] == 3
+                      else "degree>3 not totally positive")
+            return degree, mixed, Verdict(False, clause, vertex=v)
+    return degree, mixed, None
+
+
 def check_condition_i_by_isthmi(graph):
-    mixed, failed = _degree_sign_clause(graph, _degrees(graph), "degree-3 vertex signs invalid")
+    _, mixed, failed = _degree_sign_clause_by_edges(graph)
     isthmi = find_isthmi(graph)
-    for i, k in mixed.items():
-        if graph.edge_ids[k] not in isthmi:
-            return Verdict(False, "degree-3 positive edge not an isthmus",
-                           vertex=graph.vertices[i], edge=graph.edge_ids[k])
+    for v, eid in mixed.items():
+        if eid not in isthmi:
+            return Verdict(False, "degree-3 positive edge not an isthmus", vertex=v, edge=eid)
     return failed or (Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED))
 
 
 def check_condition_iii_by_isthmi(graph):
-    degrees = _degrees(graph)
-    _, failed = _degree_sign_clause(graph, degrees, "degree-3 vertex signs invalid")
+    degree, _, failed = _degree_sign_clause_by_edges(graph)
     if failed:
         return failed
     isthmi = find_isthmi(graph)
     if not is_balanced_fast(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    degree = degrees[0]
-    edges = list(zip(graph.edge_ids, graph.tail, graph.ends, graph.negative))
-    for eid, a, e, negative in edges:
-        if not negative and eid in isthmi:
-            degree[a] -= 1
-            degree[a ^ e] -= 1
-    for eid, a, e, negative in edges:
-        for x in (a, a ^ e) if negative else ():
+    for e in graph.edges:
+        if e.sign.is_positive and e.id in isthmi:
+            degree[e.u] -= 1
+            degree[e.v] -= 1
+    for e in graph.edges:
+        for x in (e.u, e.v) if e.sign.is_negative else ():
             if degree[x] > 2:
                 return Verdict(False, "negative-edge endpoint degree exceeds 2 "
-                               "after deleting positive isthmi", vertex=graph.vertices[x])
+                               "after deleting positive isthmi", vertex=x)
     return Verdict(True)
 
 
 def check_corollary_3_by_isthmi(graph):
     if len(graph.vertices) < 4 or len(graph.traversal.components) != 1:
         return None
-    if find_isthmi(graph) or 2 in _degrees(graph)[0]:
+    if find_isthmi(graph) or 2 in Counter(x for e in graph.edges for x in (e.u, e.v)).values():
         return None
     return not any(graph.negative)
 

@@ -419,6 +419,64 @@ class TestTheorem1:
                     == check_condition_ii(g).line_consistent), g
 
 
+def shared_positive_edge(on_circle):
+    """Degree-3 vertices u < v, each with two negative edges, joined by the
+    positive edge k, which the positive edge ac puts on a circle with one
+    negative edge at each of them, or which is an isthmus."""
+    edges = [("k", "u", "v", "+"), ("n1", "u", "a", "-"), ("n2", "u", "b", "-"),
+             ("n3", "v", "c", "-"), ("n4", "v", "d", "-")]
+    if on_circle:
+        edges.append(("ac", "a", "c", "+"))
+    return sg("abcduv", *edges)
+
+
+class TestLocalPass:
+    """One pass decides the local clause of conditions i, ii and iii and the
+    simple-graph criterion; each route names the failed clause itself."""
+
+    def test_the_lesser_vertex_on_a_shared_positive_edge_is_named(self):
+        graph = shared_positive_edge(on_circle=True)
+        assert check_condition_i(graph) == Verdict(
+            False, "degree-3 positive edge not an isthmus", vertex="u", edge="k")
+        assert check_condition_ii(graph) == Verdict(
+            False, analysis.POSITIVE_EDGE_NOT_ISTHMUS, vertex="u", edge="k")
+        assert check_theorem1_simple(graph) == Verdict(
+            False, "degree-3 negative pair not on all circles through the vertex",
+            vertex="u")
+        assert not check_condition_iii(graph).line_consistent
+        assert not is_consistent_oracle(line_graph(graph)).consistent
+
+    def test_a_shared_isthmus_is_enumerated_at_one_vertex(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "circles_through",
+                            lambda graph, *args, found=analysis.circles_through:
+                            calls.append(args) or found(graph, *args))
+        graph = shared_positive_edge(on_circle=False)
+        assert check_theorem1_simple(graph) == Verdict(True)
+        assert [vertices for vertices, _ in calls] == [("u",)]
+        assert all(check(graph) == Verdict(True) for check in ALL_CHECKS)
+
+    @pytest.mark.parametrize("graph, clauses", [
+        # degree 3, three negative edges
+        (star("---"), ("degree-3 vertex signs invalid", analysis.NEGATIVE_DEGREE_ABOVE_2,
+                       "degree-3 vertex without exactly two negative edges")),
+        # degree 3, one negative edge
+        (star("-++"), ("degree-3 vertex signs invalid", analysis.TWO_POSITIVE_EDGES,
+                       "degree-3 vertex without exactly two negative edges")),
+        # degree 4, three negative edges
+        (star("---+"), ("degree>3 not totally positive", analysis.NEGATIVE_DEGREE_ABOVE_2,
+                        "degree>3 not totally positive")),
+        # degree 4, two negative edges
+        (star("--++"), ("degree>3 not totally positive", analysis.TWO_POSITIVE_EDGES,
+                        "degree>3 not totally positive")),
+    ], ids=["3-negative", "1-negative", "degree-4-3-negative", "degree-4-2-negative"])
+    def test_each_route_names_the_failed_vertex_in_its_own_words(self, graph, clauses):
+        routes = (check_condition_i, check_condition_ii, check_theorem1_simple)
+        assert [route(graph) for route in routes] == [
+            Verdict(False, clause, vertex="c") for clause in clauses]
+        assert check_condition_iii(graph) == check_condition_i(graph)
+
+
 class TestCorollary3:
     def test_k4_all_positive(self):
         import itertools

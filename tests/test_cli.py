@@ -30,7 +30,8 @@ from lineconsistency import (
 from lineconsistency import _traversal, analysis
 from lineconsistency._traversal import Forest
 from lineconsistency import cli as cli_module
-from lineconsistency.analysis import UNBALANCED, _local_clauses
+from lineconsistency.analysis import (
+    UNBALANCED, _condition_ii_clause, _degrees, _local_clauses)
 from lineconsistency.cli import main
 
 
@@ -638,7 +639,7 @@ def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
         capsys.readouterr()
         forests = len(built)
         verdict = check_condition_ii_by_search(graph)
-        tested, failed = _local_clauses(graph)
+        tested, failed = _local_clauses(graph, _degrees(graph), _condition_ii_clause)
         assert code == int(not verdict.line_consistent), graph
         assert forests == (0 if failed and not tested else 1), graph
         kinds[forests, verdict.failed_clause] += 1

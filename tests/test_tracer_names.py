@@ -215,3 +215,19 @@ def test_the_witness_search_lives_beside_condition_ii():
     holders = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if "_forest" in path.read_text()]
     assert holders == ["analysis.py"]
+
+
+def test_the_test_references_import_no_private_name():
+    """tests/oracles.py builds its references from definitions and public
+    names, so a fault in a private helper cannot move a route and its
+    reference together."""
+    imported = []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracles.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lineconsistency"):
+            imported += [node.module] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names
+                         if alias.name.startswith("lineconsistency")]
+    assert {"lineconsistency.analysis", "Verdict"} <= set(imported)  # the guard sees them
+    assert not [name for name in imported if any(
+        part.startswith("_") for part in name.split("."))]

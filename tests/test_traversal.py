@@ -28,7 +28,7 @@ from lineconsistency import (
     random_signed_graph,
 )
 from lineconsistency._traversal import Forest
-from lineconsistency.analysis import _local_clauses
+from lineconsistency.analysis import _condition_ii_clause, _degrees, _local_clauses
 
 nx = pytest.importorskip("networkx")
 
@@ -259,7 +259,7 @@ def assert_unbalanced_component_matches_networkx(graph):
     component that an independent parity 2-colouring finds; the number of
     unbalanced components is returned."""
     expected = unbalanced_component_by_networkx(graph)
-    tested, _ = _local_clauses(graph)
+    tested, _ = _local_clauses(graph, _degrees(graph), _condition_ii_clause)
     for forest in (Forest(graph), Forest(graph, list(reversed(tested)))):
         assert forest.unbalanced_component() == expected, graph
     return len(unbalanced_roots(graph, forest))
