@@ -1,18 +1,19 @@
-"""One iterative depth-first search yielding block labels, components and
-switching balance, and a parity union-find yielding balance, components and
-which chosen edges are bridges without incidence lists.  Both answer in vertex
-and edge numbers, which their callers turn into ids; an isthmus (bridge) is
-an edge alone in its block.
+"""A parity union-find yielding switching balance, components and which
+chosen edges are bridges without incidence lists, and one iterative
+depth-first search yielding block labels and components.  The union-find is
+the package's one balance engine; the search reads no sign.  Both answer in
+vertex and edge numbers, which their callers turn into ids; an isthmus
+(bridge) is an edge alone in its block.
 
-``Traversal(graph)`` reads the integer columns off a ``core._Multigraph``:
-vertex ``i`` is the ``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in
-id order, joining ``tail[k]`` and ``tail[k] ^ ends[k]``, with ``negative[k]``
-its sign, a 0/1 byte, and ``incidence[i]`` the edges at vertex ``i`` in id
-order.
-Roots are taken in vertex order and each vertex's edges in edge-id order, so
-results are deterministic, and nothing recurses.  One pass records discovery
-numbers, low-links (Tarjan 1972), tree parent edges and switching parities
-(Harary 1953); the rest is read from those arrays in linear time.
+Both read the integer columns off a ``core._Multigraph``: vertex ``i`` is the
+``i``-th sorted vertex id, edge ``k`` the ``k``-th edge in id order, joining
+``tail[k]`` and ``tail[k] ^ ends[k]``, with ``negative[k]`` its sign, a 0/1
+byte, read by ``Forest`` alone, and ``incidence[i]`` the edges at vertex
+``i`` in id order, read by ``Traversal`` alone.  Roots are taken in vertex
+order and each vertex's edges in edge-id order, so results are
+deterministic, and nothing recurses.  The search's one pass records
+discovery numbers, low-links (Tarjan 1972) and tree parent edges; the rest
+is read from those arrays in linear time.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class Forest:
     With ``last`` reversed from some order, ``closed[-1]`` is the first in
     that order that is not a bridge: the others on a circle through it come
     later, so are merged before it.
-    ``analysis`` is the one module that keeps and reads a forest: condition
-    ii keeps its own on an unbalanced graph for the witness, whose
-    breadth-first search then runs over the unbalanced component's edges
-    alone, indexed in the graph's own vertex numbers.
+    Every route reads balance from the forest a graph caches,
+    ``SignedGraph.forest``; condition ii seeds it with the one it decides
+    with, which answers balance and ``unbalanced_component()`` as a fresh
+    one does, since neither depends on the merge order.
     """
 
     def __init__(self, graph, last=()):
@@ -130,22 +131,21 @@ class Traversal:
     run from its least vertex, its root; ``disc[v]`` is v's place in
     ``order``, ``low[v]`` the least discovery number one non-tree edge
     reaches from v's subtree, ``parent[v]`` the edge entering v (-1 at a
-    root).  ``conflict`` is the first edge met whose sign contradicts the
-    switching parities of its endpoints, or -1 when the graph is balanced.
+    root).  It reads no sign: balance comes from ``Forest``.
     """
 
     def __init__(self, graph):
-        """Search ``graph``, a ``core._Multigraph``, on its columns.  Only the
+        """Search ``graph``, a ``core._Multigraph`` or anything with its
+        ``vertex_ids``, ``tail``, ``ends`` and ``incidence``.  Only the
         columns are kept: the graph caches its traversal, so keeping the graph
         would make a reference cycle that only the collector frees."""
-        adj, ends, odd = graph.incidence, graph.ends, graph.negative
+        adj, ends = graph.incidence, graph.ends
         n = len(graph.vertex_ids)
         disc = [-1] * n
         low = [0] * n
         parent = [-1] * n
-        parity = [0] * n
         resume = [0] * n  # resume[v]: how many of v's edges are scanned
-        order, conflict = [], -1
+        order = []
         for root in range(n):
             if disc[root] >= 0:
                 continue
@@ -166,14 +166,11 @@ class Traversal:
                         disc[w] = low[w] = len(order)
                         order.append(w)
                         parent[w] = k
-                        parity[w] = parity[v] ^ odd[k]
                         resume[v] = i
                         stack.append(w)
                         break
                     if d < low[v]:
                         low[v] = d
-                    if conflict < 0 and parity[v] ^ parity[w] != odd[k]:
-                        conflict = k
                 else:
                     stack.pop()
                     if entering >= 0:
@@ -181,11 +178,7 @@ class Traversal:
                         if low[v] < low[p]:
                             low[p] = low[v]
         self.tail, self.ends, self.order = graph.tail, ends, order
-        self.disc, self.low, self.parent, self.conflict = disc, low, parent, conflict
-
-    @property
-    def balanced(self) -> bool:
-        return self.conflict < 0
+        self.disc, self.low, self.parent = disc, low, parent
 
     @cached_property
     def components(self) -> list:

@@ -10,20 +10,21 @@ over the columns (``_degrees``, not cached).  One local pass over those counts
 (``_local_clauses``) serves four routes, conditions i, ii and iii and the
 simple-graph criterion: it stops at the same vertex and tests the same
 positive edges for each, and each names the failed clause in its own words.
-The cross-validation routes read block labels, components and balance, in
-vertex and edge numbers, from one iterative depth-first search per graph
+The cross-validation routes read block labels and components, in vertex and
+edge numbers, from one iterative depth-first search per graph
 (``SignedGraph.traversal``, linear and cached).  An isthmus is an edge alone
 in its block, and these routes test it on the labels,
 ``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact as a set of ids,
-for callers outside them.  Condition ii reads balance, whether its tested
-edges are isthmi and which one is not, from one parity union-find
-(``_traversal.Forest``) and runs no search.  It lives here with the forest it
-keeps on an unbalanced graph and the witnesses, derived from its failing
-clause in linear time and built and checked as line-graph circles by
-``linegraph``.  Both graph-wide witnesses come from one breadth-first search
-(``_odd_circle``) stopping at the first edge that contradicts its parities: a
-negative circle, searched in place over the unbalanced component's edges that
-forest cuts out, and a shortest circle through a positive non-isthmus edge.
+for callers outside them.  Balance comes from one parity union-find per
+graph (``SignedGraph.forest``, cached).  Condition ii builds its own with its
+tested edges merged last, reads balance from it, and whether those edges are
+isthmi and which is not, runs no search, and seeds the graph's forest with it.
+It lives here with the witnesses, derived from its failing clause in linear
+time and built and checked as line-graph circles by ``linegraph``.  Both
+graph-wide witnesses come from one breadth-first search (``_odd_circle``)
+stopping at the first edge that contradicts its parities: a negative circle,
+searched in place over the unbalanced component's edges that the forest cuts
+out, and a shortest circle through a positive non-isthmus edge.
 """
 
 from __future__ import annotations
@@ -234,14 +235,13 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     closes a circle, all are isthmi and its balance answers the last clause;
     else the last to close one is the first in vertex order that is not an
     isthmus.  A local clause failing before any edge is tested needs no
-    forest.  An unbalanced graph keeps it, as ``traversal`` is kept, for
-    ``find_negative_circle``."""
+    forest.  The graph keeps it as its cached ``forest``, which
+    ``is_balanced_fast`` and ``find_negative_circle`` read: merged in any
+    order, a forest answers balance and its unbalanced component alike."""
     tested, failed = _local_clauses(graph, _degrees(graph), _condition_ii_clause)
     if failed and not tested:
         return failed
-    forest = Forest(graph, list(reversed(tested)))
-    if forest.conflicts:
-        graph.__dict__["_forest"] = forest
+    forest = graph.__dict__["forest"] = Forest(graph, list(reversed(tested)))
     if forest.closed:
         k = forest.closed[-1]
         return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
@@ -250,16 +250,16 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
 
 
 def is_balanced_fast(graph: SignedGraph) -> bool:
-    """Balance in linear time, from the switching parities of the graph's
-    depth-first search."""
-    return graph.traversal.balanced
+    """Balance in O(m log n) time, from the switching parities of the
+    graph's parity union-find (``SignedGraph.forest``)."""
+    return graph.forest.balanced
 
 
 def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
-    The parity union-find (``_traversal.Forest``) that ``check_condition_ii``
-    kept on an unbalanced graph, else a new one, cuts out the edges of the
+    The graph's parity union-find (``SignedGraph.forest``), the one
+    ``check_condition_ii`` seeded when it ran, cuts out the edges of the
     unbalanced component with the least vertex in C-level passes.  They
     alone are indexed by the graph's vertex numbers, each vertex's edges
     ascending, and searched in place, with no subgraph built: a breadth-first
@@ -267,7 +267,7 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     whose sign contradicts the switching parities, whose circle has at most
     twice that vertex's eccentricity plus one edges.  Its sign is checked.
     """
-    edges = (graph.__dict__.get("_forest") or Forest(graph)).unbalanced_component()
+    edges = graph.forest.unbalanced_component()
     if edges is None:
         return None
     tail, ends, edges_at = graph.tail, graph.ends, defaultdict(list)
@@ -559,8 +559,8 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     non-isthmus positive edge gives C's image if C is negative, else that
     image with the spare negative edge interposed at the vertex (O(m)); an
     unbalanced graph gives the image of a negative circle, searched in place
-    over the edges that the union-find condition ii kept cuts out in C-level
-    passes.  Both circles come from one breadth-first search (``_odd_circle``),
+    over the edges that the graph's union-find, seeded by condition ii, cuts
+    out in C-level passes.  Both circles come from one breadth-first search (``_odd_circle``),
     C's with the edge alone odd and kept out of the tree.  Verdicts of other
     methods are re-derived with condition ii, which agrees with them.  No
     edge value is built: the witness is read from the graph's columns and

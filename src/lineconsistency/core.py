@@ -5,20 +5,21 @@ A graph is stored as integer columns (``_Multigraph``): its sorted vertex
 ids, its edge ids in id order, each edge's endpoints as indices into the
 vertex ids, and its signs as ``bytes``, one 0/1 byte per edge, whatever
 built it, so graphs built on different paths compare and hash equal.  The
-depth-first search, condition ii, circle checks and witnesses read the
-columns and find an id by bisecting the sorted ids, so checking a circle of
-length L costs O(L log m).  A marked graph has the same columns, its signs
-all 0, plus a negative bit per vertex.  Edge and vertex
-values (``SignedEdge``, ``Edge``, ``MarkedVertex``) are derived from the
-columns when a caller asks for ``edges``, a marked graph's ``vertices``,
-``edge()`` or ``incident_edges()``.  Every graph is filled from columns, and
-that is the one place the graph invariants are checked: unique vertex ids,
-unique edge ids, no loops, and both endpoints among the vertices; a
-violation names its position in the given order (``vertices[i]`` or
-``edges[i]``).  The endpoints come as ids, or as numbers from a caller that
-already holds them (the JSON reader, subgraphs, the line graph), so that
-no endpoint is looked up twice.  All values are frozen and every transform
-returns a new value, so everything here is safe to share between threads.
+depth-first search (block labels, components), the parity union-find
+(balance), circle checks and witnesses read the columns and find an id by
+bisecting the sorted ids, so checking a circle of length L costs O(L log m).
+A marked graph has the same columns, its signs all 0, plus a negative bit
+per vertex.  Edge and vertex values (``SignedEdge``, ``Edge``,
+``MarkedVertex``) are derived from the columns when a caller asks for
+``edges``, a marked graph's ``vertices``, ``edge()`` or
+``incident_edges()``.  Every graph is filled from columns, and that is the
+one place the graph invariants are checked: unique vertex ids, unique edge
+ids, no loops, and both endpoints among the vertices; a violation names its
+position in the given order (``vertices[i]`` or ``edges[i]``).  The
+endpoints come as ids, or as numbers from a caller that already holds them
+(the JSON reader, subgraphs, the line graph), so that no endpoint is looked
+up twice.  All values are frozen and every transform returns a new value, so
+everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ class _Multigraph:
     @cached_property
     def traversal(self) -> _traversal.Traversal:
         """The graph's one depth-first search, in vertex and edge numbers:
-        block labels, components and balance (an unsigned edge is positive)."""
+        block labels and components.  Balance is ``SignedGraph.forest``'s."""
         return _traversal.Traversal(self)
 
     def _vertex(self, vertex: str) -> int:
@@ -329,6 +330,11 @@ class SignedGraph(_Multigraph):
             for eid, a, e, negative in zip(self.edge_ids, self.tail, self.ends,
                                            self.negative)
         )
+
+    @cached_property
+    def forest(self) -> _traversal.Forest:
+        """The parity union-find all balance is read from (condition ii seeds it)."""
+        return _traversal.Forest(self)
 
     def _key(self) -> tuple:
         return (self.vertices, self.edge_ids, self.tail, self.ends, self.negative)

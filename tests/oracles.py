@@ -7,13 +7,16 @@ and the document writers are the references for the seeded generators and
 the JSON writers; the edge-value line graph, structural classifier and DOT
 writer are the references for the column-built ones; the string-dict
 circle search is the reference for the one on the integer columns; condition
-ii read from the whole graph's depth-first search is the reference for the
-one read from the parity union-find; conditions i and iii and corollary 3
-reading isthmi as a set of ids, with degrees, negative degrees and the local
-clause counted from the edge values, are the references for the ones reading
-the block labels and the shared local pass.  The witnesses' circles are
-checked by definition, against networkx on the subdivided graph, and the
-witnesses are built from them as the paper builds them.
+ii reading isthmi from the whole graph's depth-first search is the reference
+for the one read from the parity union-find; conditions i and iii and
+corollary 3 reading isthmi as a set of ids, with degrees, negative degrees and
+the local clause counted from the edge values, are the references for the
+ones reading the block labels and the shared local pass.  Every reference
+reads balance from its definition, a plain two-colouring of the subdivided
+graph (``balanced_by_subdivision``), never from the library's union-find.  The
+witnesses' circles are checked by definition, against networkx on the
+subdivided graph, and the witnesses are built from them as the paper builds
+them.
 """
 
 import itertools
@@ -31,7 +34,6 @@ from lineconsistency.analysis import (
     Verdict,
     blocks,
     find_isthmi,
-    is_balanced_fast,
 )
 from lineconsistency.core import (
     Circle,
@@ -575,9 +577,39 @@ def differential_corpus(family):
     raise ValueError(family)
 
 
+def balanced_by_subdivision(graph):
+    """Balance by definition, read from the edge values alone: with each
+    positive edge subdivided once and each negative edge twice, as in
+    ``_subdivided``, a circle is even exactly when it has an even number of
+    negative edges, so the graph is balanced exactly when a breadth-first
+    two-colouring of the subdivided graph meets no edge whose ends share a
+    colour (Harary 1953).  Plain dicts, not networkx, so it stays cheap enough for
+    every exhaustive graph."""
+    adjacency = defaultdict(list)
+    for e in graph.edges:
+        path = [e.u, *((e.id, j) for j in range(1 + e.sign.is_negative)), e.v]
+        for x, y in zip(path, path[1:]):
+            adjacency[x].append(y)
+            adjacency[y].append(x)
+    colour = {}
+    for root in adjacency:
+        if root in colour:
+            continue
+        colour[root], queue = 0, [root]
+        for x in queue:  # queue grows as the search reaches vertices
+            for y in adjacency[x]:
+                if y not in colour:
+                    colour[y] = colour[x] ^ 1
+                    queue.append(y)
+                elif colour[y] == colour[x]:
+                    return False
+    return True
+
+
 def check_condition_ii_by_search(graph):
     """The condition ii the parity union-find replaced: degrees from the
-    incidence lists, isthmi and balance from the graph's depth-first search."""
+    incidence lists, isthmi from the graph's depth-first search and balance
+    from its definition."""
     negative, incidence = graph.negative, graph.incidence
     negative_degree = Counter()
     for k, (a, e) in enumerate(zip(graph.tail, graph.ends)):
@@ -594,7 +626,7 @@ def check_condition_ii_by_search(graph):
             if edge not in find_isthmi(graph):
                 return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
                                vertex=graph.vertices[i], edge=edge)
-    return Verdict(True) if graph.traversal.balanced else Verdict(False, UNBALANCED)
+    return Verdict(True) if balanced_by_subdivision(graph) else Verdict(False, UNBALANCED)
 
 
 def _degree_sign_clause_by_edges(graph):
@@ -630,7 +662,8 @@ def check_condition_i_by_isthmi(graph):
     for v, eid in mixed.items():
         if eid not in isthmi:
             return Verdict(False, "degree-3 positive edge not an isthmus", vertex=v, edge=eid)
-    return failed or (Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED))
+    return failed or (Verdict(True) if balanced_by_subdivision(graph)
+                      else Verdict(False, UNBALANCED))
 
 
 def check_condition_iii_by_isthmi(graph):
@@ -638,7 +671,7 @@ def check_condition_iii_by_isthmi(graph):
     if failed:
         return failed
     isthmi = find_isthmi(graph)
-    if not is_balanced_fast(graph):
+    if not balanced_by_subdivision(graph):
         return Verdict(False, "unbalanced after deleting positive isthmi")
     for e in graph.edges:
         if e.sign.is_positive and e.id in isthmi:

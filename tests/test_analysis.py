@@ -34,6 +34,7 @@ from lineconsistency import (
     find_isthmi,
     find_negative_circle,
     find_witness,
+    is_balanced_fast,
     is_consistent_oracle,
     line_edge_id,
     line_graph,
@@ -824,21 +825,47 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
 
 @pytest.mark.parametrize("family", ["random", "circles", "negative-paths", "flipped"])
 def test_kept_forest_changes_no_circle_and_no_verdict(family):
-    """Condition ii keeps its union-find on an unbalanced graph for
-    ``find_negative_circle``.  On a fresh graph, the circle found before
-    condition ii ran is the one found after, and a circle found first never
-    changes condition ii's verdict."""
+    """Condition ii seeds the graph's cached forest with its own union-find,
+    merged in its own order, which ``find_negative_circle`` then reads.  On
+    a fresh graph, the circle found before condition ii ran is the one found
+    after, and a circle found first never changes condition ii's verdict."""
     kept = 0
     for graph in differential_corpus(family):
         first, second = (SignedGraph(graph.vertices, graph.edges) for _ in range(2))
         circle = find_negative_circle(first)
-        assert "_forest" not in first.__dict__  # only condition ii keeps one
+        cached = first.__dict__["forest"]  # the search built the graph's forest
         assert check_condition_ii(first) == check_condition_ii(second), graph
-        if "_forest" in first.__dict__:  # kept only on an unbalanced graph
-            assert circle is not None, graph
-            kept += 1
+        if first.forest is not cached:  # condition ii seeded its own
+            kept += circle is not None
         assert find_negative_circle(first) == circle == find_negative_circle(second), graph
     assert kept > 0
+
+
+def test_the_routes_build_one_forest_per_graph(monkeypatch):
+    """On a fresh unbalanced graph, balance, the negative circle, conditions
+    i and iii and the classifier all read the graph's cached union-find:
+    exactly one ``Forest`` is built between them, at every binding."""
+    built = []
+
+    def counted(graph, *args, cls=_traversal.Forest):
+        built.append(graph)
+        return cls(graph, *args)
+
+    monkeypatch.setattr(_traversal, "Forest", counted)
+    monkeypatch.setattr(analysis, "Forest", counted)
+    unbalanced = 0
+    for graph in [*differential_corpus("flipped"), *differential_corpus("circles")]:
+        graph = SignedGraph(graph.vertices, graph.edges)  # nothing cached
+        built.clear()
+        if is_balanced_fast(graph):
+            continue
+        assert find_negative_circle(graph) is not None, graph
+        verdicts = [check_condition_i(graph), check_condition_iii(graph),
+                    classify_structure(graph).as_verdict()]
+        assert not any(v.line_consistent for v in verdicts), graph
+        assert len(built) == 1 and built[0] is graph, graph
+        unbalanced += 1
+    assert unbalanced > 100
 
 
 def test_negative_circle_is_short_on_a_large_spliced_graph():
@@ -865,7 +892,7 @@ def test_a_checked_and_witnessed_graph_dies_by_reference_counting():
             graph = flipped_recipe(seed)
             verdict = check_condition_ii(graph)
             find_witness(graph, verdict)
-            assert "_forest" in graph.__dict__ and graph.traversal.components
+            assert "forest" in graph.__dict__ and graph.traversal.components
             weakref.finalize(graph, died.append, seed)
             del graph
             assert died[-1:] == [seed]

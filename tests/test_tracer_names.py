@@ -5,7 +5,7 @@ Every binding the package calls through stays called there, so its span
 keeps recording.  Every function, method and class of the package has a
 reader, the modules the reader and the checks run on import no package
 module but core and _traversal, and the witness search lives in analysis,
-beside condition ii and its forest."""
+beside condition ii, the one writer of a graph's forest."""
 
 import ast
 import importlib.util
@@ -207,14 +207,21 @@ def test_production_modules_import_only_core_and_traversal():
     assert not {name: found for name, found in others.items() if found}
 
 
+def forest_seeds(path):
+    """The subscripts under the key "forest" in ``path``: how a module seeds
+    a graph's cached forest, writing ``graph.__dict__["forest"]``."""
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "forest"]
+
+
 def test_the_witness_search_lives_beside_condition_ii():
-    """cycles holds the definitional routes and imports only core; the forest
-    condition ii keeps for the negative-circle search is written and read in
-    analysis alone."""
+    """cycles holds the definitional routes and imports only core; the
+    graph's cached forest, which the negative-circle search reads, is seeded
+    by condition ii in analysis alone."""
     assert package_imports(PACKAGE / "cycles.py") == {"core"}
-    holders = [path.name for path in sorted(PACKAGE.glob("*.py"))
-               if "_forest" in path.read_text()]
-    assert holders == ["analysis.py"]
+    seeders = [path.name for path in sorted(PACKAGE.glob("*.py")) if forest_seeds(path)]
+    assert seeders == ["analysis.py"]
 
 
 def test_the_test_references_import_no_private_name():
@@ -231,3 +238,14 @@ def test_the_test_references_import_no_private_name():
     assert {"lineconsistency.analysis", "Verdict"} <= set(imported)  # the guard sees them
     assert not [name for name in imported if any(
         part.startswith("_") for part in name.split("."))]
+
+
+def test_the_test_references_import_no_balance_engine():
+    """tests/oracles.py reads balance from its definition, so it imports
+    neither the routes' balance nor their negative-circle search nor the
+    union-find both read."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "Verdict" in imported  # the guard sees the imported names
+    assert not imported & {"is_balanced_fast", "find_negative_circle", "Forest"}

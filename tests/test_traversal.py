@@ -1,6 +1,7 @@
-"""The depth-first search against networkx, on graphs up to 10^4 vertices,
-and the parity union-find against the search and, for the unbalanced
-component it names, against networkx components 2-coloured by parity.
+"""The depth-first search and the parity union-find against networkx, on
+graphs up to 10^4 vertices: the search's blocks and components, and the
+forest's balance, components, bridges and the unbalanced component it names,
+against networkx components 2-coloured by parity.
 
 networkx is a test-only dependency; the checks compare bridges, blocks,
 components and balance with independent implementations.  networkx works on
@@ -12,6 +13,7 @@ its block.
 import math
 import random
 from collections import defaultdict, deque
+from types import SimpleNamespace
 
 import pytest
 from oracles import differential_corpus
@@ -27,7 +29,7 @@ from lineconsistency import (
     random_recipe,
     random_signed_graph,
 )
-from lineconsistency._traversal import Forest
+from lineconsistency._traversal import Forest, Traversal
 from lineconsistency.analysis import _condition_ii_clause, _degrees, _local_clauses
 
 nx = pytest.importorskip("networkx")
@@ -129,10 +131,22 @@ def test_components_match_networkx(name, graph):
 
 
 @pytest.mark.parametrize("name, graph", GRAPHS, ids=IDS)
-def test_balance_matches_bipartite_subdivision(name, graph):
-    # a circle's length after subdividing each positive edge once has the
-    # parity of its negative edge count; two parallel negative edges merge,
-    # but their digon is positive anyway
+def test_the_search_reads_no_sign(name, graph):
+    """The search needs only the vertex count, the endpoint columns and the
+    incidence lists: on a namespace holding just those it gives the graph's
+    block labels and components."""
+    columns = SimpleNamespace(vertex_ids=graph.vertex_ids, tail=graph.tail, ends=graph.ends,
+                              incidence=graph.incidence)
+    search = Traversal(columns)
+    assert search.block_labels == graph.traversal.block_labels
+    assert search.components == graph.traversal.components
+
+
+def bipartite_subdivision(graph):
+    """Balance by definition, from networkx: a circle's length after
+    subdividing each positive edge once has the parity of its negative edge
+    count; two parallel negative edges merge, but their digon is positive
+    anyway."""
     subdivided = nx.Graph()
     subdivided.add_nodes_from(graph.vertices)
     for e in graph.edges:
@@ -141,7 +155,12 @@ def test_balance_matches_bipartite_subdivision(name, graph):
         else:
             subdivided.add_edge(e.u, ("mid", e.id))
             subdivided.add_edge(("mid", e.id), e.v)
-    balanced = nx.is_bipartite(subdivided)
+    return nx.is_bipartite(subdivided)
+
+
+@pytest.mark.parametrize("name, graph", GRAPHS, ids=IDS)
+def test_balance_matches_bipartite_subdivision(name, graph):
+    balanced = bipartite_subdivision(graph)
     assert is_balanced_fast(graph) == balanced
     circle = find_negative_circle(graph)
     assert (circle is None) == balanced
@@ -180,7 +199,7 @@ def test_forest_matches_the_search(name, graph):
     bridges = sorted(map(graph._edge_number, find_isthmi(graph)))
     others = sorted(set(range(len(graph.edge_ids))) - set(bridges))
     forest = Forest(graph)
-    assert forest.balanced == is_balanced_fast(graph)
+    assert forest.balanced == bipartite_subdivision(graph)
     assert max(find_chains(forest)) <= math.log2(max(len(graph.vertices), 1)) + 1
     members = defaultdict(set)
     for v, x in enumerate(graph.vertex_ids):
