@@ -44,10 +44,8 @@ class Forest:
     With ``last`` reversed from some order, ``closed[-1]`` is the first in
     that order that is not a bridge: the others on a circle through it come
     later, so are merged before it.
-    Every route reads balance from the forest a graph caches,
-    ``SignedGraph.forest``; condition ii seeds it with the one it decides
-    with, which answers balance and ``unbalanced_component()`` as a fresh
-    one does, since neither depends on the merge order.
+    Every route reads balance from the one forest ``analysis`` caches on a
+    graph, built with the edges its local pass tests as ``last``.
     """
 
     def __init__(self, graph, last=()):

@@ -10,21 +10,21 @@ over the columns (``_degrees``, not cached).  One local pass over those counts
 (``_local_clauses``) serves four routes, conditions i, ii and iii and the
 simple-graph criterion: it stops at the same vertex and tests the same
 positive edges for each, and each names the failed clause in its own words.
-The cross-validation routes read block labels and components, in vertex and
-edge numbers, from one iterative depth-first search per graph
-(``SignedGraph.traversal``, linear and cached).  An isthmus is an edge alone
-in its block, and these routes test it on the labels,
-``sizes[label[k]] == 1``; ``find_isthmi`` gives the same fact as a set of ids,
-for callers outside them.  Balance comes from one parity union-find per
-graph (``SignedGraph.forest``, cached).  Condition ii builds its own with its
-tested edges merged last, reads balance from it, and whether those edges are
-isthmi and which is not, runs no search, and seeds the graph's forest with it.
-It lives here with the witnesses, derived from its failing clause in linear
-time and built and checked as line-graph circles by ``linegraph``.  Both
-graph-wide witnesses come from one breadth-first search (``_odd_circle``)
-stopping at the first edge that contradicts its parities: a negative circle,
-searched in place over the unbalanced component's edges that the forest cuts
-out, and a shortest circle through a positive non-isthmus edge.
+Balance comes from one parity union-find per graph (``_forest``, cached),
+always built with those tested edges merged last, so every route reads the
+same one; conditions i and ii, one body, also read from it which tested edge
+is not an isthmus, with no search.  Condition iii, the classifier and
+corollary 3 read block labels and components, in vertex and edge numbers,
+from one iterative depth-first search per graph (``SignedGraph.traversal``,
+linear and cached).  An isthmus is an edge alone in its block, and these
+routes test it on the labels, ``sizes[label[k]] == 1``; ``find_isthmi`` gives
+the same fact as a set of ids, for callers outside them.  The witnesses,
+derived from condition ii's failing clause in linear time, are built and
+checked as line-graph circles by ``linegraph``.  Both graph-wide witnesses
+come from one breadth-first search (``_odd_circle``) stopping at the first
+edge that contradicts its parities: a negative circle, searched in place over
+the unbalanced component's edges that the forest cuts out, and a shortest
+circle through a positive non-isthmus edge.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def blocks(graph: SignedGraph) -> list:
     return found
 
 
-def _balance_verdict(graph: SignedGraph) -> Verdict:
-    return Verdict(True) if is_balanced_fast(graph) else Verdict(False, UNBALANCED)
+def _balance_verdict(forest: Forest) -> Verdict:
+    return Verdict(True) if forest.balanced else Verdict(False, UNBALANCED)
 
 
 _NO_EDGE = array("l", [-1])  # ``_degrees``' positive_at at a vertex with no positive edge
@@ -210,16 +210,41 @@ def _theorem1_clause(degree: int, negatives: int) -> str:
             else _sign_clause(degree, negatives))
 
 
+def _forest(graph: SignedGraph, tested: Optional[dict] = None) -> Forest:
+    """The graph's one parity union-find (``_traversal.Forest``), cached on
+    it and built here alone, with the positive edges the local pass tests
+    (``tested``, found here when None) merged last, in reverse vertex order.
+    The pass stops at the same vertex in every route, so the forest depends
+    on the graph alone."""
+    forest = graph.__dict__.get("forest")
+    if forest is None:
+        if tested is None:
+            tested = _local_clauses(graph, _degrees(graph), _sign_clause)[0]
+        forest = graph.__dict__["forest"] = Forest(graph, list(reversed(tested)))
+    return forest
+
+
+def _isthmus_clauses(graph: SignedGraph, clause, not_isthmus: str) -> Verdict:
+    """Conditions i and ii, which differ only in the names of a failed local
+    clause (``clause``) and of a tested edge that is not an isthmus.  When no
+    tested edge closes a circle in the graph's forest, all are isthmi; else
+    the last to close one is the first in vertex order that is not.  A local
+    clause failing before any edge is tested needs no forest."""
+    tested, failed = _local_clauses(graph, _degrees(graph), clause)
+    if failed and not tested:
+        return failed
+    forest = _forest(graph, tested)
+    if forest.closed:
+        k = forest.closed[-1]
+        return Verdict(False, not_isthmus,
+                       vertex=graph.vertices[tested[k]], edge=graph.edge_ids[k])
+    return failed or _balance_verdict(forest)
+
+
 def check_condition_i(graph: SignedGraph) -> Verdict:
     """Balanced; degree > 3 totally positive; degree 3 totally positive or
     exactly one positive edge, which is an isthmus."""
-    tested, failed = _local_clauses(graph, _degrees(graph), _sign_clause)
-    label, sizes = graph.traversal.block_labels
-    for k, i in tested.items():
-        if sizes[label[k]] > 1:
-            return Verdict(False, "degree-3 positive edge not an isthmus",
-                           vertex=graph.vertices[i], edge=graph.edge_ids[k])
-    return failed or _balance_verdict(graph)
+    return _isthmus_clauses(graph, _sign_clause, "degree-3 positive edge not an isthmus")
 
 
 def check_condition_ii(graph: SignedGraph) -> Verdict:
@@ -227,39 +252,22 @@ def check_condition_ii(graph: SignedGraph) -> Verdict:
     circles; each endpoint of a negative edge has at most one positive edge,
     an isthmus when the vertex has two negative edges.
 
-    The local clauses are read from the columns by the one local pass that
-    also serves conditions i and iii and the simple-graph criterion
-    (``_local_clauses``); its degree counts are freed before the forest is
-    built.  The positive edges they test are merged last, in reverse vertex
-    order, into one parity union-find (``_traversal.Forest``): when none
-    closes a circle, all are isthmi and its balance answers the last clause;
-    else the last to close one is the first in vertex order that is not an
-    isthmus.  A local clause failing before any edge is tested needs no
-    forest.  The graph keeps it as its cached ``forest``, which
-    ``is_balanced_fast`` and ``find_negative_circle`` read: merged in any
-    order, a forest answers balance and its unbalanced component alike."""
-    tested, failed = _local_clauses(graph, _degrees(graph), _condition_ii_clause)
-    if failed and not tested:
-        return failed
-    forest = graph.__dict__["forest"] = Forest(graph, list(reversed(tested)))
-    if forest.closed:
-        k = forest.closed[-1]
-        return Verdict(False, POSITIVE_EDGE_NOT_ISTHMUS,
-                       vertex=graph.vertices[tested[k]], edge=graph.edge_ids[k])
-    return failed or (Verdict(True) if forest.balanced else Verdict(False, UNBALANCED))
+    Condition i's decision (``_isthmus_clauses``) under the clause names
+    ``find_witness`` builds from.  It runs no search: the local clauses come
+    from the columns, isthmi and balance from the graph's forest."""
+    return _isthmus_clauses(graph, _condition_ii_clause, POSITIVE_EDGE_NOT_ISTHMUS)
 
 
 def is_balanced_fast(graph: SignedGraph) -> bool:
     """Balance in O(m log n) time, from the switching parities of the
-    graph's parity union-find (``SignedGraph.forest``)."""
-    return graph.forest.balanced
+    graph's parity union-find (``_forest``)."""
+    return _forest(graph).balanced
 
 
 def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     """A negative circle when the graph is unbalanced, else None.
 
-    The graph's parity union-find (``SignedGraph.forest``), the one
-    ``check_condition_ii`` seeded when it ran, cuts out the edges of the
+    The graph's parity union-find (``_forest``) cuts out the edges of the
     unbalanced component with the least vertex in C-level passes.  They
     alone are indexed by the graph's vertex numbers, each vertex's edges
     ascending, and searched in place, with no subgraph built: a breadth-first
@@ -267,7 +275,7 @@ def find_negative_circle(graph: SignedGraph) -> Optional[Circle]:
     whose sign contradicts the switching parities, whose circle has at most
     twice that vertex's eccentricity plus one edges.  Its sign is checked.
     """
-    edges = graph.forest.unbalanced_component()
+    edges = _forest(graph).unbalanced_component()
     if edges is None:
         return None
     tail, ends, edges_at = graph.tail, graph.ends, defaultdict(list)
@@ -317,23 +325,19 @@ def check_condition_iii(graph: SignedGraph) -> Verdict:
     negative edge's endpoints of degree at most 2.
 
     No second graph is built: isthmi lie on no circle, so deleting them
-    leaves balance as it is, and each degree drops by the positive isthmi
-    at the vertex."""
-    degrees = _degrees(graph)
-    _, failed = _local_clauses(graph, degrees, _sign_clause)
+    leaves balance as it is.  Once the local clause holds, each endpoint of
+    a negative edge has degree at most 2, or degree 3 with one positive
+    edge, and keeps degree 3 exactly when that edge is not an isthmus."""
+    degree, _, positive_at = degrees = _degrees(graph)
+    tested, failed = _local_clauses(graph, degrees, _sign_clause)
     if failed:
         return failed
-    label, sizes = graph.traversal.block_labels
-    if not is_balanced_fast(graph):
+    if not _forest(graph, tested).balanced:
         return Verdict(False, "unbalanced after deleting positive isthmi")
-    degree, tail, ends, negative = degrees[0], graph.tail, graph.ends, graph.negative
-    for a, e, odd, b in zip(tail, ends, negative, label):
-        if not odd and sizes[b] == 1:
-            degree[a] -= 1
-            degree[a ^ e] -= 1
-    for a, e in compress(zip(tail, ends), negative):
+    label, sizes = graph.traversal.block_labels
+    for a, e in compress(zip(graph.tail, graph.ends), graph.negative):
         for x in (a, a ^ e):
-            if degree[x] > 2:
+            if degree[x] == 3 and sizes[label[positive_at[x]]] > 1:
                 return Verdict(False, "negative-edge endpoint degree exceeds 2 after "
                                "deleting positive isthmi", vertex=graph.vertices[x])
     return Verdict(True)
@@ -355,7 +359,7 @@ def check_theorem1_simple(graph: SignedGraph) -> Verdict:
         circles = circles_through(graph, (v,), DEFAULT_CIRCLE_CAP)
         if any(not pair <= set(c.edges) for c in circles):
             return Verdict(False, off_circle, vertex=v)
-    return failed or _balance_verdict(graph)
+    return failed or _balance_verdict(_forest(graph, tested))
 
 
 def check_corollary_3(graph: SignedGraph) -> Optional[bool]:
@@ -559,8 +563,8 @@ def find_witness(graph: SignedGraph, failed: Verdict) -> Circle:
     non-isthmus positive edge gives C's image if C is negative, else that
     image with the spare negative edge interposed at the vertex (O(m)); an
     unbalanced graph gives the image of a negative circle, searched in place
-    over the edges that the graph's union-find, seeded by condition ii, cuts
-    out in C-level passes.  Both circles come from one breadth-first search (``_odd_circle``),
+    over the edges that the graph's union-find cuts out in C-level passes.
+    Both circles come from one breadth-first search (``_odd_circle``),
     C's with the edge alone odd and kept out of the tree.  Verdicts of other
     methods are re-derived with condition ii, which agrees with them.  No
     edge value is built: the witness is read from the graph's columns and

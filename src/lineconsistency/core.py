@@ -234,7 +234,8 @@ class _Multigraph:
     @cached_property
     def traversal(self) -> _traversal.Traversal:
         """The graph's one depth-first search, in vertex and edge numbers:
-        block labels and components.  Balance is ``SignedGraph.forest``'s."""
+        block labels and components.  It reads no sign: balance comes from
+        the parity union-find the routes in ``analysis`` cache."""
         return _traversal.Traversal(self)
 
     def _vertex(self, vertex: str) -> int:
@@ -330,11 +331,6 @@ class SignedGraph(_Multigraph):
             for eid, a, e, negative in zip(self.edge_ids, self.tail, self.ends,
                                            self.negative)
         )
-
-    @cached_property
-    def forest(self) -> _traversal.Forest:
-        """The parity union-find all balance is read from (condition ii seeds it)."""
-        return _traversal.Forest(self)
 
     def _key(self) -> tuple:
         return (self.vertices, self.edge_ids, self.tail, self.ends, self.negative)

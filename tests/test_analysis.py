@@ -301,15 +301,18 @@ class TestConditionIII:
         )
 
     def test_counts_the_degrees_once(self, monkeypatch):
-        # the local clause and the degrees after deleting isthmi share one count
+        # on a fresh graph, the local clause, the tested edges the graph's
+        # forest is built with and condition iii's degrees share one count
         calls = []
         monkeypatch.setattr(analysis, "_degrees",
                             lambda graph, counted=analysis._degrees:
                             calls.append(graph) or counted(graph))
-        for g in (star("+--"), paw("+++", "+"), circle4("--++"), circle4("-+++")):
-            calls.clear()
-            check_condition_iii(g)
-            assert len(calls) == 1, g
+        for route in (check_condition_i, check_condition_ii, check_condition_iii,
+                      check_theorem1_simple):
+            for g in (star("+--"), paw("+++", "+"), circle4("--++"), circle4("-+++")):
+                calls.clear()
+                route(g)
+                assert len(calls) == 1, (route.__name__, g)
 
 
 def hung_squares(count):
@@ -799,7 +802,7 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
     that reference is kept in ``oracles``.  The negative circle and the
     circle through a positive edge that is not an isthmus meet their
     definitions, checked with networkx, and the witnesses are the paper's
-    constructions on them.  Condition ii itself builds no search and no
+    constructions on them.  Conditions i and ii build no search and no
     incidence list."""
     searches = []
     monkeypatch.setattr(_traversal, "incidence",
@@ -810,6 +813,7 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
                         searches.append("Traversal") or built(graph))
     for graph in differential_corpus(family):
         searches.clear()
+        check_condition_i(graph)
         verdict = check_condition_ii(graph)
         assert searches == [], graph
         expected = check_condition_ii_by_search(graph)
@@ -825,20 +829,20 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
 
 @pytest.mark.parametrize("family", ["random", "circles", "negative-paths", "flipped"])
 def test_kept_forest_changes_no_circle_and_no_verdict(family):
-    """Condition ii seeds the graph's cached forest with its own union-find,
-    merged in its own order, which ``find_negative_circle`` then reads.  On
-    a fresh graph, the circle found before condition ii ran is the one found
-    after, and a circle found first never changes condition ii's verdict."""
-    kept = 0
+    """The negative-circle search caches the graph's forest, and condition ii
+    decides with that very forest.  On a fresh graph, the circle found before
+    condition ii ran is the one found after, and a circle found first never
+    changes condition ii's verdict."""
+    found = 0
     for graph in differential_corpus(family):
         first, second = (SignedGraph(graph.vertices, graph.edges) for _ in range(2))
         circle = find_negative_circle(first)
         cached = first.__dict__["forest"]  # the search built the graph's forest
         assert check_condition_ii(first) == check_condition_ii(second), graph
-        if first.forest is not cached:  # condition ii seeded its own
-            kept += circle is not None
+        assert first.__dict__["forest"] is cached, graph
+        found += circle is not None
         assert find_negative_circle(first) == circle == find_negative_circle(second), graph
-    assert kept > 0
+    assert found > 0
 
 
 def test_the_routes_build_one_forest_per_graph(monkeypatch):
@@ -904,9 +908,9 @@ def test_a_checked_and_witnessed_graph_dies_by_reference_counting():
     "exhaustive", "random", "recipes", "crossval", "collisions", "circles", "tested-edges",
     "negative-paths"])
 def test_routes_read_isthmi_from_the_block_labels(family, monkeypatch):
-    """Conditions i and iii and corollary 3 test the block labels and never
-    build ``find_isthmi``'s id set; their answers are those of the routes
-    that read the id set, kept in ``oracles``."""
+    """Condition iii and corollary 3 test the block labels, condition i the
+    graph's forest, and none builds ``find_isthmi``'s id set; their answers
+    are those of the routes that read the id set, kept in ``oracles``."""
     calls = []
     monkeypatch.setattr(analysis, "find_isthmi",
                         lambda graph, built=find_isthmi: calls.append(graph) or built(graph))

@@ -613,12 +613,9 @@ def test_an_escaping_exception_never_exits_1(command, error, code, first_line, n
         assert err[-2:] == ["RuntimeError: boom", "again"]
 
 
-@pytest.mark.parametrize("family", ["tested-edges", "random", "circles", "flipped"])
-def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
-    """check --method ii --witness builds one parity union-find per input, the
-    one condition ii decides with, and the witness of an unbalanced graph
-    reads it; a local clause that fails before any edge is tested needs
-    none.  The forests are counted at every module binding of the class."""
+def counted_forests(monkeypatch):
+    """The graphs each ``Forest`` is built for from here on, counted at every
+    module binding of the class."""
     built = []
 
     def counted(graph, *args, cls=_traversal.Forest):
@@ -631,6 +628,16 @@ def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
     assert {"lineconsistency._traversal", "lineconsistency.analysis"} <= set(bindings)
     for name in bindings:
         monkeypatch.setattr(sys.modules[name], "Forest", counted)
+    return built
+
+
+@pytest.mark.parametrize("family", ["tested-edges", "random", "circles", "flipped"])
+def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
+    """check --method ii --witness builds one parity union-find per input, the
+    one condition ii decides with, and the witness of an unbalanced graph
+    reads it; a local clause that fails before any edge is tested needs
+    none.  The forests are counted at every module binding of the class."""
+    built = counted_forests(monkeypatch)
     kinds = Counter()
     for graph in differential_corpus(family):
         built.clear()
@@ -645,6 +652,20 @@ def test_witness_check_builds_one_forest_per_input(family, monkeypatch, capsys):
         kinds[forests, verdict.failed_clause] += 1
     if family != "tested-edges":  # there every graph tests an edge, none is unbalanced
         assert kinds[1, UNBALANCED] and any(f == 0 for f, _ in kinds), kinds
+
+
+@pytest.mark.parametrize("family", ["crossval", "flipped"])
+def test_every_method_check_builds_one_forest_per_input(family, monkeypatch, capsys):
+    """check --witness runs every method and the witness on one graph, and all
+    of them read one parity union-find, built once whichever reads it first."""
+    built = counted_forests(monkeypatch)
+    for graph in differential_corpus(family):
+        built.clear()
+        monkeypatch.setattr(sys, "stdin", StringIO(write_signed_graph(graph)))
+        code = main(["check", "--witness", "-"])
+        capsys.readouterr()
+        assert code == int(not check_condition_ii_by_search(graph).line_consistent), graph
+        assert len(built) == 1, graph
 
 
 @pytest.mark.parametrize("family", FAMILIES + ("spliced",))

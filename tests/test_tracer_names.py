@@ -5,7 +5,7 @@ Every binding the package calls through stays called there, so its span
 keeps recording.  Every function, method and class of the package has a
 reader, the modules the reader and the checks run on import no package
 module but core and _traversal, and the witness search lives in analysis,
-beside condition ii, the one writer of a graph's forest."""
+beside condition ii, and there alone a graph's forest is written."""
 
 import ast
 import importlib.util
@@ -14,6 +14,7 @@ from pathlib import Path
 from types import ModuleType
 
 from lineconsistency import analysis
+from lineconsistency.core import SignedGraph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -207,9 +208,9 @@ def test_production_modules_import_only_core_and_traversal():
     assert not {name: found for name, found in others.items() if found}
 
 
-def forest_seeds(path):
-    """The subscripts under the key "forest" in ``path``: how a module seeds
-    a graph's cached forest, writing ``graph.__dict__["forest"]``."""
+def forest_writes(path):
+    """The subscripts under the key "forest" in ``path``: how a module
+    caches a graph's forest, writing ``graph.__dict__["forest"]``."""
     return [node for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
             and node.slice.value == "forest"]
@@ -217,11 +218,12 @@ def forest_seeds(path):
 
 def test_the_witness_search_lives_beside_condition_ii():
     """cycles holds the definitional routes and imports only core; the
-    graph's cached forest, which the negative-circle search reads, is seeded
-    by condition ii in analysis alone."""
+    graph's cached forest, which condition ii and the negative-circle search
+    read, is built in analysis alone, not by the graph."""
     assert package_imports(PACKAGE / "cycles.py") == {"core"}
-    seeders = [path.name for path in sorted(PACKAGE.glob("*.py")) if forest_seeds(path)]
-    assert seeders == ["analysis.py"]
+    assert not hasattr(SignedGraph, "forest")
+    writers = [path.name for path in sorted(PACKAGE.glob("*.py")) if forest_writes(path)]
+    assert writers == ["analysis.py"]
 
 
 def test_the_test_references_import_no_private_name():
