@@ -210,16 +210,16 @@ def _theorem1_clause(degree: int, negatives: int) -> str:
             else _sign_clause(degree, negatives))
 
 
-def _forest(graph: SignedGraph, tested: Optional[dict] = None) -> Forest:
+def _forest(graph: SignedGraph, tested: Optional[dict] = None, degrees=None) -> Forest:
     """The graph's one parity union-find (``_traversal.Forest``), cached on
     it and built here alone, with the positive edges the local pass tests
-    (``tested``, found here when None) merged last, in reverse vertex order.
-    The pass stops at the same vertex in every route, so the forest depends
-    on the graph alone."""
+    (``tested``, found here from ``degrees`` when None) merged last, in
+    reverse vertex order.  The pass stops at the same vertex in every route,
+    so the forest depends on the graph alone."""
     forest = graph.__dict__.get("forest")
     if forest is None:
         if tested is None:
-            tested = _local_clauses(graph, _degrees(graph), _sign_clause)[0]
+            tested = _local_clauses(graph, degrees or _degrees(graph), _sign_clause)[0]
         forest = graph.__dict__["forest"] = Forest(graph, list(reversed(tested)))
     return forest
 
@@ -407,7 +407,8 @@ def classify_structure(graph: SignedGraph) -> StructureReport:
     """
     ids, edge_ids, tail, ends = graph.vertex_ids, graph.edge_ids, graph.tail, graph.ends
     negative, incidence = graph.negative, graph.incidence
-    degree, negative_degree, positive_at = _degrees(graph)
+    degree, negative_degree, positive_at = degrees = _degrees(graph)
+    _forest(graph, degrees=degrees)  # built from these counts; is_balanced_fast reads it
     label, sizes = graph.traversal.block_labels
     # the negative subgraph's components, by least vertex, from a search along
     # the negative edges; runs[i] lists component i's vertices in order

@@ -302,13 +302,14 @@ class TestConditionIII:
 
     def test_counts_the_degrees_once(self, monkeypatch):
         # on a fresh graph, the local clause, the tested edges the graph's
-        # forest is built with and condition iii's degrees share one count
+        # forest is built with and condition iii's or the classifier's
+        # degrees share one count
         calls = []
         monkeypatch.setattr(analysis, "_degrees",
                             lambda graph, counted=analysis._degrees:
                             calls.append(graph) or counted(graph))
         for route in (check_condition_i, check_condition_ii, check_condition_iii,
-                      check_theorem1_simple):
+                      check_theorem1_simple, classify_structure):
             for g in (star("+--"), paw("+++", "+"), circle4("--++"), circle4("-+++")):
                 calls.clear()
                 route(g)
@@ -813,7 +814,8 @@ def test_condition_ii_matches_the_search(family, monkeypatch):
                         searches.append("Traversal") or built(graph))
     for graph in differential_corpus(family):
         searches.clear()
-        check_condition_i(graph)
+        check_condition_i(SignedGraph(graph.vertices, graph.edges))
+        assert searches == [], graph
         verdict = check_condition_ii(graph)
         assert searches == [], graph
         expected = check_condition_ii_by_search(graph)
